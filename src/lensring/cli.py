@@ -15,7 +15,8 @@ identical for identical configurations; nothing is timestamped or machine
 dependent.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or validation error,
-3 enumeration budget exceeded.
+3 enumeration budget exceeded, 4 internal invariant failure (an
+ArithmeticError: a result the code certifies did not check out).
 
 Expressions use a tiny language: integer literals, chi, f, fk(k), fpk(k),
 binary + - *, powers ^ with a non-negative integer exponent, unary minus,
@@ -767,20 +768,21 @@ _SUITE_RUNNERS: dict[str, Callable[[RunConfig], list[Check]]] = {
     "r-uniqueness": _suite_r_uniqueness,
     "a-eq-b": _suite_a_eq_b,
     "kernel": _suite_kernel,
+    "extras": _suite_extras,
 }
 
 
 def _run_verify(config: RunConfig) -> tuple[str, int]:
     suite = config.param("suite")
     if suite == "all":
-        names = list(_SUITE_RUNNERS) + ["extras"]
+        names = list(_SUITE_RUNNERS)
     else:
         names = [suite]
     lines = []
     total = 0
     failed = 0
     for name in names:
-        runner = _SUITE_RUNNERS.get(name, _suite_extras)
+        runner = _SUITE_RUNNERS[name]
         for check_name, ok in runner(config):
             total += 1
             if not ok:
@@ -866,16 +868,20 @@ _PARAM_NAMES = {
 
 def _resolve_budget(flag_value: int | None) -> int:
     if flag_value is not None:
-        return flag_value
-    env = os.environ.get(BUDGET_ENV_VAR)
-    if env is not None:
+        budget, source = flag_value, "--budget"
+    else:
+        env = os.environ.get(BUDGET_ENV_VAR)
+        if env is None:
+            return DEFAULT_BUDGET
         try:
-            return int(env)
+            budget, source = int(env), BUDGET_ENV_VAR
         except ValueError as exc:
             raise ValueError(
                 f"{BUDGET_ENV_VAR} must be an integer, got {env!r}"
             ) from exc
-    return DEFAULT_BUDGET
+    if budget < 0:
+        raise ValueError(f"{source} must be non-negative, got {budget}")
+    return budget
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
@@ -917,9 +923,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, ArithmeticError, KeyError) as exc:
+    except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(output)

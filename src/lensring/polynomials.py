@@ -290,8 +290,10 @@ _r_minus_table: dict[int, RMinusRecord] = {}
 
 
 def reset_polynomial_tables() -> None:
-    """Drop the cached r^-_n search results (used by tests for isolation)."""
+    """Drop the cached r^-_n search results and the r^+_n derived from them
+    (used by tests for isolation)."""
     _r_minus_table.clear()
+    r_plus.cache_clear()
 
 
 def _search_winners(base: IntPolynomial, scaled: Sequence[IntPolynomial],

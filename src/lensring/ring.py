@@ -19,8 +19,14 @@ The distinguished elements are
              / (1 + chi + ... + chi^(k-1))                 for odd k,
 
 with f_k = f * f'_k and f'_k integral.  The level-l projections pr_l map onto
-Q[chi]/<1 + chi^(2^l)> for 0 <= l <= K-1 and jointly determine an element via
-an explicit Chinese-remainder reconstruction formula.
+Q[chi]/<1 + chi^(2^l)> for 0 <= l <= K-1 and jointly determine an element:
+
+    Q[chi]/I<K>  =  prod_{l<K} Q[chi]/<1 + chi^(2^l)>,
+
+one factor per step chi^(2M) - 1 = (chi^M - 1)(chi^M + 1) of the tower.
+`project` is the only way down the tower and `crt_reconstruct`, the inverse
+butterfly, the only way up; `invert` goes down, inverts each level in its
+field by the norm to the level below, and comes back up.
 
 Performance note: the public API works with `fractions.Fraction` throughout,
 but heavy operations run internally on an integer coefficient vector of
@@ -350,77 +356,6 @@ def _poly_mul_int(a: Sequence[int], b: Sequence[int]) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# inversion via extended gcd against the ideal generator
-# ---------------------------------------------------------------------------
-
-def _ptrim(p: list[Fraction]) -> list[Fraction]:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _pmul(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return _ptrim(out)
-
-
-def _psub(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, y in enumerate(b):
-        out[i] -= y
-    return _ptrim(out)
-
-
-def _pdivmod(num: Sequence[Fraction], den: Sequence[Fraction]):
-    num = list(num)
-    q = [Fraction(0)] * max(0, len(num) - len(den) + 1)
-    inv_lead = 1 / den[-1]
-    for i in range(len(num) - len(den), -1, -1):
-        coef = num[i + len(den) - 1] * inv_lead
-        if coef:
-            q[i] = coef
-            for j, y in enumerate(den):
-                num[i + j] -= coef * y
-    return q, _ptrim(num)
-
-
-def invert(a: RingElement) -> RingElement:
-    """Multiplicative inverse in Q[chi]/I<K>.
-
-    Runs the extended Euclidean algorithm on the canonical lift against the
-    ideal generator 1 + chi + ... + chi^(N-1) over exact rationals.  Raises
-    ValueError when the element is not invertible (non-constant gcd).
-    """
-    n = 1 << a.level
-    r0: list[Fraction] = [Fraction(1)] * n
-    t0: list[Fraction] = []
-    r1 = _ptrim(list(a.coeffs))
-    t1: list[Fraction] = [Fraction(1)]
-    if not r1:
-        raise ValueError("0 is not invertible")
-    while r1:
-        q, rem = _pdivmod(r0, r1)
-        r0, r1 = r1, rem
-        t0, t1 = t1, _psub(t0, _pmul(q, t1))
-    if len(r0) != 1:
-        raise ValueError(
-            "element is not invertible: its lift shares a non-constant factor"
-            " with the ideal generator"
-        )
-    scale = 1 / r0[0]
-    return make_element(a.level, [c * scale for c in t0])
-
-
-# ---------------------------------------------------------------------------
 # the internal cyclic-lift engine
 # ---------------------------------------------------------------------------
 # A value is a pair (z, den): an integer list z of length N read in
@@ -692,8 +627,21 @@ def is_in_4Z(a: RingElement) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# projections and Chinese-remainder reconstruction
+# the level tower: projection, reconstruction, inversion
 # ---------------------------------------------------------------------------
+
+def _fold(coeffs: Sequence[Rational], l: int) -> list[Rational]:
+    """Reduce sum(c_j * chi^j) modulo 1 + chi^(2^l): chi^(2^l) = -1."""
+    m = 1 << l
+    out: list[Rational] = [0] * m
+    for j, c in enumerate(coeffs):
+        if c:
+            if (j >> l) & 1:
+                out[j & (m - 1)] -= c
+            else:
+                out[j & (m - 1)] += c
+    return out
+
 
 def project(a: RingElement, l: int) -> LevelProjection:
     """Project onto Q[chi]/<1 + chi^(2^l)> for 0 <= l <= K-1."""
@@ -701,26 +649,16 @@ def project(a: RingElement, l: int) -> LevelProjection:
         raise ValueError(
             f"projection level must satisfy 0 <= l <= {a.level - 1}, got {l!r}"
         )
-    m = 1 << l
-    out = [Fraction(0)] * m
-    for j, c in enumerate(a.coeffs):
-        if c:
-            if (j >> l) & 1:
-                out[j & (m - 1)] -= c
-            else:
-                out[j & (m - 1)] += c
-    return LevelProjection(l, tuple(out))
+    return LevelProjection(l, tuple(_fold(a.coeffs, l)))
 
 
 def crt_reconstruct(parts: Sequence[LevelProjection]) -> RingElement:
     """Reassemble the unique ring element with the given projections.
 
-    parts must list one projection per level l = 0, ..., K-1.  Uses the
-    reconstruction formula
-
-        g = sum_l 2^(l-K) * g_l * (1 - chi) * prod_{r != l} (1 + chi^(2^r))
-
-    where g_l is any lift of the level-l part.
+    parts must list one projection per level l = 0, ..., K-1.  This inverts
+    the split level by level: with s the element modulo chi^(2^l) - 1
+    (starting from 0 as the chi = 1 part) and d the level-l part, the element
+    modulo chi^(2^(l+1)) - 1 has halves lo = (s + d)/2 and hi = (s - d)/2.
     """
     parts = list(parts)
     K = len(parts)
@@ -731,27 +669,46 @@ def crt_reconstruct(parts: Sequence[LevelProjection]) -> RingElement:
             raise ValueError(
                 f"parts[{l}] must be a LevelProjection at level {l}"
             )
-    total = make_element(K, [])
-    for l, p in enumerate(parts):
+    s: list[Fraction] = [Fraction(0)]
+    for p in parts:
+        s = ([(x + y) / 2 for x, y in zip(s, p.coeffs)]
+             + [(x - y) / 2 for x, y in zip(s, p.coeffs)])
+    return make_element(K, s)
+
+
+def _invert_level(p: LevelProjection) -> LevelProjection:
+    """Inverse of a nonzero p in the field Q[chi]/<1 + chi^(2^l)>.
+
+    p^-1 = p(-chi) * (p(chi) * p(-chi))^-1, where the norm p(chi) * p(-chi)
+    is even in chi and so lives at level l - 1 in chi^2.
+    """
+    if p.level == 0:
+        return LevelProjection(0, (1 / p.coeffs[0],))
+    conj = LevelProjection(
+        p.level, tuple(-c if j & 1 else c for j, c in enumerate(p.coeffs))
+    )
+    norm = (p * conj).coeffs[::2]
+    inv = _invert_level(LevelProjection(p.level - 1, norm)).coeffs
+    spread = [Fraction(0)] * (2 * len(inv))
+    spread[::2] = inv
+    return conj * LevelProjection(p.level, tuple(spread))
+
+
+def invert(a: RingElement) -> RingElement:
+    """Multiplicative inverse in Q[chi]/I<K>.
+
+    Projects to every level, inverts each part in its field and reassembles.
+    Raises ValueError when the element is not invertible, which is exactly
+    when some projection is zero (0 included).
+    """
+    parts = [project(a, l) for l in range(a.level)]
+    for p in parts:
         if p.is_zero():
-            continue
-        prod = [1]
-        for r in range(K):
-            if r == l:
-                continue
-            step = 1 << r
-            widened = prod + [0] * step
-            for i, v in enumerate(prod):
-                widened[i + step] += v
-            prod = widened
-        factor = [0] * (len(prod) + 1)
-        for i, v in enumerate(prod):
-            factor[i] += v
-            factor[i + 1] -= v
-        lift = make_element(K, list(p.coeffs))
-        term = lift * make_element(K, factor)
-        total = total + term * Fraction(1, 1 << (K - l))
-    return total
+            raise ValueError(
+                f"element is not invertible: its level-{p.level} projection"
+                " is zero"
+            )
+    return crt_reconstruct([_invert_level(p) for p in parts])
 
 
 # ---------------------------------------------------------------------------

@@ -36,8 +36,8 @@ from fractions import Fraction
 from functools import cache
 from math import lcm
 
-from .polynomials import IntPolynomial, ONE, X
-from .ring import LevelProjection, RingElement, project
+from .polynomials import IntPolynomial, ONE, X, _v2
+from .ring import LevelProjection, RingElement, _fold, project
 
 __all__ = [
     "Valuation",
@@ -176,31 +176,13 @@ class NormalForm:
     v2: IntPolynomial
 
 
-def _v2_int(x: int) -> int:
-    return (x & -x).bit_length() - 1
-
-
-def _expand_in_monomials(pairs) -> IntPolynomial:
-    """sum of c * (1 - chi)^e as a polynomial in chi."""
-    out: dict[int, int] = {}
-    for c, e in pairs:
-        if c == 0:
-            continue
-        row = 1
-        sign_coeffs = [1]
-        for _ in range(e):
-            nxt = [0] * (len(sign_coeffs) + 1)
-            for i, v in enumerate(sign_coeffs):
-                nxt[i] += v
-                nxt[i + 1] -= v
-            sign_coeffs = nxt
-        for i, v in enumerate(sign_coeffs):
-            if v:
-                out[i] = out.get(i, 0) + c * v
-    if not out:
-        return IntPolynomial(())
-    top = max(out)
-    return IntPolynomial(tuple(out.get(i, 0) for i in range(top + 1)))
+def _expand_in_monomials(coeffs: list[int]) -> IntPolynomial:
+    """sum of coeffs[e] * (1 - chi)^e as a polynomial in chi, by Horner."""
+    out: list[int] = []
+    for c in reversed(coeffs):
+        out = [x - y for x, y in zip(out + [0], [0] + out)]
+        out[0] += c
+    return IntPolynomial(tuple(out))
 
 
 def normal_form(p: LevelProjection) -> NormalForm:
@@ -215,7 +197,7 @@ def normal_form(p: LevelProjection) -> NormalForm:
         raise ValueError("the zero projection has no normal form")
     dim = 1 << p.level
     w = lcm(*(c.denominator for c in p.coeffs))
-    a1 = _v2_int(w)
+    a1 = _v2(w)
     u = w >> a1
     cur = [int(c * w) for c in p.coeffs]
     zm = []
@@ -227,14 +209,10 @@ def normal_form(p: LevelProjection) -> NormalForm:
             suffix += cur[i]
             nxt[i - 1] = -suffix
         cur = nxt
-    a2 = min(_v2_int(v) for v in zm if v)
-    b = next(m for m, v in enumerate(zm) if v and _v2_int(v) == a2)
-    v1 = _expand_in_monomials(
-        (zm[m] >> a2, m - b) for m in range(b, dim) if zm[m]
-    )
-    v2 = _expand_in_monomials(
-        (zm[m] >> (a2 + 1), m) for m in range(b) if zm[m]
-    )
+    a2 = min(_v2(v) for v in zm if v)
+    b = next(m for m, v in enumerate(zm) if v and _v2(v) == a2)
+    v1 = _expand_in_monomials([v >> a2 for v in zm[b:]])
+    v2 = _expand_in_monomials([v >> (a2 + 1) for v in zm[:b]])
     if v1(1) % 2 == 0:
         raise ArithmeticError("normal form witness v1 must be odd at 1")
     return NormalForm(a2 - a1, b, u, v1, v2)
@@ -242,18 +220,11 @@ def normal_form(p: LevelProjection) -> NormalForm:
 
 def normal_form_reconstruct(nf: NormalForm, level: int) -> LevelProjection:
     """Rebuild the projection certified by a normal form."""
-    one_minus_chi = ONE - X
-    base = (one_minus_chi ** nf.b) * nf.v1 + 2 * nf.v2
-    dim = 1 << level
+    base = ((ONE - X) ** nf.b) * nf.v1 + 2 * nf.v2
     scalar = Fraction(2) ** nf.a / nf.u
-    coeffs = [Fraction(0)] * dim
-    for j, c in enumerate(base.coeffs):
-        # reduce chi^j modulo 1 + chi^(2^level)
-        if (j >> level) & 1:
-            coeffs[j & (dim - 1)] -= c * scalar
-        else:
-            coeffs[j & (dim - 1)] += c * scalar
-    return LevelProjection(level, tuple(coeffs))
+    return LevelProjection(
+        level, tuple(c * scalar for c in _fold(base.coeffs, level))
+    )
 
 
 def w_l(g: RingElement, l: int) -> Valuation:

@@ -157,6 +157,8 @@ def test_usage_errors_exit_two(capsys):
     assert main(["wl", "--expr", "f", "--K", "3", "--l", "5"]) == 2
     assert main(["no-such-command"]) == 2
     assert main(["tables"]) == 2
+    # a negative budget is rejected up front, not reported as exceeded
+    assert main(["verify", "--suite", "a-eq-b", "--budget", "-1"]) == 2
     capsys.readouterr()
 
 
@@ -169,7 +171,35 @@ def test_budget_exit_three(capsys, monkeypatch):
     assert main(["verify", "--suite", "kernel", "--budget", "1048576"]) == 0
     monkeypatch.setenv("LENSRING_BUDGET", "not-a-number")
     assert main(["verify", "--suite", "kernel"]) == 2
-    capsys.readouterr()
+    monkeypatch.setenv("LENSRING_BUDGET", "-4")
+    assert main(["verify", "--suite", "a-eq-b"]) == 2
+    assert "LENSRING_BUDGET must be non-negative" in capsys.readouterr().err
+
+
+def test_internal_invariant_failure_exits_four(capsys, monkeypatch):
+    from lensring import cli
+
+    def broken(config):
+        raise ArithmeticError("witness did not check out")
+
+    monkeypatch.setitem(cli._SUITE_RUNNERS, "kernel", broken)
+    assert main(["verify", "--suite", "kernel"]) == 4
+    assert "witness did not check out" in capsys.readouterr().err
+
+
+def test_verify_all_runs_each_listed_suite_once(capsys, monkeypatch):
+    from lensring import cli
+
+    names = [s for s in cli.SUITES if s != "all"] + ["extras"]
+    assert list(cli._SUITE_RUNNERS) == names
+    monkeypatch.setattr(cli, "_SUITE_RUNNERS", {
+        name: (lambda config: [("stub", True)]) for name in names
+    })
+    code, out = run_cli(capsys, "verify", "--suite", "all")
+    assert code == 0
+    assert out.splitlines() == [f"ok {name}: stub" for name in names] + [
+        f"suite all: {len(names)} checks, {len(names)} ok, 0 failed"
+    ]
 
 
 def test_expression_language():

@@ -158,6 +158,12 @@ def test_r_plus_frozen_table():
         assert r_plus(n) == beta(r_minus(n).polynomial)
 
 
+def test_reset_clears_r_plus():
+    r_plus(2)
+    reset_polynomial_tables()
+    assert r_plus.cache_info().currsize == 0
+
+
 def test_membership_A_validation():
     with pytest.raises(ValueError):
         membership_A(X ** 3, 2, 1, 7)

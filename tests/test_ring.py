@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from lensring import (
     LevelProjection,
@@ -122,6 +123,40 @@ def test_invert_rejects_zero_and_zero_divisors():
     assert not zd.is_zero()
     with pytest.raises(ValueError):
         invert(zd)
+    # 1 + chi^(2^l) projects to zero at level l, for every l < K
+    for K in range(1, 6):
+        with pytest.raises(ValueError):
+            invert(make_element(K, []))
+        for l in range(K):
+            with pytest.raises(ValueError):
+                invert(one(K) + chi(K) ** (1 << l))
+
+
+def test_invert_matches_sympy():
+    x = sympy.Symbol("x")
+    rng = random.Random(11)
+    for K in range(1, 6):
+        n = 1 << K
+        ideal = sum(x ** j for j in range(n))
+        for _ in range(6):
+            a = make_element(K, [Fraction(rng.randrange(-9, 10),
+                                          rng.choice((1, 2, 3, 8)))
+                                 for _ in range(n - 1)])
+            lift = sum(c * x ** j for j, c in enumerate(a.coeffs))
+            try:
+                expected = sympy.Poly(
+                    sympy.invert(lift, ideal, x, domain=sympy.QQ), x
+                )
+            except sympy.polys.polyerrors.NotInvertible:
+                with pytest.raises(ValueError):
+                    invert(a)
+                continue
+            want = make_element(
+                K, [Fraction(int(c.p), int(c.q))
+                    for c in reversed(expected.all_coeffs())]
+            )
+            assert invert(a) == want
+            assert a * want == one(K)
 
 
 def test_element_f_identities():
@@ -231,6 +266,14 @@ def test_crt_round_trip():
     for K in (1, 2, 3, 4):
         for _ in range(20):
             g = random_element(rng, K)
+            parts = [project(g, l) for l in range(K)]
+            assert crt_reconstruct(parts) == g
+    # deeper towers, with 2-power denominators
+    for K in (5, 6, 7):
+        for _ in range(4):
+            g = make_element(K, [Fraction(rng.randrange(-99, 100),
+                                          1 << rng.randrange(8))
+                                 for _ in range(1 << K)])
             parts = [project(g, l) for l in range(K)]
             assert crt_reconstruct(parts) == g
     with pytest.raises(ValueError):

@@ -108,18 +108,24 @@ def test_normal_form_known_values():
 
 def test_normal_form_round_trip_and_oddness():
     rng = random.Random(10)
-    for K in (1, 2, 3, 4):
-        for _ in range(25):
-            g = random_element(rng, K)
-            for l in range(K):
-                p = project(g, l)
-                if p.is_zero():
-                    continue
-                nf = normal_form(p)
-                assert nf.v1(1) % 2 == 1
-                assert nf.u % 2 == 1
-                assert 0 <= nf.b < 1 << l
-                assert normal_form_reconstruct(nf, l) == p
+    elements = [random_element(rng, K) for K in (1, 2, 3, 4) for _ in range(25)]
+    # deeper towers, with 2-power denominators
+    elements += [
+        make_element(K, [Fraction(rng.randrange(-99, 100),
+                                  1 << rng.randrange(8))
+                         for _ in range(1 << K)])
+        for K in (5, 6, 7) for _ in range(4)
+    ]
+    for g in elements:
+        for l in range(g.level):
+            p = project(g, l)
+            if p.is_zero():
+                continue
+            nf = normal_form(p)
+            assert nf.v1(1) % 2 == 1
+            assert nf.u % 2 == 1
+            assert 0 <= nf.b < 1 << l
+            assert normal_form_reconstruct(nf, l) == p
 
 
 def test_w_l_worked_examples():
