@@ -16,7 +16,9 @@ dependent.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or validation error,
 3 enumeration budget exceeded, 4 internal invariant failure (an
-ArithmeticError: a result the code certifies did not check out).
+ArithmeticError: a result the code certifies did not check out).  Each
+failing verify check also writes a one-line reproducer (suite and seed,
+with the check name) to stderr.
 
 Expressions use a tiny language: integer literals, chi, f, fk(k), fpk(k),
 binary + - *, powers ^ with a non-negative integer exponent, unary minus,
@@ -52,12 +54,13 @@ from .polynomials import (
 )
 from .ring import (
     RingElement,
+    _eval_f2_vec,
+    _vec_is_in_4Z,
     conjugate,
     crt_reconstruct,
     element_f,
     element_f_k,
     element_f_prime,
-    evaluate_at_f_squared,
     is_in_4Z,
     make_element,
     project,
@@ -458,10 +461,7 @@ Check = tuple[str, bool]
 
 
 def _ladder_member(q, K: int, k: int, m: int, times: int = 0) -> bool:
-    element = evaluate_at_f_squared(
-        q, K, k, "odd", m, times_one_minus_chi=times
-    )
-    return is_in_4Z(element)
+    return _vec_is_in_4Z(_eval_f2_vec(q.coeffs, K, k, "odd", m, times))
 
 
 def _random_element(rng: random.Random, K: int) -> RingElement:
@@ -787,6 +787,9 @@ def _run_verify(config: RunConfig) -> tuple[str, int]:
             total += 1
             if not ok:
                 failed += 1
+                print(f"reproduce: lensring verify --suite {name}"
+                      f" --seed {config.seed}  # {check_name}",
+                      file=sys.stderr)
             lines.append(f"{'ok' if ok else 'FAIL'} {name}: {check_name}")
     lines.append(
         f"suite {suite}: {total} checks, {total - failed} ok, {failed} failed"

@@ -131,15 +131,9 @@ class IntPolynomial:
             return IntPolynomial(tuple(c * other for c in self.coeffs))
         if not isinstance(other, IntPolynomial):
             return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return IntPolynomial(())
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, x in enumerate(self.coeffs):
-            if x:
-                for j, y in enumerate(other.coeffs):
-                    if y:
-                        out[i + j] += x * y
-        return IntPolynomial(tuple(out))
+        return IntPolynomial(
+            tuple(ring._poly_mul_int(self.coeffs, other.coeffs))
+        )
 
     def __rmul__(self, other):
         if isinstance(other, int) and not isinstance(other, bool):
@@ -199,18 +193,6 @@ ONE = IntPolynomial((1,))
 # the p_k family
 # ---------------------------------------------------------------------------
 
-def _intpoly_mul(a: list[int], b: list[int]) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
 @cache
 def p_k(k: int) -> IntPolynomial:
     """The k-th base polynomial, monic of degree 2^(k-1).
@@ -230,8 +212,8 @@ def p_k(k: int) -> IntPolynomial:
     num = [prev.coeffs[d]]
     den = [1]
     for j in range(d - 1, -1, -1):
-        den_next = _intpoly_mul(den, u_den)
-        num = _intpoly_mul(num, u_num)
+        den_next = ring._poly_mul_int(den, u_den)
+        num = ring._poly_mul_int(num, u_num)
         cj = prev.coeffs[j]
         if cj:
             num = [
@@ -429,8 +411,7 @@ def membership_A(q, K: int, k: int, d: int, m: int | None = None) -> bool:
         if m is not None:
             raise ValueError("even d does not take an exponent m")
         mm = 1
-    z, den = ring._eval_f2_vec(coeffs, K, k, mode, mm)
-    return ring._vec_is_in_4Z(z, den)
+    return ring._vec_is_in_4Z(ring._eval_f2_vec(coeffs, K, k, mode, mm))
 
 
 @dataclass(frozen=True)

@@ -29,12 +29,33 @@ butterfly, the only way up; `invert` goes down, inverts each level in its
 field by the norm to the level below, and comes back up.
 
 Performance note: the public API works with `fractions.Fraction` throughout,
-but heavy operations run internally on an integer coefficient vector of
-length N in the cyclic lift Q[chi]/(chi^N - 1) together with one shared
-positive integer denominator.  Division by 1 - chi^k (k odd) is a single
-cumulative-sum pass after adjusting by a multiple of the norm element, which
-is legitimate because the norm is zero in the quotient.  Dense products use
-Kronecker substitution (one big-integer multiply).  All of this is exact.
+but heavy operations run internally on integer coefficient vectors in the
+cyclic lift Q[chi]/(chi^N - 1) together with one shared positive integer
+denominator.  Dense products use Kronecker substitution (one big-integer
+multiply) through `_poly_mul_int`, the package's one integer convolution.
+
+The families 8 f'_k f^m q(f^2) (and scale * f'_k f^p (f^2 - 1)) are never
+built with all N entries unless a public function returns them.  Their
+sparse factors are multiplied out first into a numerator of H terms, which
+is then divided once by 1 - chi^k and e times by 1 - chi; each division is a
+running sum after adding the multiple of the norm element that makes the
+entry sum vanish, which is legitimate because the norm is zero in the
+quotient.  From index H - k on (H >= k), each residue class mod k of the
+result is a polynomial of degree <= e + 1 in its index, so the vector is
+fixed by its first W = H + (e + 1)*k entries (H + 1 when k = 1, where every
+division moves the start of the tail down instead).  `_Window` stores the
+head before the tail and, per class, the Newton forward differences of the
+tail: the last entry, the class sums each division needs (through
+sum_{s<L} C(s, j) = C(L, j + 1)) and the division itself then cost
+O(H + k*e) operations, not O(N).  Membership in 4 Z[chi]/I<K> of any
+integer combination needs only the first W entries and the last one, so
+the residue rows of the r^- search, the lattice oracles and the shape
+remark are W wide: W grows like n, not like N = 2^(2n+2).  When W >= N
+(small K, or a numerator that wraps) the vector simply holds all N
+entries.  Only `element_f`, `element_f_prime`, `element_f_k`,
+`evaluate_at_f_squared` and `structure.rho_bracket` step the tail out to
+all N entries, because they return a `RingElement`.  All of this is
+exact.
 
 Every value is immutable after construction and every function is pure, so
 everything here is safe to share across threads without synchronization.
@@ -46,8 +67,8 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
-from typing import Iterable, Sequence, Union
+from itertools import accumulate, zip_longest
+from typing import Iterable, NamedTuple, Sequence, Union
 
 __all__ = [
     "RingElement",
@@ -356,101 +377,237 @@ def _poly_mul_int(a: Sequence[int], b: Sequence[int]) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# the internal cyclic-lift engine
+# the internal cyclic-lift engine: family vectors on a short window
 # ---------------------------------------------------------------------------
-# A value is a pair (z, den): an integer list z of length N read in
-# Q[chi]/(chi^N - 1), divided by the positive integer den.  Only the class
-# modulo the norm ideal is meaningful; helpers may freely add multiples of
-# the norm vector (1, 1, ..., 1).
-
-def _mul_sparse(z: list[int], terms: Sequence[tuple[int, int]]) -> list[int]:
-    """Multiply by sum(c * chi^s for c, s in terms), cyclically."""
-    n = len(z)
-    out = [0] * n
-    for c, s in terms:
-        if c == 0:
-            continue
-        s %= n
-        rz = z[-s:] + z[:-s] if s else z
-        out = [o + c * v for o, v in zip(out, rz)]
-    return out
+# A family vector is an integer vector of length N read in
+# Q[chi]/(chi^N - 1), divided by one positive integer den.  Only its class
+# modulo the norm vector (1, 1, ..., 1) is meaningful, so the canonical
+# coefficient j is (entry j - entry N-1) / den.
 
 
-def _binom_terms(p: int, sign: int) -> list[tuple[int, int]]:
-    """Coefficient terms of (1 + sign*chi)^p."""
-    return [(math.comb(p, j) * (sign ** j), j) for j in range(p + 1)]
+class _Window(NamedTuple):
+    """A family vector stored as a head of entries and a polynomial tail.
 
-
-def _div_geom(z: list[int], den: int, k: int, n: int) -> tuple[list[int], int]:
-    """Divide (z, den) by 1 - chi^k with gcd(k, n) = 1, modulo the norm ideal.
-
-    The quotient exists after adding t times the norm vector, where t makes
-    the coefficient sum vanish; the sum lives on the component killed by the
-    quotient map, so the result is exact in Q[chi]/I<K>.
+    `head` holds entries 0 .. s - 1 (s = len(head)).  From s on, the
+    entries j = s + r + b*k of each residue class r (0 <= r < k) are the
+    polynomial sum_h tails[r][h] * C(b, h) in b: its Newton forward
+    differences at b = 0, so every entry, class sum and the last entry are
+    closed forms, and sum_{b<L} C(b, h) = C(L, h + 1).  An empty `tails`
+    means the head holds all n entries.
     """
-    total = sum(z)
-    if total % n:
-        z = [v * n for v in z]
-        den *= n
-        total *= n
-    t = -(total // n)
-    if t:
-        z = [v + t for v in z]
-    else:
-        z = list(z)
-    if k == 1:
-        return list(accumulate(z)), den
-    y = [0] * n
-    acc = 0
-    idx = 0
-    for _ in range(n):
-        acc += z[idx]
-        y[idx] = acc
-        idx = (idx + k) % n
-    return y, den
+
+    n: int
+    k: int
+    head: tuple[int, ...]
+    tails: tuple[tuple[int, ...], ...]
+    den: int
+
+    @classmethod
+    def from_numerator(cls, poly: Sequence[int], n: int, k: int,
+                       divisions: int = 1) -> "_Window":
+        """The integer polynomial poly(chi), ready for `divisions` divisions,
+        each by 1 - chi^k or 1 - chi.
+
+        Each division raises the degree of the tail by one, so k more
+        entries fix it, while the division by 1 - chi^k also moves k head
+        entries into the tail: the vector is fixed by its first
+        max(len(poly), k) + divisions*k entries, and it holds all n entries
+        from the start when that reaches n.
+        """
+        s = max(len(poly), k)
+        if s + divisions * k >= n:
+            folded = [0] * n
+            for j, c in enumerate(poly):
+                folded[j % n] += c
+            return cls(n, k, tuple(folded), (), 1)
+        head = tuple(poly) + (0,) * (s - len(poly))
+        return cls(n, k, head, ((0,),) * k, 1)
+
+    def last(self) -> int:
+        """Entry N - 1."""
+        n, k, head, tails, _ = self
+        if not tails:
+            return head[-1]
+        b, r = divmod(n - 1 - len(head), k)
+        return sum(d * math.comb(b, h) for h, d in enumerate(tails[r]))
+
+    def entries(self, width: int) -> tuple[int, ...]:
+        """Entries 0 .. width - 1 (all n once width >= n), each tail class
+        stepped on by its forward differences."""
+        n, k, head, tails, _ = self
+        width = min(width, n)
+        s = len(head)
+        if width <= s:
+            return head[:width]
+        out = list(head) + [0] * (width - s)
+        for r, diffs in enumerate(tails):
+            diffs = list(diffs)
+            for j in range(s + r, width, k):
+                out[j] = diffs[0]
+                for h in range(len(diffs) - 1):
+                    diffs[h] += diffs[h + 1]
+        return tuple(out)
+
+    def divided(self, q: int, times: int = 1) -> "_Window":
+        """Divide by (1 - chi^q)^times (q = k or q = 1, gcd(q, n) = 1)
+        modulo the norm.
+
+        Each division first adds t times the norm vector, where t makes the
+        entry sum vanish; the sum lives on the component killed by the
+        quotient map, so the result is exact in Q[chi]/I<K>.  Each class
+        mod q is then a running sum from its first entry, and the class
+        constants close the cycle chi^N = 1.
+        """
+        n, k, head, tails, den = self
+        if k % q:
+            raise ValueError(
+                f"cannot divide by 1 - chi^{q} with class step {k}"
+            )
+        for _ in range(times):
+            s = len(head)
+            # dividing by 1 - chi^k moves k head entries into the tail, and
+            # every division raises the degree of the tail by one, so each
+            # class needs one more entry to fix it; step out to all n
+            # entries when that no longer fits, or when there is no head
+            # to move
+            shift = q == k and s >= k
+            if tails:
+                width = s - (k if shift else 0) + (len(tails[0]) + 1) * k
+                if width > n or (q > 1 and not shift):
+                    head = _Window(n, k, head, tails, den).entries(n)
+                    tails = ()
+                    s = n
+            # sums of all n entries over the classes mod q
+            if q == 1:
+                sums = [sum(head)]
+            else:
+                sums = [sum(head[r::q]) for r in range(q)]
+            for r, diffs in enumerate(tails):
+                count = (n - s - r + k - 1) // k
+                sums[(s + r) % q] += sum(
+                    d * math.comb(count, h + 1) for h, d in enumerate(diffs)
+                )
+            total = sum(sums)
+            scale = 1 if total % n == 0 else n
+            if scale > 1:
+                head = [v * n for v in head]
+                tails = [[d * n for d in diffs] for diffs in tails]
+                den *= n
+                total *= n
+            t = -(total // n)
+            y = [v + t for v in head]
+            if q == 1:
+                head = tuple(accumulate(y))
+            else:
+                # the last entry of class r wraps onto the first of class
+                # r - n: the class constants make the running sums agree
+                c = 0
+                r = 0
+                for _ in range(q):
+                    y[r] += c
+                    y[r::q] = accumulate(y[r::q])
+                    c += sums[r] * scale + t * ((n - r + q - 1) // q)
+                    r = (r - n) % q
+                head = tuple(y)
+            if not tails:
+                continue
+            tails = [[diffs[0] + t] + list(diffs[1:]) for diffs in tails]
+            if shift:
+                # a running sum within each class: the last k head entries
+                # become the first entries of the tail classes
+                tails = tuple((head[s - k + r], *diffs)
+                              for r, diffs in enumerate(tails))
+                head = head[:s - k]
+                continue
+            # a running sum across the classes: entry s + r + b*k adds
+            # whole blocks b' < b of all k classes and classes 0..r of
+            # block b
+            block = [sum(col) for col in zip(*tails)]
+            partial = [head[-1] if head else 0] + [0] * (len(block) - 1)
+            new = []
+            for diffs in tails:
+                partial = [a + b for a, b in zip(partial, diffs)]
+                new.append((partial[0], *(a + b for a, b in
+                                           zip(block, partial[1:] + [0]))))
+            tails = tuple(new)
+        return _Window(n, k, head, tuple(tails), den)
 
 
-def _vec_canonical(z: Sequence[int], den: int) -> tuple[Fraction, ...]:
+def _binom_coeffs(p: int, sign: int) -> list[int]:
+    """Coefficients of (1 + sign*chi)^p."""
+    return [math.comb(p, j) * sign ** j for j in range(p + 1)]
+
+
+def _alternating(k: int) -> list[int]:
+    """Coefficients of 1 - chi + chi^2 - ... + chi^(k-1)."""
+    return [(-1) ** j for j in range(k)]
+
+
+def _family_window(num: list[int], net: int, K: int, k: int) -> _Window:
+    """num(chi) * (1 - chi)^net / (1 - chi^k) modulo the norm ideal."""
+    n = 1 << K
+    if net > 0:
+        num = _poly_mul_int(num, _binom_coeffs(net, -1))
+    step = k % n
+    divisions = max(-net, 0)
+    vec = _Window.from_numerator(num, n, step, 1 + divisions).divided(step)
+    return vec.divided(1, divisions) if divisions else vec
+
+
+def _element_from_vec(K: int, vec: _Window) -> RingElement:
+    z = vec.entries(1 << K)
     top = z[-1]
-    return tuple(Fraction(v - top, den) for v in z[:-1])
+    return RingElement(K, tuple(Fraction(v - top, vec.den) for v in z[:-1]))
 
 
-def _element_from_vec(K: int, z: Sequence[int], den: int) -> RingElement:
-    return RingElement(K, _vec_canonical(z, den))
+def _vec_is_in_4Z(vec: _Window) -> bool:
+    """Every entry congruent to the last one modulo 4*den: the head entries,
+    and per tail class its value at b = 0 and its higher differences."""
+    top = vec.last()
+    m = 4 * vec.den
+    return (all((v - top) % m == 0 for v in vec.head)
+            and all((diffs[0] - top) % m == 0
+                    and all(d % m == 0 for d in diffs[1:])
+                    for diffs in vec.tails))
 
 
-def _vec_is_in_4Z(z: Sequence[int], den: int) -> bool:
-    top = z[-1]
-    m = 4 * den
-    return all((v - top) % m == 0 for v in z)
-
-
-def _sum_vecs(vecs: Sequence[tuple[list[int], int]], n: int) -> tuple[list[int], int]:
-    if not vecs:
-        return [0] * n, 1
-    den = math.lcm(*(d for _, d in vecs))
+def _sum_vecs(vecs: Sequence[_Window], n: int) -> _Window:
+    """The sum of the vectors, with all n entries stored."""
+    den = math.lcm(*(v.den for v in vecs)) if vecs else 1
     out = [0] * n
-    for z, d in vecs:
-        s = den // d
-        out = [o + s * v for o, v in zip(out, z)]
-    return out, den
+    for v in vecs:
+        s = den // v.den
+        out = [o + s * x for o, x in zip(out, v.entries(n))]
+    return _Window(n, 1, tuple(out), (), den)
 
 
-def _residue_images(vecs: Sequence[tuple[list[int], int]]):
+def _residue_images(vecs: Sequence[_Window]):
     """Canonical difference vectors modulo 4*den, on one common denominator.
 
     Returns (rows, M): integer rows reduced mod M with the property that an
     integer combination sum(t_i * rows[i]) is congruent to 0 mod M in every
     entry exactly when the corresponding combination of ring values lies in
-    4 * Z[chi]/I<K>.
+    4 * Z[chi]/I<K>.  The rows cover the common window of the vectors: the
+    longest head plus, per tail class, as many entries as the highest
+    degree needs, or all N entries when some vector stores them all.
     """
-    den = math.lcm(*(d for _, d in vecs))
+    n, k = vecs[0].n, vecs[0].k
+    if any(v.n != n or v.k != k for v in vecs):
+        raise ValueError(
+            "family vectors of different levels or class steps do not combine"
+        )
+    if all(v.tails for v in vecs):
+        width = (max(len(v.head) for v in vecs)
+                 + max(len(v.tails[0]) for v in vecs) * k)
+    else:
+        width = n
+    den = math.lcm(*(v.den for v in vecs))
     m = 4 * den
     rows = []
-    for z, d in vecs:
-        s = den // d
-        top = z[-1] * s
-        rows.append([(v * s - top) % m for v in z])
+    for v in vecs:
+        s = den // v.den
+        top = v.last() * s
+        rows.append([(x * s - top) % m for x in v.entries(width)])
     return rows, m
 
 
@@ -462,30 +619,22 @@ def _family_vec(
     f2_minus_1: bool = False,
     scale: int = 1,
     times_one_minus_chi: int = 0,
-) -> tuple[list[int], int]:
+) -> _Window:
     """Internal vector for scale * f'_k * f^f_power * (f^2 - 1 when flagged).
 
-    Optionally multiplied by (1 - chi)^times_one_minus_chi.  Everything is
-    assembled from sparse products and geometric-series divisions.
+    Optionally multiplied by (1 - chi)^times_one_minus_chi.  The sparse
+    factors are multiplied out first; f'_k = (1 - chi + ... + chi^(k-1))
+    (1 - chi) / (1 - chi^k) supplies the one division by 1 - chi^k.
     """
-    n = _validate_level(K)
+    _validate_level(K)
     _validate_odd(k)
-    z = [0] * n
-    z[0] = scale
-    if k > 1:
-        z = _mul_sparse(z, [((-1) ** j, j) for j in range(k)])
+    num = [scale * c for c in _alternating(k)]
     if f_power:
-        z = _mul_sparse(z, _binom_terms(f_power, 1))
+        num = _poly_mul_int(num, _binom_coeffs(f_power, 1))
     if f2_minus_1:
-        z = _mul_sparse(z, [(4, 1)])
+        num = [0] + [4 * c for c in num]
     net = 1 - f_power - (2 if f2_minus_1 else 0) + times_one_minus_chi
-    if net > 0:
-        z = _mul_sparse(z, _binom_terms(net, -1))
-    den = 1
-    z, den = _div_geom(z, den, k % n, n)
-    for _ in range(-net if net < 0 else 0):
-        z, den = _div_geom(z, den, 1, n)
-    return z, den
+    return _family_window(num, net, K, k)
 
 
 def _int_coeffs(q) -> tuple[int, ...]:
@@ -514,7 +663,7 @@ def _eval_f2_vec(
     mode: str = "odd",
     m: int = 1,
     times_one_minus_chi: int = 0,
-) -> tuple[list[int], int]:
+) -> _Window:
     """Internal vector for 8 * f'_k * f^m * q(f^2) (odd mode) or
     8 * f'_k * (f^2 - 1) * q(f^2) (even mode), optionally times (1-chi)^t.
     """
@@ -524,38 +673,26 @@ def _eval_f2_vec(
     while q and q[-1] == 0:
         q.pop()
     if not q:
-        return [0] * n, 1
+        return _Window.from_numerator((), n, k % n)
     deg = len(q) - 1
     # q(f^2) = P(chi) / (1-chi)^(2*deg) with
     # P = sum_j q_j (1+chi)^(2j) (1-chi)^(2(deg-j)), built by a Horner sweep.
-    p = [0] * n
-    g = [0] * n
-    g[0] = 1
+    p: list[int] = []
     for j in range(deg, -1, -1):
-        if j < deg:
-            p = _mul_sparse(p, [(1, 0), (2, 1), (1, 2)])
-            g = _mul_sparse(g, [(1, 0), (-2, 1), (1, 2)])
+        p = _poly_mul_int(p, (1, 2, 1))
         if q[j]:
-            c = q[j]
-            p = [a + c * b for a, b in zip(p, g)]
-    z = [8 * v for v in p]
-    if k > 1:
-        z = _mul_sparse(z, [((-1) ** j, j) for j in range(k)])
+            g = _binom_coeffs(2 * (deg - j), -1)
+            p = [a + q[j] * b for a, b in zip_longest(p, g, fillvalue=0)]
+    num = _poly_mul_int([8 * c for c in p], _alternating(k))
     if mode == "odd":
-        z = _mul_sparse(z, _binom_terms(m, 1))
+        num = _poly_mul_int(num, _binom_coeffs(m, 1))
         net = times_one_minus_chi + 1 - m - 2 * deg
     elif mode == "even":
-        z = _mul_sparse(z, [(4, 1)])
+        num = [0] + [4 * c for c in num]
         net = times_one_minus_chi - 1 - 2 * deg
     else:
         raise ValueError(f"mode must be 'odd' or 'even', got {mode!r}")
-    if net > 0:
-        z = _mul_sparse(z, _binom_terms(net, -1))
-    den = 1
-    z, den = _div_geom(z, den, k % n, n)
-    for _ in range(-net if net < 0 else 0):
-        z, den = _div_geom(z, den, 1, n)
-    return z, den
+    return _family_window(num, net, K, k)
 
 
 # ---------------------------------------------------------------------------
@@ -564,24 +701,24 @@ def _eval_f2_vec(
 
 def element_f(K: int) -> RingElement:
     """The element f = (1 + chi)/(1 - chi)."""
-    return _element_from_vec(K, *_family_vec(K, 1, f_power=1))
+    return _element_from_vec(K, _family_vec(K, 1, f_power=1))
 
 
 def element_f_prime(K: int, k: int) -> RingElement:
     """The element f'_k, which has integer canonical coefficients."""
     _validate_odd(k)
-    return _element_from_vec(K, *_family_vec(K, k))
+    return _element_from_vec(K, _family_vec(K, k))
 
 
 def element_f_k(K: int, k: int) -> RingElement:
     """The element f_k = (1 + chi^k)/(1 - chi^k), computed directly."""
     n = _validate_level(K)
     _validate_odd(k)
-    z = [0] * n
-    z[0] = 1
-    z[k % n] += 1
-    z, den = _div_geom(z, 1, k % n, n)
-    return _element_from_vec(K, z, den)
+    num = [1] + [0] * (k - 1) + [1]
+    step = k % n
+    return _element_from_vec(
+        K, _Window.from_numerator(num, n, step).divided(step)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -743,8 +880,9 @@ def evaluate_at_f_squared(
     if not isinstance(times_one_minus_chi, int) or times_one_minus_chi < 0:
         raise ValueError("times_one_minus_chi must be a non-negative integer")
     coeffs = _int_coeffs(q)
-    z, den = _eval_f2_vec(coeffs, K, k, mode, mm, times_one_minus_chi)
-    return _element_from_vec(K, z, den)
+    return _element_from_vec(
+        K, _eval_f2_vec(coeffs, K, k, mode, mm, times_one_minus_chi)
+    )
 
 
 # ---------------------------------------------------------------------------

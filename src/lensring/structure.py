@@ -122,8 +122,7 @@ def rho_bracket(t: NormalInvariantVector, k: int = 1) -> RingElement:
     for slot, coeff in enumerate(t.t4):
         if coeff:
             vecs.append(_rho_slot_vec(t.d, t.K, k, slot, 8 * coeff))
-    z, den = ring._sum_vecs(vecs, n)
-    return ring._element_from_vec(t.K, z, den)
+    return ring._element_from_vec(t.K, ring._sum_vecs(vecs, n))
 
 
 def t_to_polynomial(t: NormalInvariantVector) -> IntPolynomial:

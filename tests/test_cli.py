@@ -133,6 +133,29 @@ def test_verify_failure_exits_one(capsys, monkeypatch):
     assert "FAIL wl-rules: stub check" in out
 
 
+def test_verify_failure_prints_reproducer_to_stderr(capsys, monkeypatch):
+    from lensring import cli
+
+    runners = {name: (lambda config: [("stub", True)])
+               for name in cli._SUITE_RUNNERS}
+    runners["q-ladder"] = lambda config: [
+        ("n=2 k=3 m=1: member at level 5", False),
+        ("n=2 k=3 m=2: member at level 5", True),
+    ]
+    monkeypatch.setattr(cli, "_SUITE_RUNNERS", runners)
+    assert main(["verify", "--suite", "all", "--seed", "11"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "reproduce: lensring verify --suite q-ladder --seed 11"
+        "  # n=2 k=3 m=1: member at level 5\n"
+    )
+    assert "FAIL q-ladder: n=2 k=3 m=1: member at level 5" in captured.out
+    # a passing run writes nothing to stderr
+    monkeypatch.undo()
+    assert main(["verify", "--suite", "p-identities"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_output_is_deterministic(capsys):
     _, first = run_cli(capsys, "verify", "--suite", "kernel")
     _, second = run_cli(capsys, "verify", "--suite", "kernel")

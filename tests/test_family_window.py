@@ -1,0 +1,212 @@
+"""The windowed family vectors against the N-length construction.
+
+The oracle below builds every family vector with all N = 2^K entries: each
+sparse factor is a cyclic shift-and-add over the whole vector and each
+division by 1 - chi^k is one running sum along the k-cycle.  The package
+stores only a short window of the same vector; the two must agree entry by
+entry as canonical classes, in 4Z-membership and in the order of the image
+of the residue map.
+"""
+
+import math
+import random
+from itertools import accumulate
+
+from lensring import ring
+from lensring.polynomials import q_n
+
+
+def _mul_sparse(z, terms):
+    n = len(z)
+    out = [0] * n
+    for c, s in terms:
+        s %= n
+        rz = z[-s:] + z[:-s] if s else z
+        out = [o + c * v for o, v in zip(out, rz)]
+    return out
+
+
+def _binom_terms(p, sign):
+    return [(math.comb(p, j) * sign ** j, j) for j in range(p + 1)]
+
+
+def _div_geom(z, den, k, n):
+    total = sum(z)
+    if total % n:
+        z = [v * n for v in z]
+        den *= n
+        total *= n
+    z = [v - total // n for v in z]
+    if k == 1:
+        return list(accumulate(z)), den
+    y = [0] * n
+    acc = 0
+    idx = 0
+    for _ in range(n):
+        acc += z[idx]
+        y[idx] = acc
+        idx = (idx + k) % n
+    return y, den
+
+
+def _finish(z, net, k, n):
+    if net > 0:
+        z = _mul_sparse(z, _binom_terms(net, -1))
+    z, den = _div_geom(z, 1, k % n, n)
+    for _ in range(-net):
+        z, den = _div_geom(z, den, 1, n)
+    return z, den
+
+
+def oracle_eval_f2(q, K, k, mode, m, times):
+    n = 1 << K
+    deg = len(q) - 1
+    p = [0] * n
+    g = [0] * n
+    g[0] = 1
+    for j in range(deg, -1, -1):
+        if j < deg:
+            p = _mul_sparse(p, [(1, 0), (2, 1), (1, 2)])
+            g = _mul_sparse(g, [(1, 0), (-2, 1), (1, 2)])
+        p = [a + q[j] * b for a, b in zip(p, g)]
+    z = _mul_sparse([8 * v for v in p], [((-1) ** j, j) for j in range(k)])
+    if mode == "odd":
+        z = _mul_sparse(z, _binom_terms(m, 1))
+        net = times + 1 - m - 2 * deg
+    else:
+        z = _mul_sparse(z, [(4, 1)])
+        net = times - 1 - 2 * deg
+    return _finish(z, net, k, n)
+
+
+def oracle_family_vec(K, k, f_power, f2_minus_1, scale):
+    n = 1 << K
+    z = [0] * n
+    z[0] = scale
+    z = _mul_sparse(z, [((-1) ** j, j) for j in range(k)])
+    z = _mul_sparse(z, _binom_terms(f_power, 1))
+    if f2_minus_1:
+        z = _mul_sparse(z, [(4, 1)])
+    return _finish(z, 1 - f_power - 2 * f2_minus_1, k, n)
+
+
+def assert_window_matches(vec, z, den):
+    """Equal canonical classes: (entry - last) / den agree at every index."""
+    n = len(z)
+    full = vec.entries(n)
+    assert len(full) == n and vec.last() == full[-1]
+    assert full[:len(vec.head)] == vec.head
+    assert all((a - full[-1]) * den == (b - z[-1]) * vec.den
+               for a, b in zip(full, z))
+    in_4z = all((v - z[-1]) % (4 * den) == 0 for v in z)
+    assert ring._vec_is_in_4Z(vec) == in_4z
+    return in_4z
+
+
+def image_order(rows, modulus):
+    """log2 of the order of the subgroup the rows generate mod 2^mu.
+
+    Over Z/2^mu a pivot of least 2-adic valuation v divides everything in
+    its row and column, so it splits off one cyclic factor of order
+    2^(mu - v).
+    """
+    mu = modulus.bit_length() - 1
+    rows = [[x % modulus for x in r] for r in rows]
+    exponent = 0
+    while True:
+        pivots = [(x & -x, i, j) for i, r in enumerate(rows)
+                  for j, x in enumerate(r) if x]
+        if not pivots:
+            return exponent
+        low, i, j = min(pivots)
+        v = low.bit_length() - 1
+        exponent += mu - v
+        pivot = rows.pop(i)
+        inv = pow(pivot[j] >> v, -1, modulus)
+        rows = [[(x - c * y) % modulus for x, y in zip(r, pivot)]
+                for r in rows for c in [(r[j] >> v) * inv]]
+
+
+GRID_Q = [(1,), (0, 1), (0, 0, 1), q_n(3).coeffs, (5, -3, 0, 2)]
+
+
+def combination_in_4z(rows, modulus, t):
+    return all(sum(c * x for c, x in zip(t, col)) % modulus == 0
+               for col in zip(*rows))
+
+
+def oracle_rows(vecs):
+    den = math.lcm(*(d for _, d in vecs))
+    m = 4 * den
+    return [[(v - z[-1]) * (den // d) % m for v in z] for z, d in vecs], m
+
+
+def test_eval_f2_window_matches_n_length_oracle():
+    rng = random.Random(6)
+    # integer combinations of the GRID_Q vectors, some scaled by powers of
+    # two so that members occur
+    combos = [[rng.randrange(-3, 4) << rng.randrange(0, 9) for _ in GRID_Q]
+              for _ in range(4)]
+    verdicts = set()
+    windowed = 0
+    for K in range(1, 13):
+        for k in (1, 3, 5, 7):
+            for mode, m in [("odd", 1), ("odd", 2), ("even", 1)]:
+                for times in (0, 1, 5):
+                    vecs = []
+                    oracles = []
+                    for q in GRID_Q:
+                        vec = ring._eval_f2_vec(q, K, k, mode, m, times)
+                        z, den = oracle_eval_f2(q, K, k, mode, m, times)
+                        verdicts.add(assert_window_matches(vec, z, den))
+                        windowed += bool(vec.tails)
+                        vecs.append(vec)
+                        oracles.append((z, den))
+                    rows, modulus = ring._residue_images(vecs)
+                    full_rows, full_modulus = oracle_rows(oracles)
+                    assert image_order(rows, modulus) \
+                        == image_order(full_rows, full_modulus)
+                    for t in combos:
+                        verdict = combination_in_4z(rows, modulus, t)
+                        assert verdict == combination_in_4z(
+                            full_rows, full_modulus, t)
+                        verdicts.add(verdict)
+    # both verdicts, and both the short and the full representation, occur
+    assert verdicts == {True, False}
+    assert 0 < windowed < 12 * 4 * 3 * 3 * len(GRID_Q)
+
+
+def test_family_vec_window_matches_n_length_oracle():
+    for K in range(1, 13):
+        for k in (1, 3, 5, 7):
+            vecs = []
+            oracles = []
+            for f_power in range(5):
+                for flagged in (False, True):
+                    scale = 8 * (f_power + 3 * flagged + 1)
+                    vec = ring._family_vec(
+                        K, k, f_power=f_power, f2_minus_1=flagged, scale=scale
+                    )
+                    z, den = oracle_family_vec(K, k, f_power, flagged, scale)
+                    assert_window_matches(vec, z, den)
+                    vecs.append(vec)
+                    oracles.append((z, den))
+            # the sum, as rho_bracket forms it, on the common window
+            den = math.lcm(*(d for _, d in oracles))
+            total = [sum(z[j] * (den // d) for z, d in oracles)
+                     for j in range(1 << K)]
+            assert_window_matches(ring._sum_vecs(vecs, 1 << K), total, den)
+
+
+def test_window_steps_out_when_the_tail_outgrows_n():
+    # more divisions than the numerator was built for: the tail would need
+    # more entries than N holds, so the vector must switch to all N entries
+    for K in range(3, 8):
+        n = 1 << K
+        for k, poly in ((1, [8, 8]), (3, [8, -8, 8, 0, 4])):
+            vec = ring._Window.from_numerator(poly, n, k).divided(k)
+            vec = vec.divided(1, 12)
+            z, den = _div_geom(poly + [0] * (n - len(poly)), 1, k, n)
+            for _ in range(12):
+                z, den = _div_geom(z, den, 1, n)
+            assert_window_matches(vec, z, den)

@@ -1,5 +1,6 @@
 """Tests for the polynomial families and the obstruction lattices."""
 
+import hashlib
 import math
 import random
 
@@ -150,6 +151,30 @@ def test_r_minus_search_and_frozen_table():
         assert record.polynomial.degree == n
 
 
+# sha256 of ",".join(map(str, r_minus(n).polynomial.coeffs)), as pinned by
+# the benchmark from the seed commit's output
+R_MINUS_SHA256 = {
+    0: "6b86b273ff34fce19d6b804eff5a3f5747ada4eaa22f1d49c01e52ddb7875b4b",
+    1: "03ebfc2d40db30128bccfcea3aa3e32abd00335d2054f06631f31fe711a3be58",
+    2: "09f64153245122a403dfe4e044b62d392ae493516731ed398da0303cd97e2da7",
+    3: "c3232083f91de5d377f9ce7da2886fa3a5ca7d605ccb807a043c3d0c127f819e",
+    4: "f1a11fa0d3caa6c98bc45630da3352381ee9f95177b5c5e03d8d06f199a0d058",
+    5: "9b3b7569e5e88b847bf4764f0c195bfdf143c582c334d2398dee9458e211c655",
+    6: "2b41305fec88b39b958fd430974805cc8ec8d81e20a84505e8b71333223a1414",
+    7: "05c12b2c8bed0fcacfdd6b3ba24ab6fc7205366d614a913e23dc073cd40ff079",
+    8: "b4205cb80d0a28e695e52f5125c26da137e30f18157488de27519ad667aeceb3",
+    9: "9cf73d89fcd2f91109be000b9b7d242dea1a3fd5dfa19642f0f624b5ebffdee0",
+}
+
+
+@pytest.mark.parametrize("n", sorted(R_MINUS_SHA256))
+def test_r_minus_cold_matches_pinned_hash(n):
+    reset_polynomial_tables()
+    coeffs = r_minus(n).polynomial.coeffs
+    digest = hashlib.sha256(",".join(map(str, coeffs)).encode()).hexdigest()
+    assert digest == R_MINUS_SHA256[n]
+
+
 def test_r_plus_frozen_table():
     assert r_plus(0) == ONE
     assert r_plus(1) == X + 2 * ONE
@@ -250,11 +275,13 @@ def test_smith_normal_form_against_sympy():
 
 
 def test_shape_remark_report():
-    for n in range(4):
-        report = shape_remark_report(n)
-        assert report.generators_in_set
-        assert report.expected_index_exponent == (n + 1) ** 2
-        assert report.observed_index_exponent == (n + 1) ** 2
-        assert report.claim_holds
+    for k in (1, 3):
+        for n in range(6):
+            report = shape_remark_report(n, k)
+            assert report.k == k
+            assert report.generators_in_set
+            assert report.expected_index_exponent == (n + 1) ** 2
+            assert report.observed_index_exponent == (n + 1) ** 2
+            assert report.claim_holds
     with pytest.raises(ValueError):
         shape_remark_report(-1)
