@@ -519,6 +519,34 @@ def _echelon_reduces_to_zero(rows: dict[int, list[int]], vec: Sequence[int],
         v = [(x - (v[lead] >> sr) * y) % mod for x, y in zip(v, r)]
 
 
+def _kernel_members(mats: Sequence[Sequence[int]], modulus: int,
+                    K: int) -> tuple[int, dict[int, list[int]]]:
+    """Walk all t in (Z_{2^K})^c with sum_j t_j mats[j] = 0 mod modulus.
+
+    Returns the member count and an echelon basis of the members over
+    Z_{2^K} (see _echelon_insert), built as the members are found.
+    """
+    c = len(mats)
+    width = len(mats[0])
+    count = 0
+    rows: dict[int, list[int]] = {}
+    for t in product(range(1 << K), repeat=c):
+        ok = True
+        for i in range(width):
+            s = 0
+            for j in range(c):
+                tj = t[j]
+                if tj:
+                    s += tj * mats[j][i]
+            if s % modulus:
+                ok = False
+                break
+        if ok:
+            count += 1
+            _echelon_insert(rows, t, K)
+    return count, rows
+
+
 def brute_force_A(K: int, k: int, d: int,
                   budget: int | None = None) -> LatticeDescriptor:
     """Enumerate the lattice A from scratch and put it in echelon form.
@@ -547,28 +575,10 @@ def brute_force_A(K: int, k: int, d: int,
                 f"2^{K} x^{j} fell outside the lattice; the ambient group"
                 " is not (Z_2^K)^c here"
             )
-    width = len(mats[0])
-    members = []
-    for t in product(range(1 << K), repeat=c):
-        ok = True
-        for i in range(width):
-            s = 0
-            for j in range(c):
-                tj = t[j]
-                if tj:
-                    s += tj * mats[j][i]
-            if s % modulus:
-                ok = False
-                break
-        if ok:
-            members.append(t)
-    count = len(members)
+    count, rows = _kernel_members(mats, modulus, K)
     if count & (count - 1):
         raise ArithmeticError(f"|A| = {count} is not a power of two")
     index_exponent = K * c - (count.bit_length() - 1)
-    rows: dict[int, list[int]] = {}
-    for t in members:
-        _echelon_insert(rows, t, K)
     basis = []
     exps = []
     for lead in sorted(rows):
@@ -648,79 +658,33 @@ def verify_A_equals_B(K: int, k: int, d: int,
 
 
 # ---------------------------------------------------------------------------
-# Smith normal form (small integer matrices)
+# elementary divisors over Z/2^mu
 # ---------------------------------------------------------------------------
 
-def _smith_normal_form(matrix: Sequence[Sequence[int]]) -> list[int]:
-    """Diagonal of the Smith normal form, nonnegative, d_1 | d_2 | ...
+def _smith_normal_form(matrix: Sequence[Sequence[int]], mu: int) -> list[int]:
+    """Ascending exponents e > 0 of the cyclic factors Z/2^e of the subgroup
+    that the rows generate in (Z/2^mu)^cols.
 
-    Plain row/column reduction over Z; intended for small matrices (a few
-    rows).  Returns min(rows, cols) values including any zeros.
+    2-adic elimination (Storjohann & Mulders, ESA 1998): an entry of least
+    v_2 divides everything in its row and column, so clearing its column by
+    row operations splits off one cyclic factor Z/2^(mu - v).  Entries stay
+    below 2^mu.
     """
-    a = [list(row) for row in matrix]
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    diag = []
-    top = 0
-    while top < rows and top < cols:
-        # find a nonzero pivot
-        pivot = None
-        best = None
-        for i in range(top, rows):
-            for j in range(top, cols):
-                v = abs(a[i][j])
-                if v and (best is None or v < best):
-                    best = v
-                    pivot = (i, j)
-        if pivot is None:
-            diag.extend([0] * (min(rows, cols) - top))
-            break
-        pi, pj = pivot
-        a[top], a[pi] = a[pi], a[top]
-        for i in range(rows):
-            a[i][top], a[i][pj] = a[i][pj], a[i][top]
-        while True:
-            # clear the pivot column
-            dirty = False
-            for i in range(top + 1, rows):
-                if a[i][top]:
-                    q = a[i][top] // a[top][top]
-                    a[i] = [x - q * y for x, y in zip(a[i], a[top])]
-                    if a[i][top]:
-                        a[top], a[i] = a[i], a[top]
-                        dirty = True
-            if dirty:
-                continue
-            # clear the pivot row
-            for j in range(top + 1, cols):
-                if a[top][j]:
-                    q = a[top][j] // a[top][top]
-                    for i in range(rows):
-                        a[i][j] -= q * a[i][top]
-                    if a[top][j]:
-                        for i in range(rows):
-                            a[i][top], a[i][j] = a[i][j], a[i][top]
-                        dirty = True
-            if not dirty:
-                break
-        # enforce divisibility of the remaining block by the pivot
-        piv = abs(a[top][top])
-        bad = None
-        for i in range(top + 1, rows):
-            for j in range(top + 1, cols):
-                if a[i][j] % piv:
-                    bad = i
-                    break
-            if bad is not None:
-                break
-        if bad is not None:
-            a[top] = [x + y for x, y in zip(a[top], a[bad])]
-            continue
-        diag.append(piv)
-        top += 1
-    while len(diag) < min(rows, cols):
-        diag.append(0)
-    return diag
+    mod = 1 << mu
+    rows = [[x % mod for x in row] for row in matrix]
+    exps = []
+    while True:
+        pivots = [(_v2(x), i, j) for i, row in enumerate(rows)
+                  for j, x in enumerate(row) if x]
+        if not pivots:
+            return sorted(exps)
+        v, i, j = min(pivots)
+        exps.append(mu - v)
+        pivot = rows.pop(i)
+        inv = pow(pivot[j] >> v, -1, mod)
+        for row in rows:
+            q = (row[j] >> v) * inv
+            row[:] = [(x - q * y) % mod for x, y in zip(row, pivot)]
 
 
 # ---------------------------------------------------------------------------
@@ -770,14 +734,8 @@ def shape_remark_report(n: int, k: int = 1) -> ShapeRemarkReport:
         raise ArithmeticError("residue modulus is not a power of two")
     mu = modulus.bit_length() - 1
     # the index of the property set equals the order of the image of
-    # (Z_2^mu)^(n+1) under t |-> sum t_j mats[j]; read it off the Smith
-    # normal form of the stacked rows
-    divisors = _smith_normal_form(mats)
-    observed = 0
-    for dd in divisors:
-        # a zero divisor leaves its coordinate unconstrained and adds nothing
-        if dd:
-            observed += mu - min(_v2(dd), mu)
+    # (Z_2^mu)^(n+1) under t |-> sum t_j mats[j]
+    observed = sum(_smith_normal_form(mats, mu))
     expected = (n + 1) ** 2
     return ShapeRemarkReport(
         n, k, gen_ok, observed, expected,

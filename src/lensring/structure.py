@@ -12,8 +12,8 @@ Only the t_{4i} enter the obstruction
 an element of Q[chi]/I<K>; the vector is normally cobordant to the standard
 structure exactly when rho[t] lies in 4 Z[chi]/I<K>.  The kernel of t |->
 [rho[t] passes] is a subgroup of (Z_{2^K})^c which this module can enumerate
-from scratch (kernel_oracle) and whose structure is read off a Smith normal
-form.
+from scratch (kernel_oracle); its elementary divisors come from a 2-adic
+elimination of its generators over Z/2^K.
 
 The classification output is a descriptor with a free part of rank N/2 - 1
 (odd d) or N/2 (even d) and, for d >= 5, the torsion summands
@@ -28,7 +28,7 @@ back-substitution against the scaled best-polynomial basis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from math import prod
 from typing import NamedTuple
 
 from . import ring
@@ -36,7 +36,7 @@ from .polynomials import (
     DEFAULT_BUDGET,
     BudgetExceededError,
     IntPolynomial,
-    _echelon_insert,
+    _kernel_members,
     _smith_normal_form,
     r_minus,
     r_plus,
@@ -159,8 +159,9 @@ def kernel_oracle(d: int, K: int, k: int = 1,
     """Enumerate {t4 : rho[t] in 4 Z[chi]/I<K>} and report its structure.
 
     Works from the definition alone: one linearized residue image per t4
-    slot, a walk over all (2^K)^c vectors, and a Smith normal form to read
-    off the elementary divisors.  Budget-gated like every enumeration here.
+    slot, a walk over all (2^K)^c vectors, and a 2-adic elimination of the
+    echelon generators over Z/2^K for the elementary divisors.  Budget-gated
+    like every enumeration here.
     """
     budget = DEFAULT_BUDGET if budget is None else budget
     c = _validate_d(d)
@@ -174,47 +175,15 @@ def kernel_oracle(d: int, K: int, k: int = 1,
         )
     vecs = [_rho_slot_vec(d, K, k, slot, 8) for slot in range(c)]
     mats, modulus = ring._residue_images(vecs)
-    width = len(mats[0])
-    members = []
-    for t in product(range(1 << K), repeat=c):
-        ok = True
-        for i in range(width):
-            s = 0
-            for j in range(c):
-                tj = t[j]
-                if tj:
-                    s += tj * mats[j][i]
-            if s % modulus:
-                ok = False
-                break
-        if ok:
-            members.append(t)
-    rows: dict[int, list[int]] = {}
-    for t in members:
-        _echelon_insert(rows, t, K)
+    count, rows = _kernel_members(mats, modulus, K)
     generators = tuple(tuple(rows[lead]) for lead in sorted(rows))
-    mod = 1 << K
-    stacked = [list(g) for g in generators]
-    stacked += [[mod if i == j else 0 for j in range(c)] for i in range(c)]
-    divisors = _smith_normal_form(stacked)
-    orders = []
-    for delta in divisors:
-        if delta == 0 or mod % delta:
-            raise ArithmeticError(
-                f"Smith divisor {delta} does not divide 2^{K}"
-            )
-        if mod // delta > 1:
-            orders.append(mod // delta)
-    orders.sort()
-    total = 1
-    for o in orders:
-        total *= o
-    if total != len(members):
+    orders = tuple(1 << e for e in _smith_normal_form(generators, K))
+    if prod(orders) != count:
         raise ArithmeticError(
-            f"divisor product {total} disagrees with the member count"
-            f" {len(members)}"
+            f"divisor product {prod(orders)} disagrees with the member count"
+            f" {count}"
         )
-    return KernelSubgroup(c, K, len(members), generators, tuple(orders))
+    return KernelSubgroup(c, K, count, generators, orders)
 
 
 # ---------------------------------------------------------------------------
