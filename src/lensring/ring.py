@@ -29,10 +29,14 @@ butterfly, the only way up; `invert` goes down, inverts each level in its
 field by the norm to the level below, and comes back up.
 
 Performance note: the public API works with `fractions.Fraction` throughout,
-but heavy operations run internally on integer coefficient vectors in the
-cyclic lift Q[chi]/(chi^N - 1) together with one shared positive integer
-denominator.  Dense products use Kronecker substitution (one big-integer
-multiply) through `_poly_mul_int`, the package's one integer convolution.
+but heavy operations run internally on integer coefficient vectors with one
+shared positive integer denominator, which `_lift` takes from the
+coefficients.  Dense products use Kronecker substitution (one big-integer
+multiply) through `_poly_mul_int`, the package's one integer convolution:
+ring products fold it cyclically, level products negacyclically.  The level
+tower runs on the lifted integers too: `project` folds them with `_fold`
+and `crt_reconstruct` runs its butterfly on them, so each builds
+`Fraction`s only for the entries it returns.
 
 The families 8 f'_k f^m q(f^2) (and scale * f'_k f^p (f^2 - 1)) are never
 built with all N entries unless a public function returns them.  Their
@@ -251,19 +255,11 @@ class LevelProjection:
         if not isinstance(other, LevelProjection):
             return NotImplemented
         self._require_same_level(other)
-        # negacyclic product: chi^(2^l) = -1
-        m = 1 << self.level
-        out = [Fraction(0)] * m
-        for i, x in enumerate(self.coeffs):
-            if x:
-                for j, y in enumerate(other.coeffs):
-                    if y:
-                        idx = i + j
-                        if idx < m:
-                            out[idx] += x * y
-                        else:
-                            out[idx - m] -= x * y
-        return LevelProjection(self.level, tuple(out))
+        za, da = _lift(self.coeffs)
+        zb, db = _lift(other.coeffs)
+        conv = _fold(_poly_mul_int(za, zb), self.level)
+        den = da * db
+        return LevelProjection(self.level, tuple(Fraction(v, den) for v in conv))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
@@ -311,12 +307,16 @@ def ring_arith(a: RingElement, b: RingElement, op: str) -> RingElement:
     raise ValueError(f"unknown operation {op!r}; expected add, sub, or mul")
 
 
+def _lift(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integer numerators over one denominator: coeffs = nums / den."""
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
 def _mul_elements(a: RingElement, b: RingElement) -> RingElement:
     n = 1 << a.level
-    da = math.lcm(*(c.denominator for c in a.coeffs))
-    db = math.lcm(*(c.denominator for c in b.coeffs))
-    za = [int(c * da) for c in a.coeffs]
-    zb = [int(c * db) for c in b.coeffs]
+    za, da = _lift(a.coeffs)
+    zb, db = _lift(b.coeffs)
     conv = _poly_mul_int(za, zb)
     z = [0] * n
     for j, v in enumerate(conv):
@@ -767,17 +767,11 @@ def is_in_4Z(a: RingElement) -> bool:
 # the level tower: projection, reconstruction, inversion
 # ---------------------------------------------------------------------------
 
-def _fold(coeffs: Sequence[Rational], l: int) -> list[Rational]:
+def _fold(coeffs: Sequence[int], l: int) -> list[int]:
     """Reduce sum(c_j * chi^j) modulo 1 + chi^(2^l): chi^(2^l) = -1."""
     m = 1 << l
-    out: list[Rational] = [0] * m
-    for j, c in enumerate(coeffs):
-        if c:
-            if (j >> l) & 1:
-                out[j & (m - 1)] -= c
-            else:
-                out[j & (m - 1)] += c
-    return out
+    step = 2 * m
+    return [sum(coeffs[r::step]) - sum(coeffs[r + m::step]) for r in range(m)]
 
 
 def project(a: RingElement, l: int) -> LevelProjection:
@@ -786,7 +780,8 @@ def project(a: RingElement, l: int) -> LevelProjection:
         raise ValueError(
             f"projection level must satisfy 0 <= l <= {a.level - 1}, got {l!r}"
         )
-    return LevelProjection(l, tuple(_fold(a.coeffs, l)))
+    nums, den = _lift(a.coeffs)
+    return LevelProjection(l, tuple(Fraction(v, den) for v in _fold(nums, l)))
 
 
 def crt_reconstruct(parts: Sequence[LevelProjection]) -> RingElement:
@@ -796,6 +791,8 @@ def crt_reconstruct(parts: Sequence[LevelProjection]) -> RingElement:
     the split level by level: with s the element modulo chi^(2^l) - 1
     (starting from 0 as the chi = 1 part) and d the level-l part, the element
     modulo chi^(2^(l+1)) - 1 has halves lo = (s + d)/2 and hi = (s - d)/2.
+    The walk runs on integers over one denominator den: it carries
+    2^l * den * s, so a level adds d << l instead of halving.
     """
     parts = list(parts)
     K = len(parts)
@@ -806,11 +803,16 @@ def crt_reconstruct(parts: Sequence[LevelProjection]) -> RingElement:
             raise ValueError(
                 f"parts[{l}] must be a LevelProjection at level {l}"
             )
-    s: list[Fraction] = [Fraction(0)]
-    for p in parts:
-        s = ([(x + y) / 2 for x, y in zip(s, p.coeffs)]
-             + [(x - y) / 2 for x, y in zip(s, p.coeffs)])
-    return make_element(K, s)
+    lifted = [_lift(p.coeffs) for p in parts]
+    den = math.lcm(*(d for _, d in lifted))
+    s = [0]
+    for l, (nums, d) in enumerate(lifted):
+        scale = (den // d) << l
+        ds = [v * scale for v in nums]
+        s = [x + y for x, y in zip(s, ds)] + [x - y for x, y in zip(s, ds)]
+    top = s[-1]
+    den <<= K
+    return RingElement(K, tuple(Fraction(x - top, den) for x in s[:-1]))
 
 
 def _invert_level(p: LevelProjection) -> LevelProjection:

@@ -11,8 +11,11 @@ valuation is
     w_l(g) = a + b / 2^l,
 
 or infinity when the projection vanishes.  The pair (a, b) is independent of
-every choice made while computing it; the witnesses v1, v2 are returned so a
-caller can replay the factorization.
+every choice made while computing it.  `w_l` reads it without witnesses: a
+is the least v_2 of a coefficient of p, and b is the first odd coefficient
+of 2^-a p in powers of (1 - chi) mod 2, which a superset-sum transform over
+GF(2) gives in l shift/xor passes.  `normal_form` also returns the
+witnesses v1, v2, so a caller can replay the factorization.
 
 Valuations obey a product rule (w_l of a product is the sum) and the usual
 ultrametric-style sum rules, and they power two membership criteria for
@@ -34,10 +37,9 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cache
-from math import lcm
 
 from .polynomials import IntPolynomial, ONE, X, _v2
-from .ring import LevelProjection, RingElement, _fold, project
+from .ring import LevelProjection, RingElement, _fold, _lift, project
 
 __all__ = [
     "Valuation",
@@ -191,15 +193,15 @@ def normal_form(p: LevelProjection) -> NormalForm:
     Clears denominators with the lcm, expands the integer vector in the
     basis (1-chi)^m by repeated synthetic division, and splits off the
     minimal two-adic valuation.  The returned (a, b) do not depend on the
-    clearing strategy; the witnesses certify the factorization.
+    clearing strategy and equal those `w_l` reads without witnesses; the
+    witnesses certify the factorization.
     """
     if p.is_zero():
         raise ValueError("the zero projection has no normal form")
     dim = 1 << p.level
-    w = lcm(*(c.denominator for c in p.coeffs))
+    cur, w = _lift(p.coeffs)
     a1 = _v2(w)
     u = w >> a1
-    cur = [int(c * w) for c in p.coeffs]
     zm = []
     for _ in range(dim):
         zm.append(sum(cur))
@@ -227,13 +229,39 @@ def normal_form_reconstruct(nf: NormalForm, level: int) -> LevelProjection:
     )
 
 
-def w_l(g: RingElement, l: int) -> Valuation:
-    """The level-l valuation of g; infinite exactly when pr_l(g) = 0."""
-    p = project(g, l)
-    if p.is_zero():
+def _valuation(p: LevelProjection) -> Valuation:
+    """(a, b) of the normal form of p, read off without witnesses.
+
+    The basis change from chi^j to (1 - chi)^m is unimodular over Z, so a is
+    the least v_2 over the coefficients of p.  Mod 2, chi^j is the sum of
+    C(j, m) (1 + chi)^m, and by Lucas C(j, m) is odd exactly when the bits
+    of m are a subset of those of j: the coefficients of 2^-a p that are
+    odd, summed over supersets (l shift/xor passes on one int), give the
+    parity of each (1 - chi)^m coefficient, and b is the lowest odd one.
+    """
+    exps = [_v2(c.numerator) - _v2(c.denominator) if c else None
+            for c in p.coeffs]
+    a = min((e for e in exps if e is not None), default=None)
+    if a is None:
         return Valuation.infinite()
-    nf = normal_form(p)
-    return Valuation(nf.a, nf.b, l)
+    x = int("".join("1" if e == a else "0" for e in reversed(exps)), 2)
+    full = (1 << len(exps)) - 1
+    for i in range(p.level):
+        h = 1 << i
+        # bits j with bit i of j clear: h ones in every period of 2h
+        mask = ((1 << h) - 1) * (full // ((1 << 2 * h) - 1))
+        x ^= (x >> h) & mask
+    return Valuation(a, _v2(x), p.level)
+
+
+def w_l(g: RingElement, l: int) -> Valuation:
+    """The level-l valuation of g; infinite exactly when pr_l(g) = 0.
+
+    Reads (a, b) of the normal form of pr_l(g) without building its
+    witnesses: 2^l coefficient valuations and l shift/xor passes on one
+    2^l-bit integer.  `normal_form` builds the witnesses.
+    """
+    return _valuation(project(g, l))
 
 
 # ---------------------------------------------------------------------------
@@ -251,8 +279,15 @@ def membership_bound(K: int, l: int) -> Fraction:
     return Fraction(2 + K - l) - Fraction(1, 1 << l)
 
 
-def _hypothesis_holds(g: RingElement) -> bool:
-    return all(project(g, l).in_4Z() for l in range(g.level))
+def _hypothesis_parts(g: RingElement) -> list[LevelProjection] | None:
+    """Every projection of g, or None once one is not in 4 times its ring."""
+    parts = []
+    for l in range(g.level):
+        p = project(g, l)
+        if not p.in_4Z():
+            return None
+        parts.append(p)
+    return parts
 
 
 def criterion_sufficient(g: RingElement) -> CriterionVerdict:
@@ -262,11 +297,12 @@ def criterion_sufficient(g: RingElement) -> CriterionVerdict:
     otherwise, and whenever some valuation falls below the bound, the
     verdict is inconclusive.
     """
-    if not _hypothesis_holds(g):
+    parts = _hypothesis_parts(g)
+    if parts is None:
         return CriterionVerdict.INCONCLUSIVE
     K = g.level
-    for l in range(K):
-        if not w_l(g, l).at_least(membership_bound(K, l)):
+    for l, p in enumerate(parts):
+        if not _valuation(p).at_least(membership_bound(K, l)):
             return CriterionVerdict.INCONCLUSIVE
     return CriterionVerdict.PROVES_MEMBERSHIP
 
@@ -287,10 +323,11 @@ def criterion_necessary(g: RingElement, h: RingElement,
     if not isinstance(l_star, int) or isinstance(l_star, bool) \
             or not 0 <= l_star < K:
         raise ValueError(f"l_star must satisfy 0 <= l_star < {K}")
-    if not _hypothesis_holds(g):
+    parts = _hypothesis_parts(g)
+    if parts is None:
         return CriterionVerdict.INCONCLUSIVE
-    for l in range(K):
-        s = w_l(g, l) + w_l(h, l)
+    for l, p in enumerate(parts):
+        s = _valuation(p) + w_l(h, l)
         bound = membership_bound(K, l)
         if l == l_star:
             if not s.below(bound):
@@ -318,9 +355,10 @@ def criterion_necessary_search(g: RingElement, max_power: int | None = None):
     K = g.level
     if max_power is None:
         max_power = 1 << K
-    if not _hypothesis_holds(g):
+    parts = _hypothesis_parts(g)
+    if parts is None:
         return CriterionVerdict.INCONCLUSIVE, None, None
-    wg = [w_l(g, l) for l in range(K)]
+    wg = [_valuation(p) for p in parts]
     bounds = [membership_bound(K, l) for l in range(K)]
     for j in range(max_power + 1):
         wh = _one_minus_chi_valuations(K, j)

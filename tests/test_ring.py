@@ -261,6 +261,43 @@ def test_level_projection_is_negacyclic():
     assert not LevelProjection(1, (Fraction(4), Fraction(2))).in_4Z()
 
 
+def negacyclic_schoolbook(p, q):
+    """p * q in Q[chi]/<1 + chi^(2^l)>, coefficient by coefficient."""
+    m = 1 << p.level
+    out = [Fraction(0)] * m
+    for i, x in enumerate(p.coeffs):
+        if x:
+            for j, y in enumerate(q.coeffs):
+                if y:
+                    idx = i + j
+                    if idx < m:
+                        out[idx] += x * y
+                    else:
+                        out[idx - m] -= x * y
+    return LevelProjection(p.level, tuple(out))
+
+
+def test_level_products_match_schoolbook():
+    rng = random.Random(8)
+
+    def draw(l, dens, sparse):
+        # a sparse draw leaves about half of the coefficients zero
+        return LevelProjection(l, tuple(
+            Fraction(0 if sparse and rng.randrange(2)
+                     else rng.randrange(-99, 100), rng.choice(dens))
+            for _ in range(1 << l)))
+
+    odd = (1, 3, 5, 7, 9, 15, 45)
+    two_powers = tuple(1 << e for e in range(12))
+    for l in range(8):
+        zero = LevelProjection(l, (Fraction(0),) * (1 << l))
+        for dens in ((1,), odd, two_powers):
+            for sparse in (False, True):
+                p, q = draw(l, dens, sparse), draw(l, dens, sparse)
+                for x, y in ((p, q), (q, p), (p, zero), (zero, p), (zero, zero)):
+                    assert x * y == negacyclic_schoolbook(x, y)
+
+
 def test_crt_round_trip():
     rng = random.Random(5)
     for K in (1, 2, 3, 4):
@@ -273,6 +310,14 @@ def test_crt_round_trip():
         for _ in range(4):
             g = make_element(K, [Fraction(rng.randrange(-99, 100),
                                           1 << rng.randrange(8))
+                                 for _ in range(1 << K)])
+            parts = [project(g, l) for l in range(K)]
+            assert crt_reconstruct(parts) == g
+    # and with odd denominators
+    for K in (8, 9, 10):
+        for _ in range(2):
+            g = make_element(K, [Fraction(rng.randrange(-99, 100),
+                                          rng.choice((1, 3, 5, 9, 15, 45)))
                                  for _ in range(1 << K)])
             parts = [project(g, l) for l in range(K)]
             assert crt_reconstruct(parts) == g

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from lensring import (
     CriterionVerdict,
@@ -187,6 +188,52 @@ def test_w_l_validates_level_index():
         w_l(g, 3)
     with pytest.raises(ValueError):
         w_l(g, -1)
+
+
+def tower_inputs(rng, K, dens):
+    """Elements with random denominators, some with zero projections."""
+    out = []
+    for with_zero_levels in (False, True):
+        g = make_element(K, [Fraction(rng.randrange(-99, 100), rng.choice(dens))
+                             for _ in range(1 << K)])
+        if with_zero_levels:
+            # 1 + chi^(2^l) kills the level-l projection
+            for l in rng.sample(range(K), rng.randrange(1, K + 1)):
+                g = g * make_element(K, [1] + [0] * ((1 << l) - 1) + [1])
+        out.append(g)
+    return out
+
+
+def test_w_l_matches_normal_form():
+    rng = random.Random(14)
+    odd = (1, 3, 5, 7, 9, 15, 45)
+    two_powers = tuple(1 << e for e in range(12))
+    for K in range(1, 11):
+        for dens in ((1,), odd, two_powers, odd + two_powers):
+            for g in tower_inputs(rng, K, dens):
+                for l in range(K):
+                    w, p = w_l(g, l), project(g, l)
+                    if p.is_zero():
+                        assert w.is_infinite
+                    else:
+                        nf = normal_form(p)
+                        assert (w.a, w.b, w.level) == (nf.a, nf.b, l)
+
+
+def test_w_l_matches_resultant_valuation():
+    # for integral g, 2^l w_l(g) = v_2(Res(pr_l g, 1 + x^(2^l)))
+    x = sympy.Symbol("x")
+    rng = random.Random(15)
+    for K in range(1, 6):
+        for g in tower_inputs(rng, K, (1,)):
+            for l in range(K):
+                w = w_l(g, l)
+                p = sum(int(c) * x ** j for j, c in enumerate(project(g, l).coeffs))
+                res = int(sympy.resultant(p, 1 + x ** (1 << l), x))
+                if res == 0:
+                    assert w.is_infinite
+                else:
+                    assert (w.a << l) + w.b == sympy.multiplicity(2, res)
 
 
 def test_membership_bound_values():
