@@ -1,4 +1,9 @@
-"""Brute force enumeration of the obstruction lattice versus the basis.
+"""The obstruction lattice computed from its definition versus the basis.
+
+brute_force_A reads the lattice A off a 2-adic elimination of the
+linearized membership test and returns it in Hermite form; nothing is
+enumerated, but it is still budget-gated on the (2^K)^c tuples of the
+ambient group.
 
 Run as: python3 demos/lattice_check.py
 """
@@ -18,7 +23,7 @@ def main():
         claimed = b_basis(K, d)
         report = verify_A_equals_B(K, k, d)
         print(f"K={K}, k={k}, d={d}:")
-        print(f"  enumerated index 2^{lattice.index_exponent},"
+        print(f"  computed index 2^{lattice.index_exponent},"
               f" claimed 2^{claimed.index_exponent},"
               f" scalings {claimed.scaling_exponents}")
         for p in claimed.basis:
@@ -27,8 +32,8 @@ def main():
         print()
 
     print("The comparison checks three inclusions: the claimed rows are")
-    print("members, they reduce to zero against the enumerated echelon")
-    print("basis, and the enumerated rows reduce against the claimed one.")
+    print("members, they reduce to zero against the computed Hermite")
+    print("basis, and the computed rows reduce against the claimed one.")
 
 
 if __name__ == "__main__":

@@ -26,16 +26,15 @@ claimed basis
 
     B_K(d) = span{ 2^max(K-2n-2, 0) * r^{-/+}_n : 0 <= n <= c-1 }
 
-and an enumeration oracle that computes A from scratch so the two can be
-compared.  All arithmetic is exact; enumerations are budget-gated and raise
-BudgetExceededError rather than run unbounded.
+and an oracle that reads A off a 2-adic elimination over Z/2^mu so the two
+can be compared.  All arithmetic is exact; nothing is enumerated, but the
+oracles raise BudgetExceededError when (2^K)^c exceeds the budget.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import product
 from typing import Sequence
 
 from . import ring
@@ -67,7 +66,17 @@ DEFAULT_BUDGET = 1 << 20
 
 
 class BudgetExceededError(RuntimeError):
-    """An enumeration was requested whose state space exceeds the budget."""
+    """A lattice or kernel was requested in a group (Z_{2^K})^c larger than
+    the budget."""
+
+
+def _check_budget(K: int, c: int, budget: int | None, what: str) -> None:
+    budget = DEFAULT_BUDGET if budget is None else budget
+    if (1 << K) ** c > budget:
+        raise BudgetExceededError(
+            f"{what} lies in (Z_2^{K})^{c} of {(1 << K) ** c} tuples,"
+            f" over the budget of {budget}"
+        )
 
 
 @dataclass(frozen=True)
@@ -459,47 +468,86 @@ def b_basis(K: int, d: int) -> LatticeDescriptor:
     return LatticeDescriptor(c, polys, exps, sum(exps))
 
 
-# --- echelon forms over Z_{2^K} -------------------------------------------
+# --- kernels and Hermite forms over Z_{2^K} -------------------------------
 
 def _v2(x: int) -> int:
     return (x & -x).bit_length() - 1
 
 
-def _echelon_insert(rows: dict[int, list[int]], vec: Sequence[int], K: int) -> None:
-    """Insert vec into an echelon basis over Z_{2^K}.
+def _eliminate(rows: list[list[int]], cols: Sequence[int],
+               mu: int) -> dict[int, list[int]]:
+    """Row-reduce rows (entries in [0, 2^mu)) over Z/2^mu column by column.
 
-    rows maps a pivot position to a row whose pivot entry is exactly a power
-    of two and whose higher positions are zero.  Pivot position is the
-    highest nonzero index (the polynomial degree).
-    """
+    The pivot of a column is the row of least v_2, scaled to 2^v; it clears
+    the column and 2^(mu - v) times it goes back among the rows, which then
+    span the combinations vanishing on all of cols (Howell, 1986).  Returns
+    the pivot rows by column."""
+    mod = 1 << mu
+    pivots: dict[int, list[int]] = {}
+    for j in cols:
+        live = [(_v2(row[j]), i) for i, row in enumerate(rows) if row[j]]
+        if not live:
+            continue
+        v, i = min(live)
+        pivot = rows.pop(i)
+        inv = pow(pivot[j] >> v, -1, mod)
+        pivot = [x * inv % mod for x in pivot]
+        for row in rows:
+            if row[j]:
+                q = row[j] >> v
+                row[:] = [(x - q * y) % mod for x, y in zip(row, pivot)]
+        back = [(x << (mu - v)) % mod for x in pivot]
+        if any(back):
+            rows.append(back)
+        pivots[j] = pivot
+    return pivots
+
+
+def _hermite_form(gens: Sequence[Sequence[int]], K: int) -> dict[int, list[int]]:
+    """Hermite form over Z_{2^K} of the span of gens, by pivot position (the
+    highest nonzero index): the pivot is 2^e, the entry at a lower pivot
+    position p lies in [0, 2^e_p).  It depends only on the span, whose order
+    is the product of 2^(K - e)."""
     mod = 1 << K
-    v = [x % mod for x in vec]
-    while True:
-        lead = None
-        for i in range(len(v) - 1, -1, -1):
-            if v[i]:
-                lead = i
-                break
-        if lead is None:
-            return
-        s = _v2(v[lead])
-        if lead not in rows:
-            inv = pow(v[lead] >> s, -1, mod)
-            rows[lead] = [(x * inv) % mod for x in v]
-            return
-        r = rows[lead]
-        sr = _v2(r[lead])
-        if s >= sr:
-            q = v[lead] >> sr
-            v = [(x - q * y) % mod for x, y in zip(v, r)]
-        else:
-            inv = pow(v[lead] >> s, -1, mod)
-            rows[lead] = [(x * inv) % mod for x in v]
-            v = r
+    rows = [[x % mod for x in g] for g in gens]
+    width = len(rows[0]) if rows else 0
+    pivots = _eliminate(rows, range(width - 1, -1, -1), K)
+    for lead, row in pivots.items():
+        for p in range(lead - 1, -1, -1):
+            if p in pivots and row[p]:
+                q = row[p] >> _v2(pivots[p][p])
+                row[:] = [(x - q * y) % mod for x, y in zip(row, pivots[p])]
+    return dict(sorted(pivots.items()))
+
+
+def _residue_kernel(mats: Sequence[Sequence[int]], modulus: int,
+                    K: int) -> dict[int, list[int]]:
+    """Hermite form of the kernel of t |-> sum_j t_j mats[j] mod 2^mu on
+    (Z_{2^K})^c: eliminating the rows [mats[j] | e_j] on the mats columns
+    leaves rows whose e parts generate it.  Both blocks live in Z/2^M,
+    M = max(mu, K), the first one scaled by 2^(M - mu)."""
+    mu = modulus.bit_length() - 1
+    for j, row in enumerate(mats):
+        if modulus != 1 << mu or any((v << K) % modulus for v in row):
+            raise ArithmeticError(
+                f"2^{K} e_{j} is not 0 mod {modulus}; the ambient group"
+                " is not (Z_2^K)^c here"
+            )
+    top = max(mu, K)
+    c, width = len(mats), len(mats[0])
+    rows = [
+        [(x % modulus) << (top - mu) for x in mats[j]]
+        + [int(i == j) for i in range(c)]
+        for j in range(c)
+    ]
+    _eliminate(rows, range(width), top)
+    return _hermite_form([row[width:] for row in rows], K)
 
 
 def _echelon_reduces_to_zero(rows: dict[int, list[int]], vec: Sequence[int],
                              K: int) -> bool:
+    """Whether vec lies in the span of rows over Z_{2^K}; rows maps the
+    highest nonzero index of each row to the row, whose entry there is 2^e."""
     mod = 1 << K
     v = [x % mod for x in vec]
     while True:
@@ -519,81 +567,36 @@ def _echelon_reduces_to_zero(rows: dict[int, list[int]], vec: Sequence[int],
         v = [(x - (v[lead] >> sr) * y) % mod for x, y in zip(v, r)]
 
 
-def _kernel_members(mats: Sequence[Sequence[int]], modulus: int,
-                    K: int) -> tuple[int, dict[int, list[int]]]:
-    """Walk all t in (Z_{2^K})^c with sum_j t_j mats[j] = 0 mod modulus.
-
-    Returns the member count and an echelon basis of the members over
-    Z_{2^K} (see _echelon_insert), built as the members are found.
-    """
-    c = len(mats)
-    width = len(mats[0])
-    count = 0
-    rows: dict[int, list[int]] = {}
-    for t in product(range(1 << K), repeat=c):
-        ok = True
-        for i in range(width):
-            s = 0
-            for j in range(c):
-                tj = t[j]
-                if tj:
-                    s += tj * mats[j][i]
-            if s % modulus:
-                ok = False
-                break
-        if ok:
-            count += 1
-            _echelon_insert(rows, t, K)
-    return count, rows
-
-
 def brute_force_A(K: int, k: int, d: int,
                   budget: int | None = None) -> LatticeDescriptor:
-    """Enumerate the lattice A from scratch and put it in echelon form.
+    """The lattice A from its definition, in Hermite form.
 
-    Walks all (2^K)^c coefficient tuples, tests each by the exact membership
-    criterion, and reduces the members to an echelon basis.  Raises
-    BudgetExceededError when the state space is larger than the budget.
+    A is the kernel of the linearized membership test (one residue image per
+    monomial x^j), read off a 2-adic elimination.  Nothing is enumerated,
+    but BudgetExceededError is raised when (2^K)^c exceeds the budget.
     """
-    budget = DEFAULT_BUDGET if budget is None else budget
     c, mode, m = _lattice_shape(d)
     ring._validate_level(K)
     ring._validate_odd(k)
-    size = (1 << K) ** c
-    if size > budget:
-        raise BudgetExceededError(
-            f"enumerating A needs {size} membership tests,"
-            f" over the budget of {budget}"
-        )
+    _check_budget(K, c, budget, "A")
     vecs = [
         ring._eval_f2_vec((0,) * j + (1,), K, k, mode, m) for j in range(c)
     ]
     mats, modulus = ring._residue_images(vecs)
-    for j, row in enumerate(mats):
-        if any((v << K) % modulus for v in row):
-            raise ArithmeticError(
-                f"2^{K} x^{j} fell outside the lattice; the ambient group"
-                " is not (Z_2^K)^c here"
-            )
-    count, rows = _kernel_members(mats, modulus, K)
-    if count & (count - 1):
-        raise ArithmeticError(f"|A| = {count} is not a power of two")
-    index_exponent = K * c - (count.bit_length() - 1)
-    basis = []
-    exps = []
-    for lead in sorted(rows):
-        row = rows[lead]
-        e = _v2(row[lead])
-        lifted = list(row)
-        lifted[lead] = 0
-        basis.append(IntPolynomial(tuple(lifted)) + (X ** lead) * (1 << e))
-        exps.append(e)
-    return LatticeDescriptor(c, tuple(basis), tuple(exps), index_exponent)
+    rows = _residue_kernel(mats, modulus, K)
+    exps = tuple(_v2(row[lead]) for lead, row in rows.items())
+    index_exponent = K * c - sum(K - e for e in exps)
+    mu = modulus.bit_length() - 1
+    if index_exponent != sum(_smith_normal_form(mats, mu)):
+        raise ArithmeticError(
+            f"index 2^{index_exponent} of A is not the residue image order")
+    basis = tuple(IntPolynomial(tuple(row)) for row in rows.values())
+    return LatticeDescriptor(c, basis, exps, index_exponent)
 
 
 @dataclass(frozen=True)
 class LatticeComparisonReport:
-    """Outcome of checking the claimed basis against the enumeration oracle."""
+    """Outcome of checking the claimed basis against the lattice oracle."""
 
     K: int
     k: int
@@ -615,12 +618,13 @@ def _poly_vector(p: IntPolynomial, c: int, K: int) -> list[int]:
 
 def verify_A_equals_B(K: int, k: int, d: int,
                       budget: int | None = None) -> LatticeComparisonReport:
-    """Compare the claimed basis lattice with the enumeration oracle.
+    """Compare the claimed basis lattice with the oracle (brute_force_A).
 
     Checks, with separate evidence for each direction: every claimed basis
     element passes the exact membership test and reduces to zero against the
-    oracle echelon; every oracle basis row reduces to zero against the
-    claimed basis; and the two index exponents agree.
+    oracle basis; every oracle basis row reduces to zero against the claimed
+    basis (both are triangular, so each is its own echelon); and the two
+    index exponents agree.
     """
     claimed = b_basis(K, d)
     oracle = brute_force_A(K, k, d, budget)
@@ -628,20 +632,16 @@ def verify_A_equals_B(K: int, k: int, d: int,
     membership = tuple(
         (str(p), membership_A(p, K, k, d)) for p in claimed.basis
     )
-    oracle_rows: dict[int, list[int]] = {}
-    for p in oracle.basis:
-        _echelon_insert(oracle_rows, _poly_vector(p, c, K), K)
-    in_oracle = tuple(
-        (str(p), _echelon_reduces_to_zero(oracle_rows, _poly_vector(p, c, K), K))
-        for p in claimed.basis
-    )
-    claimed_rows: dict[int, list[int]] = {}
-    for p in claimed.basis:
-        _echelon_insert(claimed_rows, _poly_vector(p, c, K), K)
-    in_claimed = tuple(
-        (str(p), _echelon_reduces_to_zero(claimed_rows, _poly_vector(p, c, K), K))
-        for p in oracle.basis
-    )
+
+    def reduces(basis, others):
+        rows = {j: _poly_vector(p, c, K) for j, p in enumerate(basis)}
+        return tuple(
+            (str(p), _echelon_reduces_to_zero(rows, _poly_vector(p, c, K), K))
+            for p in others
+        )
+
+    in_oracle = reduces(oracle.basis, claimed.basis)
+    in_claimed = reduces(claimed.basis, oracle.basis)
     index_equal = claimed.index_exponent == oracle.index_exponent
     exponents_equal = claimed.scaling_exponents == oracle.scaling_exponents
     passed = (

@@ -11,8 +11,8 @@ Only the t_{4i} enter the obstruction
 
 an element of Q[chi]/I<K>; the vector is normally cobordant to the standard
 structure exactly when rho[t] lies in 4 Z[chi]/I<K>.  The kernel of t |->
-[rho[t] passes] is a subgroup of (Z_{2^K})^c which this module can enumerate
-from scratch (kernel_oracle); its elementary divisors come from a 2-adic
+[rho[t] passes] is a subgroup of (Z_{2^K})^c which kernel_oracle reads off
+a 2-adic elimination; its elementary divisors come from a 2-adic
 elimination of its generators over Z/2^K.
 
 The classification output is a descriptor with a free part of rank N/2 - 1
@@ -33,11 +33,11 @@ from typing import NamedTuple
 
 from . import ring
 from .polynomials import (
-    DEFAULT_BUDGET,
-    BudgetExceededError,
     IntPolynomial,
-    _kernel_members,
+    _check_budget,
+    _residue_kernel,
     _smith_normal_form,
+    _v2,
     r_minus,
     r_plus,
 )
@@ -145,7 +145,8 @@ def t_to_polynomial(t: NormalInvariantVector) -> IntPolynomial:
 
 @dataclass(frozen=True)
 class KernelSubgroup:
-    """The kernel of the obstruction map inside (Z_{2^K})^c."""
+    """The kernel of the obstruction map inside (Z_{2^K})^c; generators is
+    its Hermite form (polynomials._hermite_form), by ascending pivot."""
 
     ambient_rank: int
     modulus_exponent: int
@@ -156,31 +157,27 @@ class KernelSubgroup:
 
 def kernel_oracle(d: int, K: int, k: int = 1,
                   budget: int | None = None) -> KernelSubgroup:
-    """Enumerate {t4 : rho[t] in 4 Z[chi]/I<K>} and report its structure.
+    """Compute {t4 : rho[t] in 4 Z[chi]/I<K>} and report its structure.
 
     Works from the definition alone: one linearized residue image per t4
-    slot, a walk over all (2^K)^c vectors, and a 2-adic elimination of the
-    echelon generators over Z/2^K for the elementary divisors.  Budget-gated
-    like every enumeration here.
+    slot, its kernel read off a 2-adic elimination over Z/2^mu, and a second
+    elimination over Z/2^K for the elementary divisors.  Nothing is
+    enumerated, but BudgetExceededError is raised when (2^K)^c exceeds the
+    budget.
     """
-    budget = DEFAULT_BUDGET if budget is None else budget
     c = _validate_d(d)
     ring._validate_level(K)
     ring._validate_odd(k)
-    size = (1 << K) ** c
-    if size > budget:
-        raise BudgetExceededError(
-            f"enumerating the kernel needs {size} tests,"
-            f" over the budget of {budget}"
-        )
+    _check_budget(K, c, budget, "the kernel")
     vecs = [_rho_slot_vec(d, K, k, slot, 8) for slot in range(c)]
     mats, modulus = ring._residue_images(vecs)
-    count, rows = _kernel_members(mats, modulus, K)
-    generators = tuple(tuple(rows[lead]) for lead in sorted(rows))
+    rows = _residue_kernel(mats, modulus, K)
+    generators = tuple(tuple(row) for row in rows.values())
+    count = 1 << sum(K - _v2(row[lead]) for lead, row in rows.items())
     orders = tuple(1 << e for e in _smith_normal_form(generators, K))
     if prod(orders) != count:
         raise ArithmeticError(
-            f"divisor product {prod(orders)} disagrees with the member count"
+            f"divisor product {prod(orders)} disagrees with the kernel order"
             f" {count}"
         )
     return KernelSubgroup(c, K, count, generators, orders)

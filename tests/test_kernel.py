@@ -1,0 +1,173 @@
+"""The kernel of a residue map, read off a 2-adic elimination, against a walk.
+
+The oracle below walks every t in (Z_{2^K})^c, keeps those with
+sum_j t_j mats[j] = 0 mod 2^mu, and inserts each member into an echelon
+basis.  The package reads the same kernel off an elimination of the rows
+[mats[j] | e_j] and returns it in Hermite form; the two must have the same
+number of members and span the same subgroup.
+"""
+
+import random
+from itertools import product
+
+import pytest
+
+from lensring import brute_force_A, kernel_oracle, membership_A, ring
+from lensring.polynomials import (
+    _echelon_reduces_to_zero,
+    _hermite_form,
+    _residue_kernel,
+    _v2,
+)
+from lensring.structure import NormalInvariantVector, _rho_slot_vec, rho_bracket
+from lensring.ring import is_in_4Z
+
+
+def _echelon_insert(rows, vec, K):
+    """Insert vec into an echelon basis over Z_{2^K} (pivot = highest nonzero
+    index, pivot entry a power of two, zeros above it)."""
+    mod = 1 << K
+    v = [x % mod for x in vec]
+    while True:
+        lead = None
+        for i in range(len(v) - 1, -1, -1):
+            if v[i]:
+                lead = i
+                break
+        if lead is None:
+            return
+        s = _v2(v[lead])
+        if lead not in rows:
+            inv = pow(v[lead] >> s, -1, mod)
+            rows[lead] = [(x * inv) % mod for x in v]
+            return
+        r = rows[lead]
+        sr = _v2(r[lead])
+        if s >= sr:
+            q = v[lead] >> sr
+            v = [(x - q * y) % mod for x, y in zip(v, r)]
+        else:
+            inv = pow(v[lead] >> s, -1, mod)
+            rows[lead] = [(x * inv) % mod for x in v]
+            v = r
+
+
+def _walk_kernel(mats, modulus, K):
+    """Member count and echelon basis of {t : sum_j t_j mats[j] = 0 mod
+    modulus}, by walking all (2^K)^c tuples."""
+    c = len(mats)
+    width = len(mats[0])
+    count = 0
+    rows = {}
+    for t in product(range(1 << K), repeat=c):
+        if all(sum(t[j] * mats[j][i] for j in range(c)) % modulus == 0
+               for i in range(width)):
+            count += 1
+            _echelon_insert(rows, t, K)
+    return count, rows
+
+
+def _order(rows, K):
+    return 1 << sum(K - _v2(row[lead]) for lead, row in rows.items())
+
+
+def _same_span(a, b, K):
+    return (all(_echelon_reduces_to_zero(a, r, K) for r in b.values())
+            and all(_echelon_reduces_to_zero(b, r, K) for r in a.values()))
+
+
+def _assert_matches_walk(mats, modulus, K):
+    got = _residue_kernel(mats, modulus, K)
+    count, walked = _walk_kernel(mats, modulus, K)
+    assert _order(got, K) == count
+    assert _same_span(got, walked, K)
+    return got
+
+
+def _cell_images(d, K, k):
+    """Residue images of A (monomials x^j) and of rho (t4 slots) at one cell."""
+    c = (d - 1) // 2
+    mode = "odd" if d % 2 else "even"
+    a_vecs = [ring._eval_f2_vec((0,) * j + (1,), K, k, mode, 1)
+              for j in range(c)]
+    rho_vecs = [_rho_slot_vec(d, K, k, slot, 8) for slot in range(c)]
+    return ring._residue_images(a_vecs), ring._residue_images(rho_vecs)
+
+
+CELLS = [(d, K, k) for d in range(5, 10) for K in range(1, 5)
+         for k in (1, 3, 5)]
+
+
+@pytest.mark.parametrize("d", range(5, 10))
+def test_kernel_matches_walk_on_lattice_cells(d):
+    for _, K, k in (cell for cell in CELLS if cell[0] == d):
+        for mats, modulus in _cell_images(d, K, k):
+            _assert_matches_walk(mats, modulus, K)
+
+
+def _random_map(rng, K, mu, c, width):
+    # entries are multiples of 2^(mu - K) so that 2^K mats[j] = 0 mod 2^mu
+    step = 1 << max(mu - K, 0)
+    mats = [[rng.randrange(1 << mu) // step * step for _ in range(width)]
+            for _ in range(c)]
+    for row in mats:
+        if rng.randrange(5) == 0:
+            row[:] = [0] * width
+        elif rng.randrange(3) == 0:
+            row[:] = [x << rng.randrange(mu + 1) for x in row]
+    return mats
+
+
+def test_kernel_matches_walk_on_random_maps():
+    rng = random.Random(9)
+    seen = set()
+    for trial in range(360):
+        K = rng.randrange(1, 5)
+        c = rng.randrange(1, 4) if K <= 3 else rng.randrange(1, 3)
+        mu = max(1, K + trial % 5 - 2)
+        mats = _random_map(rng, K, mu, c, rng.randrange(1, 5))
+        _assert_matches_walk(mats, 1 << mu, K)
+        seen.add((mu > K) - (mu < K))
+        seen.add("zero row" if any(not any(r) for r in mats) else "full")
+    assert seen == {-1, 0, 1, "zero row", "full"}
+
+
+def _assert_hermite_reduced(rows, K):
+    for lead, row in rows.items():
+        e = _v2(row[lead])
+        assert row[lead] == 1 << e and e < K
+        assert all(x == 0 for x in row[lead + 1:])
+        assert all(0 <= x < 1 << K for x in row)
+        for p in range(lead):
+            if p in rows:
+                assert row[p] < 1 << _v2(rows[p][p])
+
+
+def test_hermite_form_is_canonical():
+    rng = random.Random(31)
+    for d, K, k in CELLS:
+        for mats, modulus in _cell_images(d, K, k):
+            rows = _residue_kernel(mats, modulus, K)
+            _assert_hermite_reduced(rows, K)
+            c = len(mats)
+            gens = [list(r) for r in rows.values()]
+            for _ in range(3):
+                picked = rng.sample(gens, rng.randrange(1, len(rows) + 1))
+                coeffs = [rng.randrange(-9, 10) for _ in picked]
+                gens.append([sum(a * g[i] for a, g in zip(coeffs, picked))
+                             for i in range(c)])
+            gens.append([(1 << K) * rng.randrange(1, 4)] * c)
+            rng.shuffle(gens)
+            assert _hermite_form(gens, K) == rows
+
+
+def test_pinned_kernel_generators():
+    sub = kernel_oracle(9, 4, 1)
+    assert sub.generators == ((2, 0, 0, 0), (1, 1, 0, 0), (1, 0, 1, 0),
+                              (1, 0, 0, 2))
+    for row in sub.generators:
+        assert is_in_4Z(rho_bracket(NormalInvariantVector(9, 4, row,
+                                                          (0,) * 4)))
+    basis = brute_force_A(4, 1, 9).basis
+    assert [str(p) for p in basis] == ["4", "x + 1", "x^2 + 3", "x^3 + 1"]
+    assert all(membership_A(p, 4, 1, 9) for p in basis)
