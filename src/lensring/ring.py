@@ -28,15 +28,15 @@ one factor per step chi^(2M) - 1 = (chi^M - 1)(chi^M + 1) of the tower.
 butterfly, the only way up; `invert` goes down, inverts each level in its
 field by the norm to the level below, and comes back up.
 
-Performance note: the public API works with `fractions.Fraction` throughout,
-but heavy operations run internally on integer coefficient vectors with one
-shared positive integer denominator, which `_lift` takes from the
-coefficients.  Dense products use Kronecker substitution (one big-integer
-multiply) through `_poly_mul_int`, the package's one integer convolution:
-ring products fold it cyclically, level products negacyclically.  The level
-tower runs on the lifted integers too: `project` folds them with `_fold`
-and `crt_reconstruct` runs its butterfly on them, so each builds
-`Fraction`s only for the entries it returns.
+Performance note: `RingElement` and `LevelProjection` store an integer
+vector over one positive denominator, in lowest terms, and every operation
+here runs on those integers.  `Fraction`s appear only at the public
+boundary: `_lift` takes them in (the constructors and `make_element`), and
+the `coeffs` view, built on first access and cached, hands them out.  Dense
+products use Kronecker substitution (one big-integer multiply) through
+`_poly_mul_int`, the package's one integer convolution: ring products fold
+it cyclically, level products negacyclically.  `project` walks the tower
+down with `_fold` and `crt_reconstruct` up with its butterfly.
 
 The families 8 f'_k f^m q(f^2) (and scale * f'_k f^p (f^2 - 1)) are never
 built with all N entries unless a public function returns them.  Their
@@ -69,7 +69,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, zip_longest
 from typing import Iterable, NamedTuple, Sequence, Union
@@ -96,15 +96,6 @@ __all__ = [
 Rational = Union[int, Fraction]
 
 
-def _as_fraction(value: Rational) -> Fraction:
-    """Coerce to an exact rational, rejecting floats outright."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
-    raise TypeError(f"expected an int or Fraction, got {type(value).__name__}")
-
-
 def _validate_level(K: int) -> int:
     if not isinstance(K, int) or isinstance(K, bool) or K < 1:
         raise ValueError(f"level K must be a positive integer, got {K!r}")
@@ -116,162 +107,188 @@ def _validate_odd(k: int) -> None:
         raise ValueError(f"k must be a positive odd integer, got {k!r}")
 
 
-@dataclass(frozen=True)
-class RingElement:
-    """A canonical element of Q[chi]/I<K>.
+def _lift(values: Iterable[Rational]) -> tuple[list[int], int]:
+    """Integer numerators over one denominator: values = nums / den.
 
-    coeffs[j] is the coefficient of chi^j in the unique representative of
-    degree < 2^K - 1, so the tuple has length exactly 2^K - 1.
+    This is where `int` and `Fraction` input enters; floats and bools are
+    rejected outright.
+    """
+    values = list(values)
+    for c in values:
+        if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
+            raise TypeError(
+                f"expected an int or Fraction, got {type(c).__name__}")
+    den = math.lcm(*(c.denominator for c in values))
+    return [c.numerator * (den // c.denominator) for c in values], den
+
+
+@dataclass(frozen=True, init=False)
+class _IntVector:
+    """Exact coefficients as integers: coefficient j is nums[j] / den.
+
+    The pair is in lowest terms (den > 0, gcd(den, *nums) = 1, zero has
+    den = 1), so `==` and `hash` compare (level, den, nums).  Filling the
+    `coeffs` cache twice stores equal tuples: sharing across threads stays
+    safe.
     """
 
     level: int
-    coeffs: tuple[Fraction, ...]
+    den: int
+    nums: tuple[int, ...]
+    _coeffs: tuple[Fraction, ...] | None = field(compare=False, repr=False)
 
-    def __post_init__(self) -> None:
-        n = _validate_level(self.level)
-        coeffs = tuple(_as_fraction(c) for c in self.coeffs)
-        if len(coeffs) != n - 1:
-            raise ValueError(
-                f"canonical coefficient tuple at level {self.level} must have"
-                f" length {n - 1}, got {len(coeffs)}"
+    def _store(self, level: int, nums: Sequence[int], den: int) -> None:
+        if den != 1 and (g := math.gcd(den, *nums)) != 1:
+            nums = [v // g for v in nums]
+            den //= g
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "nums", tuple(nums))
+        object.__setattr__(self, "_coeffs", None)
+
+    @classmethod
+    def _from_ints(cls, level: int, nums: Sequence[int], den: int = 1):
+        """nums / den (den > 0) reduced to lowest terms, without validation:
+        every internal result is built here."""
+        self = object.__new__(cls)
+        self._store(level, nums, den)
+        return self
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as `Fraction`s: nums[j] / den."""
+        if self._coeffs is None:
+            den = self.den
+            object.__setattr__(
+                self, "_coeffs", tuple(Fraction(v, den) for v in self.nums)
             )
-        object.__setattr__(self, "coeffs", coeffs)
+        return self._coeffs
 
-    def _require_same_level(self, other: "RingElement") -> None:
-        if self.level != other.level:
-            raise ValueError(
-                f"level mismatch: {self.level} vs {other.level}"
-            )
-
-    def __add__(self, other: "RingElement") -> "RingElement":
-        if not isinstance(other, RingElement):
-            return NotImplemented
-        self._require_same_level(other)
-        return RingElement(
-            self.level, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def __sub__(self, other: "RingElement") -> "RingElement":
-        if not isinstance(other, RingElement):
-            return NotImplemented
-        self._require_same_level(other)
-        return RingElement(
-            self.level, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def __neg__(self) -> "RingElement":
-        return RingElement(self.level, tuple(-a for a in self.coeffs))
-
-    def __mul__(self, other):
-        if isinstance(other, RingElement):
-            self._require_same_level(other)
-            return _mul_elements(self, other)
-        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
-            s = _as_fraction(other)
-            return RingElement(self.level, tuple(a * s for a in self.coeffs))
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
-            return self.__mul__(other)
-        return NotImplemented
-
-    def __pow__(self, exponent: int) -> "RingElement":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("exponent must be a non-negative integer")
-        result = make_element(self.level, [1])
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base_needed = e >> 1
-            if base_needed:
-                base = base * base
-            e = base_needed
-        return result
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def is_integral(self) -> bool:
-        """True when every canonical coefficient is an integer."""
-        return all(c.denominator == 1 for c in self.coeffs)
-
-    def evaluate(self, point: Rational) -> Fraction:
-        """Evaluate the canonical representative at a rational point."""
-        x = _as_fraction(point)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-
-@dataclass(frozen=True)
-class LevelProjection:
-    """An element of Q[chi]/<1 + chi^(2^l)>, with 2^l coefficients."""
-
-    level: int
-    coeffs: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.level, int) or isinstance(self.level, bool) or self.level < 0:
-            raise ValueError(f"projection level must be >= 0, got {self.level!r}")
-        coeffs = tuple(_as_fraction(c) for c in self.coeffs)
-        if len(coeffs) != (1 << self.level):
-            raise ValueError(
-                f"projection at level {self.level} must have {1 << self.level}"
-                f" coefficients, got {len(coeffs)}"
-            )
-        object.__setattr__(self, "coeffs", coeffs)
-
-    def _require_same_level(self, other: "LevelProjection") -> None:
+    def _require_same_level(self, other: "_IntVector") -> None:
         if self.level != other.level:
             raise ValueError(f"level mismatch: {self.level} vs {other.level}")
 
-    def __add__(self, other: "LevelProjection") -> "LevelProjection":
-        if not isinstance(other, LevelProjection):
+    def _combine(self, other, sign: int):
+        if type(other) is not type(self):
             return NotImplemented
         self._require_same_level(other)
-        return LevelProjection(
-            self.level, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
+        den = math.lcm(self.den, other.den)
+        sa, sb = den // self.den, sign * (den // other.den)
+        nums = [x * sa + y * sb for x, y in zip(self.nums, other.nums)]
+        return self._from_ints(self.level, nums, den)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
+
+    def __sub__(self, other):
+        return self._combine(other, -1)
+
+    def __neg__(self):
+        return self._from_ints(self.level, [-v for v in self.nums], self.den)
+
+    def _scale(self, s):
+        if isinstance(s, bool) or not isinstance(s, (int, Fraction)):
+            return NotImplemented
+        return self._from_ints(
+            self.level, [v * s.numerator for v in self.nums],
+            self.den * s.denominator,
         )
-
-    def __sub__(self, other: "LevelProjection") -> "LevelProjection":
-        if not isinstance(other, LevelProjection):
-            return NotImplemented
-        self._require_same_level(other)
-        return LevelProjection(
-            self.level, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def __neg__(self) -> "LevelProjection":
-        return LevelProjection(self.level, tuple(-a for a in self.coeffs))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
-            s = _as_fraction(other)
-            return LevelProjection(self.level, tuple(a * s for a in self.coeffs))
-        if not isinstance(other, LevelProjection):
-            return NotImplemented
-        self._require_same_level(other)
-        za, da = _lift(self.coeffs)
-        zb, db = _lift(other.coeffs)
-        conv = _fold(_poly_mul_int(za, zb), self.level)
-        den = da * db
-        return LevelProjection(self.level, tuple(Fraction(v, den) for v in conv))
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
-            return self.__mul__(other)
-        return NotImplemented
+        return self.__mul__(other)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.nums)
+
+    def is_integral(self) -> bool:
+        """True when every coefficient is an integer."""
+        return self.den == 1
 
     def in_4Z(self) -> bool:
         """True when every coefficient is an integer divisible by 4."""
-        return all(c.denominator == 1 and c.numerator % 4 == 0 for c in self.coeffs)
+        return self.den == 1 and all(v % 4 == 0 for v in self.nums)
+
+
+@dataclass(frozen=True, init=False, eq=False)
+class RingElement(_IntVector):
+    """A canonical element of Q[chi]/I<K>.
+
+    The coefficient of chi^j in the unique representative of degree
+    < 2^K - 1 is nums[j] / den, stored in lowest terms; `coeffs`, those
+    2^K - 1 values as `Fraction`s, is built on first access and cached.
+    """
+
+    def __init__(self, level: int, coeffs: Iterable[Rational]) -> None:
+        n = _validate_level(level)
+        nums, den = _lift(coeffs)
+        if len(nums) != n - 1:
+            raise ValueError(
+                f"canonical coefficient tuple at level {level} must have"
+                f" length {n - 1}, got {len(nums)}"
+            )
+        self._store(level, nums, den)
+
+    def __mul__(self, other):
+        if not isinstance(other, RingElement):
+            return self._scale(other)
+        self._require_same_level(other)
+        n = 1 << self.level
+        z = [0] * n
+        for j, v in enumerate(_poly_mul_int(self.nums, other.nums)):
+            if v:
+                z[j % n] += v
+        top = z[n - 1]
+        return RingElement._from_ints(
+            self.level, [v - top for v in z[:-1]], self.den * other.den
+        )
+
+    def __pow__(self, exponent: int) -> "RingElement":
+        if (not isinstance(exponent, int) or isinstance(exponent, bool)
+                or exponent < 0):
+            raise ValueError("exponent must be a non-negative integer")
+        result, base, e = make_element(self.level, [1]), self, exponent
+        while e:
+            if e & 1:
+                result = result * base
+            e >>= 1
+            if e:
+                base = base * base
+        return result
+
+    def evaluate(self, point: Rational) -> Fraction:
+        """Evaluate the canonical representative at a rational point."""
+        (p,), q = _lift([point])
+        # Horner on integers: after t terms, acc / q^(t-1) is their value
+        acc, scale = 0, 1
+        for c in reversed(self.nums):
+            acc = acc * p + c * scale
+            scale *= q
+        return Fraction(acc, scale // q * self.den)
+
+
+@dataclass(frozen=True, init=False, eq=False)
+class LevelProjection(_IntVector):
+    """An element of Q[chi]/<1 + chi^(2^l)>: coefficient j is nums[j] / den
+    for j < 2^l, stored and viewed through `coeffs` like `RingElement`."""
+
+    def __init__(self, level: int, coeffs: Iterable[Rational]) -> None:
+        if not isinstance(level, int) or isinstance(level, bool) or level < 0:
+            raise ValueError(f"projection level must be >= 0, got {level!r}")
+        nums, den = _lift(coeffs)
+        if len(nums) != (1 << level):
+            raise ValueError(
+                f"projection at level {level} must have {1 << level}"
+                f" coefficients, got {len(nums)}"
+            )
+        self._store(level, nums, den)
+
+    def __mul__(self, other):
+        if isinstance(other, LevelProjection):
+            self._require_same_level(other)
+            conv = _fold(_poly_mul_int(self.nums, other.nums), self.level)
+            return LevelProjection._from_ints(self.level, conv,
+                                              self.den * other.den)
+        return self._scale(other)
 
 
 # ---------------------------------------------------------------------------
@@ -286,11 +303,12 @@ def make_element(K: int, raw: Iterable[Rational]) -> RingElement:
     clear the coefficient of chi^(N-1).
     """
     n = _validate_level(K)
-    acc = [Fraction(0)] * n
-    for j, c in enumerate(raw):
-        acc[j % n] += _as_fraction(c)
+    nums, den = _lift(raw)
+    acc = [0] * n
+    for j, v in enumerate(nums):
+        acc[j % n] += v
     top = acc[n - 1]
-    return RingElement(K, tuple(c - top for c in acc[:-1]))
+    return RingElement._from_ints(K, [v - top for v in acc[:-1]], den)
 
 
 def ring_arith(a: RingElement, b: RingElement, op: str) -> RingElement:
@@ -305,26 +323,6 @@ def ring_arith(a: RingElement, b: RingElement, op: str) -> RingElement:
     if op == "mul":
         return a * b
     raise ValueError(f"unknown operation {op!r}; expected add, sub, or mul")
-
-
-def _lift(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
-    """Integer numerators over one denominator: coeffs = nums / den."""
-    den = math.lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
-
-
-def _mul_elements(a: RingElement, b: RingElement) -> RingElement:
-    n = 1 << a.level
-    za, da = _lift(a.coeffs)
-    zb, db = _lift(b.coeffs)
-    conv = _poly_mul_int(za, zb)
-    z = [0] * n
-    for j, v in enumerate(conv):
-        if v:
-            z[j % n] += v
-    top = z[n - 1]
-    den = da * db
-    return RingElement(a.level, tuple(Fraction(v - top, den) for v in z[:-1]))
 
 
 def _poly_mul_int(a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -557,7 +555,7 @@ def _family_window(num: list[int], net: int, K: int, k: int) -> _Window:
 def _element_from_vec(K: int, vec: _Window) -> RingElement:
     z = vec.entries(1 << K)
     top = z[-1]
-    return RingElement(K, tuple(Fraction(v - top, vec.den) for v in z[:-1]))
+    return RingElement._from_ints(K, [v - top for v in z[:-1]], vec.den)
 
 
 def _vec_is_in_4Z(vec: _Window) -> bool:
@@ -728,11 +726,11 @@ def element_f_k(K: int, k: int) -> RingElement:
 def conjugate(a: RingElement) -> RingElement:
     """Substitute chi -> chi^(N-1) and reduce to canonical form."""
     n = 1 << a.level
-    z = [Fraction(0)] * n
-    for j, c in enumerate(a.coeffs):
+    z = [0] * n
+    for j, c in enumerate(a.nums):
         z[(-j) % n] += c
     top = z[n - 1]
-    return RingElement(a.level, tuple(v - top for v in z[:-1]))
+    return RingElement._from_ints(a.level, [v - top for v in z[:-1]], a.den)
 
 
 def eigenspace_test(a: RingElement, sign: str) -> bool:
@@ -760,7 +758,7 @@ def is_in_4Z(a: RingElement) -> bool:
     four.  This is the test everything else in the package reduces to; it is
     not criterion-based.
     """
-    return all(c.denominator == 1 and c.numerator % 4 == 0 for c in a.coeffs)
+    return a.in_4Z()
 
 
 # ---------------------------------------------------------------------------
@@ -780,8 +778,7 @@ def project(a: RingElement, l: int) -> LevelProjection:
         raise ValueError(
             f"projection level must satisfy 0 <= l <= {a.level - 1}, got {l!r}"
         )
-    nums, den = _lift(a.coeffs)
-    return LevelProjection(l, tuple(Fraction(v, den) for v in _fold(nums, l)))
+    return LevelProjection._from_ints(l, _fold(a.nums, l), a.den)
 
 
 def crt_reconstruct(parts: Sequence[LevelProjection]) -> RingElement:
@@ -803,16 +800,14 @@ def crt_reconstruct(parts: Sequence[LevelProjection]) -> RingElement:
             raise ValueError(
                 f"parts[{l}] must be a LevelProjection at level {l}"
             )
-    lifted = [_lift(p.coeffs) for p in parts]
-    den = math.lcm(*(d for _, d in lifted))
+    den = math.lcm(*(p.den for p in parts))
     s = [0]
-    for l, (nums, d) in enumerate(lifted):
-        scale = (den // d) << l
-        ds = [v * scale for v in nums]
+    for l, p in enumerate(parts):
+        scale = (den // p.den) << l
+        ds = [v * scale for v in p.nums]
         s = [x + y for x, y in zip(s, ds)] + [x - y for x, y in zip(s, ds)]
     top = s[-1]
-    den <<= K
-    return RingElement(K, tuple(Fraction(x - top, den) for x in s[:-1]))
+    return RingElement._from_ints(K, [x - top for x in s[:-1]], den << K)
 
 
 def _invert_level(p: LevelProjection) -> LevelProjection:
@@ -822,15 +817,19 @@ def _invert_level(p: LevelProjection) -> LevelProjection:
     is even in chi and so lives at level l - 1 in chi^2.
     """
     if p.level == 0:
-        return LevelProjection(0, (1 / p.coeffs[0],))
-    conj = LevelProjection(
-        p.level, tuple(-c if j & 1 else c for j, c in enumerate(p.coeffs))
+        (v,) = p.nums
+        return LevelProjection._from_ints(0, [p.den if v > 0 else -p.den],
+                                          abs(v))
+    conj = LevelProjection._from_ints(
+        p.level, [-c if j & 1 else c for j, c in enumerate(p.nums)], p.den
     )
-    norm = (p * conj).coeffs[::2]
-    inv = _invert_level(LevelProjection(p.level - 1, norm)).coeffs
-    spread = [Fraction(0)] * (2 * len(inv))
-    spread[::2] = inv
-    return conj * LevelProjection(p.level, tuple(spread))
+    norm = p * conj
+    inv = _invert_level(
+        LevelProjection._from_ints(p.level - 1, norm.nums[::2], norm.den)
+    )
+    spread = [0] * (2 * len(inv.nums))
+    spread[::2] = inv.nums
+    return conj * LevelProjection._from_ints(p.level, spread, inv.den)
 
 
 def invert(a: RingElement) -> RingElement:

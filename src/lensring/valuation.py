@@ -32,6 +32,7 @@ is reported as inconclusive, not as the opposite claim.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -39,7 +40,7 @@ from fractions import Fraction
 from functools import cache
 
 from .polynomials import IntPolynomial, ONE, X, _v2
-from .ring import LevelProjection, RingElement, _fold, _lift, project
+from .ring import LevelProjection, RingElement, _fold, project
 
 __all__ = [
     "Valuation",
@@ -199,7 +200,7 @@ def normal_form(p: LevelProjection) -> NormalForm:
     if p.is_zero():
         raise ValueError("the zero projection has no normal form")
     dim = 1 << p.level
-    cur, w = _lift(p.coeffs)
+    cur, w = list(p.nums), p.den
     a1 = _v2(w)
     u = w >> a1
     zm = []
@@ -223,10 +224,8 @@ def normal_form(p: LevelProjection) -> NormalForm:
 def normal_form_reconstruct(nf: NormalForm, level: int) -> LevelProjection:
     """Rebuild the projection certified by a normal form."""
     base = ((ONE - X) ** nf.b) * nf.v1 + 2 * nf.v2
-    scalar = Fraction(2) ** nf.a / nf.u
-    return LevelProjection(
-        level, tuple(c * scalar for c in _fold(base.coeffs, level))
-    )
+    return LevelProjection._from_ints(level, _fold(base.coeffs, level)) \
+        * (Fraction(2) ** nf.a / nf.u)
 
 
 def _valuation(p: LevelProjection) -> Valuation:
@@ -239,19 +238,19 @@ def _valuation(p: LevelProjection) -> Valuation:
     odd, summed over supersets (l shift/xor passes on one int), give the
     parity of each (1 - chi)^m coefficient, and b is the lowest odd one.
     """
-    exps = [_v2(c.numerator) - _v2(c.denominator) if c else None
-            for c in p.coeffs]
-    a = min((e for e in exps if e is not None), default=None)
-    if a is None:
+    nums = p.nums
+    if not any(nums):
         return Valuation.infinite()
-    x = int("".join("1" if e == a else "0" for e in reversed(exps)), 2)
-    full = (1 << len(exps)) - 1
+    # the least v_2 of a numerator, and the numerators that attain it
+    low = _v2(math.gcd(*nums))
+    x = int("".join(str((v >> low) & 1) for v in reversed(nums)), 2)
+    full = (1 << len(nums)) - 1
     for i in range(p.level):
         h = 1 << i
         # bits j with bit i of j clear: h ones in every period of 2h
         mask = ((1 << h) - 1) * (full // ((1 << 2 * h) - 1))
         x ^= (x >> h) & mask
-    return Valuation(a, _v2(x), p.level)
+    return Valuation(low - _v2(p.den), _v2(x), p.level)
 
 
 def w_l(g: RingElement, l: int) -> Valuation:

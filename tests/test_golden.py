@@ -1,0 +1,76 @@
+"""Golden bytes for every subcommand, in both output formats.
+
+Each pin is the sha256 of what `lensring <args> --format <fmt>` writes to
+stdout.  They guard the CLI's contract that equal inputs give equal bytes
+across internal rewrites: a change that moves any of them changes what
+users see and must update the pin on purpose, with the reason.
+"""
+
+import hashlib
+
+import pytest
+
+from lensring.cli import main
+
+# (arguments, sha256 of the text output, sha256 of the structured output)
+GOLDEN = [
+    (('verify', '--suite', 'all'),
+     '63b8966c24fe38afe1363366fce6f6d035422b3d03cb821574dec8d21817b130',
+     'cfeed6487a6b7c716b26af5688483649851e91eb1ca52a6d96edf17070c2824b'),
+    (('structure-set', '--d', '9', '--K', '6'),
+     '3f1c5acfc84006977e95997812305cef10682d696fc5d365114c44b329b7108b',
+     'eab28ea07931f0aaef42fe6f9d92e48a8b97c9529e209fadb68eff2eb9893435'),
+    (('tables', '--max-n', '6', '--sign', '-'),
+     'a1e86f7d3c2f95906490a0d78b6c7e56f32f416e60fbd14319d01c5d449e4fd8',
+     'f5a2658c7540d49bd4a49e3b6570eeeb1beeb2a2cdecabfe1f3b0be73fca4a30'),
+    (('tables', '--max-n', '6', '--sign', '+'),
+     'bcb3cd5cf586a685669ec9be6b4d0ecf70b2424b6ab9be44d7b21b5a4ea1e295',
+     '806527eef8db8796ffa01d1c9351e5df07221b6c53da8c3a376f6be54a2c18ee'),
+    (('best-poly', '--n', '6', '--sign', '-'),
+     'c9aa5ace7761444cf1e9da3ff05d94c557ee7cb2535323a5eb021f355901d6b7',
+     '3d3f620cb66c577c68fd7e4c3e366524903d30b57fff7b194c855e1e2de99a5f'),
+    (('best-poly', '--n', '6', '--sign', '+'),
+     '4268fac70e28d5375f94e3256ce5e3a115222b7873859acd69e7e5e056219077',
+     '1c30f32c5bd97ea9c515c19de1f77745b948651ad15153b7c890182696b351bd'),
+    (('wl', '--expr', 'f^2-1', '--K', '8', '--l', '0'),
+     '7c2e274830e7e20bfb12437e4e5a8d401468bcae14d32c77dca02e272166d8e0',
+     'c1df3cf631bc786d7806b2b53c6330d7eb809a866ce263650011f8e3086e99ba'),
+    (('wl', '--expr', 'f^2-1', '--K', '8', '--l', '3'),
+     'b441a0de735b74a2ee8e536bce5db793c5af7e0769b14d7a66996e034722cb69',
+     '83fef8be63b7808a76575b0eae808730ea366d03b9062b5e56c850f8c18564bf'),
+    (('wl', '--expr', 'f^2-1', '--K', '8', '--l', '7'),
+     '222b19d7fc169a51a01bedd38a443b3b8c22a52eb22ff47d8bc7f6809a03f2f4',
+     'fd0472cee2ba47dc6f5e7fb14bfe42baa3184ff6a0168f93e959f70f057e353e'),
+    (('wl', '--expr', 'fk(3)*fpk(5)-f^2', '--K', '8', '--l', '7'),
+     '609e0d1872df5f2a3052a75842a48179990e61aabe3e7df32685ea3e43be79f9',
+     'af8ef65c8e94c4b9a17c92bc92bba897fbb8ca9061c4ed77ea4086c41bf591f9'),
+    (('wl', '--expr', '(1-chi)^5+4', '--K', '8', '--l', '3'),
+     'cea862f3afb8b34318c4a1fd19b80a1f7ff6bef3ffb1c797051b9fd804a658d0',
+     '8c550e81d4ef2ff9f335a67c679850ebaf635a190b1777053a394718893bd182'),
+    (('wl', '--expr', '8*fpk(7)*f^2', '--K', '8', '--l', '0'),
+     'e1680679fe13aed246545a8df4294275a6b91edeafd3d3036c13fb902a0523ef',
+     '70b8bd9fb1f182dc1728d3c87dc717e130c28ddc245fa68ceb2ead289f6763d1'),
+    (('wl', '--expr', '(f^2-1)^2', '--K', '8', '--l', '7'),
+     '50e940a225865a0236b2e1b1ad4915e464e76d7f332e2376878894e91e92c3eb',
+     '2b2f8b6b28ac8b8a09f8e8f8872f80fa2d15214c72f0645e23fc8c54d997d508'),
+    (('wl', '--expr', 'chi^3-chi', '--K', '8', '--l', '3'),
+     'e441f7c73769d48126fbc286d7b3a9f9773d4fb33ae5905d0e6490647e78efc4',
+     '4af102bc639202e8b33fd22c9d4aa4f3253594e5922c8e82ece3256770414393'),
+    (('wl', '--expr', 'fk(3)-fpk(3)*f', '--K', '8', '--l', '3'),
+     'ab80959ee6228e942225989193f1aca5dafdbd2e120fee473810e561f50f2d2d',
+     '3e145707268bd59f0b05f032c182191705660efca5d10271e7750cba3ce449e3'),
+    (('wl', '--expr', 'f+1', '--K', '1', '--l', '0'),
+     '2c332b0ab3b1b206e08ce6a8a341ff605bf31c2d1ceb42a65372321b53c6e0b1',
+     'e3c8b11e7fb5320964aecad9fb90de68d204c86011fe4f0008ee59d68197b5b5'),
+]
+
+
+@pytest.mark.parametrize(
+    "args, text_hash, structured_hash", GOLDEN,
+    ids=[" ".join(args) for args, _, _ in GOLDEN],
+)
+def test_golden_bytes(capsys, args, text_hash, structured_hash):
+    for fmt, want in (("text", text_hash), ("structured", structured_hash)):
+        assert main(list(args) + ["--format", fmt]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == want, fmt

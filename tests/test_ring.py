@@ -1,5 +1,6 @@
 """Tests for the quotient ring arithmetic."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -51,6 +52,21 @@ def test_construction_rejects_floats_and_bools():
         make_element(2, [0.5, 0, 0, 0])
     with pytest.raises(TypeError):
         make_element(2, [True, 0, 0, 0])
+    for bad in (0.5, True):
+        with pytest.raises(TypeError):
+            RingElement(2, (1, bad, 0))
+        with pytest.raises(TypeError):
+            LevelProjection(1, (bad, 1))
+        with pytest.raises(TypeError):
+            one(2) * bad
+        with pytest.raises(TypeError):
+            bad * project(one(2), 1)
+    with pytest.raises(ValueError):
+        RingElement(2, (1, 0, 0, 0))
+    with pytest.raises(ValueError):
+        LevelProjection(1, (Fraction(1),))
+    with pytest.raises(ValueError):
+        LevelProjection(-1, ())
 
 
 def test_make_element_folds_exponents():
@@ -97,6 +113,9 @@ def test_scalar_and_power():
     assert a ** 3 == a * a * a
     with pytest.raises(ValueError):
         a ** -1
+    for exponent in (True, False):
+        with pytest.raises(ValueError):
+            a ** exponent
 
 
 def test_mixed_level_arithmetic_rejected():
@@ -413,3 +432,108 @@ def test_text_parse_rejects_malformed_input():
     ):
         with pytest.raises(ValueError):
             element_from_text(bad)
+
+
+# ---------------------------------------------------------------------------
+# the stored form: integer numerators over one denominator, in lowest terms
+# ---------------------------------------------------------------------------
+
+DENOMINATORS = {
+    "integral": (1,),
+    "odd": (1, 3, 5, 7, 9, 15, 45),
+    "two-power": tuple(1 << e for e in range(12)),
+    "mixed": tuple(range(1, 50)),
+    "zero": (1, 7),
+}
+
+
+def draw_raw(rng, K, kind):
+    """Raw coefficients of any length up to 2N + 1, so that some wrap."""
+    top = 0 if kind == "zero" else 99
+    return [Fraction(rng.randrange(-top, top + 1),
+                     rng.choice(DENOMINATORS[kind]))
+            for _ in range(rng.randrange(2 << K))]
+
+
+def fraction_reduce(K, raw):
+    """Canonical coefficients of sum(raw[j] chi^j), in Fractions only."""
+    n = 1 << K
+    acc = [Fraction(0)] * n
+    for j, c in enumerate(raw):
+        acc[j % n] += Fraction(c)
+    return tuple(c - acc[-1] for c in acc[:-1])
+
+
+def fraction_product(K, a, b):
+    """Schoolbook product of two canonical coefficient tuples."""
+    n = 1 << K
+    acc = [Fraction(0)] * n
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                acc[(i + j) % n] += x * y
+    return fraction_reduce(K, acc)
+
+
+def assert_lowest_terms(x):
+    # gcd(den, 0, ..., 0) = den, so this also forces den = 1 on zero
+    assert x.den > 0 and math.gcd(x.den, *x.nums) == 1
+
+
+def test_coeffs_match_fraction_oracle():
+    rng = random.Random(12)
+    for K in range(1, 9):
+        for kind in DENOMINATORS:
+            ra, rb = draw_raw(rng, K, kind), draw_raw(rng, K, kind)
+            a, b = make_element(K, ra), make_element(K, rb)
+            ca, cb = fraction_reduce(K, ra), fraction_reduce(K, rb)
+            s = Fraction(rng.randrange(-9, 10), rng.randrange(1, 9))
+            results = [
+                (a, ca), (b, cb),
+                (a + b, tuple(x + y for x, y in zip(ca, cb))),
+                (a - b, tuple(x - y for x, y in zip(ca, cb))),
+                (-a, tuple(-x for x in ca)),
+                (a * s, tuple(x * s for x in ca)),
+            ]
+            # the Fraction schoolbook is slow at K = 8: one kind suffices
+            if K < 8 or kind == "mixed":
+                results.append((a * b, fraction_product(K, ca, cb)))
+            for got, want in results:
+                assert got.coeffs == want
+                assert_lowest_terms(got)
+
+
+def test_equal_values_from_different_routes_are_equal_and_hash_equal():
+    rng = random.Random(13)
+    for K in range(1, 7):
+        a = make_element(K, draw_raw(rng, K, "mixed"))
+        b = make_element(K, draw_raw(rng, K, "two-power"))
+        # 1 + 2x with x integral projects to a unit at every level
+        u = one(K) + 2 * random_element(rng, K)
+        pairs = [
+            (make_element(K, [2]) * Fraction(1, 2), one(K)),
+            (a + b - b, a),
+            (invert(invert(u)), u),
+            (crt_reconstruct([project(a, l) for l in range(K)]), a),
+            (b - b, make_element(K, [])),
+        ]
+        for l in range(K):
+            pa, pb = project(a, l), project(b, l)
+            pairs.append((pa + pb - pb, pa))
+            pairs.append((pb * Fraction(3, 2) * Fraction(2, 3), pb))
+        for x, y in pairs:
+            assert x == y and hash(x) == hash(y)
+            assert (x.level, x.den, x.nums) == (y.level, y.den, y.nums)
+            assert_lowest_terms(x)
+    # an element never equals a projection
+    assert make_element(2, [1]) != project(make_element(2, [1]), 1)
+
+
+def test_coeffs_is_a_cached_read_only_view():
+    g = make_element(3, [1, Fraction(1, 2)])
+    assert g.nums == (2, 1, 0, 0, 0, 0, 0) and g.den == 2
+    for x in (g, project(g, 2)):
+        assert x.coeffs is x.coeffs
+        for name in ("level", "den", "nums", "coeffs", "other"):
+            with pytest.raises(AttributeError):
+                setattr(x, name, 1)
