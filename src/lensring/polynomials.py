@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from itertools import zip_longest
 from typing import Sequence
 
 from . import ring
@@ -113,24 +114,14 @@ class IntPolynomial:
     def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
         if not isinstance(other, IntPolynomial):
             return NotImplemented
-        la, lb = len(self.coeffs), len(other.coeffs)
-        return IntPolynomial(
-            tuple(
-                self.coefficient(i) + other.coefficient(i)
-                for i in range(max(la, lb))
-            )
-        )
+        return IntPolynomial(tuple(
+            x + y for x, y in zip_longest(self.coeffs, other.coeffs,
+                                          fillvalue=0)))
 
     def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
         if not isinstance(other, IntPolynomial):
             return NotImplemented
-        la, lb = len(self.coeffs), len(other.coeffs)
-        return IntPolynomial(
-            tuple(
-                self.coefficient(i) - other.coefficient(i)
-                for i in range(max(la, lb))
-            )
-        )
+        return self + -other
 
     def __neg__(self) -> "IntPolynomial":
         return IntPolynomial(tuple(-c for c in self.coeffs))
@@ -150,12 +141,7 @@ class IntPolynomial:
         return NotImplemented
 
     def __pow__(self, e: int) -> "IntPolynomial":
-        if not isinstance(e, int) or e < 0:
-            raise ValueError("exponent must be a non-negative integer")
-        result = IntPolynomial((1,))
-        for _ in range(e):
-            result = result * self
-        return result
+        return ring._power(self, e, ONE)
 
     def shift(self, j: int) -> "IntPolynomial":
         """Multiply by x^j."""
@@ -206,37 +192,20 @@ ONE = IntPolynomial((1,))
 def p_k(k: int) -> IntPolynomial:
     """The k-th base polynomial, monic of degree 2^(k-1).
 
-    Computed by evaluating p_{k-1} at the rational function (x+1)^2 / 4x with
-    exact numerator/denominator arithmetic and clearing (4x)^(2^(k-2)); the
-    denominator is asserted to cancel exactly.
+    Computed by evaluating p_{k-1} at the rational function (x+1)^2 / 4x and
+    clearing (4x)^d, d = 2^(k-2): a Horner sweep over the coefficients c_j
+    of p_{k-1} sums c_j (x+1)^(2j) (4x)^(d-j).
     """
     if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise ValueError(f"k must be a positive integer, got {k!r}")
     if k == 1:
         return IntPolynomial((1, 1))
-    prev = p_k(k - 1)
-    d = prev.degree
-    u_num = [1, 2, 1]
-    u_den = [0, 4]
-    num = [prev.coeffs[d]]
-    den = [1]
+    c = p_k(k - 1).coeffs
+    d = len(c) - 1
+    num = [c[d]]
     for j in range(d - 1, -1, -1):
-        den_next = ring._poly_mul_int(den, u_den)
-        num = ring._poly_mul_int(num, u_num)
-        cj = prev.coeffs[j]
-        if cj:
-            num = [
-                a + cj * b
-                for a, b in zip(num + [0] * len(den_next), den_next + [0] * len(num))
-            ]
-            while num and num[-1] == 0:
-                num.pop()
-        den = den_next
-    expected_den = [0] * d + [4 ** d]
-    if den != expected_den:
-        raise ArithmeticError(
-            f"p_{k}: denominator (4x)^{d} did not come out exactly"
-        )
+        num = ring._poly_mul_int(num, (1, 2, 1))
+        num[d - j] += c[j] << 2 * (d - j)
     result = IntPolynomial(tuple(num))
     if result.degree != 1 << (k - 1) or not result.is_monic():
         raise ArithmeticError(f"p_{k}: expected monic of degree {1 << (k - 1)}")

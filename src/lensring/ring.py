@@ -32,11 +32,13 @@ Performance note: `RingElement` and `LevelProjection` store an integer
 vector over one positive denominator, in lowest terms, and every operation
 here runs on those integers.  `Fraction`s appear only at the public
 boundary: `_lift` takes them in (the constructors and `make_element`), and
-the `coeffs` view, built on first access and cached, hands them out.  Dense
-products use Kronecker substitution (one big-integer multiply) through
-`_poly_mul_int`, the package's one integer convolution: ring products fold
-it cyclically, level products negacyclically.  `project` walks the tower
-down with `_fold` and `crt_reconstruct` up with its butterfly.
+the `coeffs` view, built on first access and cached, hands them out.  Every
+dense product goes through `_poly_mul_int`, the package's one integer
+convolution: both signed operands packed once into big integers, one
+multiply, and for ring products (chi^N = 1) and level products
+(chi^(2^l) = -1) a wrap split at digit n by shifts and masks.  `project`
+walks the tower down with `_fold` and `crt_reconstruct` up with its
+butterfly.
 
 The families 8 f'_k f^m q(f^2) (and scale * f'_k f^p (f^2 - 1)) are never
 built with all N entries unless a public function returns them.  Their
@@ -69,6 +71,7 @@ from __future__ import annotations
 
 import math
 import re
+import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, zip_longest
@@ -100,6 +103,22 @@ def _validate_level(K: int) -> int:
     if not isinstance(K, int) or isinstance(K, bool) or K < 1:
         raise ValueError(f"level K must be a positive integer, got {K!r}")
     return 1 << K
+
+
+def _power(base, exponent: int, one):
+    """base ** exponent by square-and-multiply, for any product with unit
+    `one`; a bool, negative or non-integer exponent raises ValueError."""
+    if (not isinstance(exponent, int) or isinstance(exponent, bool)
+            or exponent < 0):
+        raise ValueError("exponent must be a non-negative integer")
+    result = one
+    while exponent:
+        if exponent & 1:
+            result = result * base
+        exponent >>= 1
+        if exponent:
+            base = base * base
+    return result
 
 
 def _validate_odd(k: int) -> None:
@@ -232,28 +251,14 @@ class RingElement(_IntVector):
         if not isinstance(other, RingElement):
             return self._scale(other)
         self._require_same_level(other)
-        n = 1 << self.level
-        z = [0] * n
-        for j, v in enumerate(_poly_mul_int(self.nums, other.nums)):
-            if v:
-                z[j % n] += v
-        top = z[n - 1]
+        z = _poly_mul_int(self.nums, other.nums, (1 << self.level, 1))
+        top = z[-1]
         return RingElement._from_ints(
             self.level, [v - top for v in z[:-1]], self.den * other.den
         )
 
     def __pow__(self, exponent: int) -> "RingElement":
-        if (not isinstance(exponent, int) or isinstance(exponent, bool)
-                or exponent < 0):
-            raise ValueError("exponent must be a non-negative integer")
-        result, base, e = make_element(self.level, [1]), self, exponent
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        return _power(self, exponent, make_element(self.level, [1]))
 
     def evaluate(self, point: Rational) -> Fraction:
         """Evaluate the canonical representative at a rational point."""
@@ -285,7 +290,8 @@ class LevelProjection(_IntVector):
     def __mul__(self, other):
         if isinstance(other, LevelProjection):
             self._require_same_level(other)
-            conv = _fold(_poly_mul_int(self.nums, other.nums), self.level)
+            conv = _poly_mul_int(self.nums, other.nums,
+                                 (1 << self.level, -1))
             return LevelProjection._from_ints(self.level, conv,
                                               self.den * other.den)
         return self._scale(other)
@@ -325,53 +331,77 @@ def ring_arith(a: RingElement, b: RingElement, op: str) -> RingElement:
     raise ValueError(f"unknown operation {op!r}; expected add, sub, or mul")
 
 
-def _poly_mul_int(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Exact integer polynomial product.
+# schoolbook up to len(a) * len(b) cells: at 8 x 8 both ways take 5-10 us
+_SCHOOLBOOK_CELLS = 64
+_STRUCT_CODES = {1: "b", 2: "h", 4: "i", 8: "q"}
 
-    Schoolbook for small inputs, Kronecker substitution (coefficients packed
-    into big integers, one multiply per sign combination) for large ones.
+
+def _poly_mul_int(a: Sequence[int], b: Sequence[int],
+                  wrap: tuple[int, int] | None = None) -> list[int]:
+    """Exact product of integer polynomials, optionally wrapped.
+
+    With wrap = (n, s) the product is reduced by chi^n = s (s = 1 cyclic,
+    s = -1 negacyclic) to n entries; neither operand may be longer than n.
+    Unwrapped it has len(a) + len(b) - 1 entries, none for an empty operand.
+
+    Each operand is packed once into a signed big integer with digits of w
+    bytes, 2^(8w-1) > max|a| * max|b| * min(len(a), len(b)): a bound on
+    every coefficient, wrapped or not, as a wrapped entry still sums at
+    most min(len(a), len(b)) terms.  One multiply (a squaring when b is a)
+    gives the product at chi = 2^(8w); a wrap splits it at digit n into
+    lo + s * hi and takes the residue modulo 2^(8wn) - s of least absolute
+    value.  Widths up to 8 bytes are rounded up to 1, 2, 4 or 8 for `struct`.
     """
     la, lb = len(a), len(b)
-    if la == 0 or lb == 0:
-        return []
-    n = la + lb - 1
-    if la * lb <= 4096:
-        out = [0] * n
+    n, s = wrap or (la + lb - 1, 0)
+    if wrap and max(la, lb) > n:
+        raise ValueError(f"operands longer than the wrap length {n}")
+    if not la or not lb:
+        return [0] * n if wrap else []
+    if la * lb <= _SCHOOLBOOK_CELLS:
+        out = [0] * max(n, la + lb - 1)
         for i, x in enumerate(a):
             if x:
-                for j, y in enumerate(b):
-                    if y:
-                        out[i + j] += x * y
-        return out
-    ma = max(abs(v) for v in a)
-    mb = max(abs(v) for v in b)
-    if ma == 0 or mb == 0:
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
+        for j in range(n, la + lb - 1):
+            out[j - n] += s * out[j]
+        return out[:n] if wrap else out
+    ma = max(map(abs, a))
+    bound = ma * (ma if b is a else max(map(abs, b))) * min(la, lb)
+    if not bound:
         return [0] * n
-    bound = ma * mb * min(la, lb)
-    width = bound.bit_length() // 8 + 1  # bytes per packed digit, 2^(8w) > bound
+    w = bound.bit_length() // 8 + 1
+    w = 1 << (w - 1).bit_length() if w <= 8 else w
+    code = _STRUCT_CODES.get(w)
+
+    def top(count: int) -> int:
+        # 2^(8w-1) in every digit: xor with it turns a two's complement
+        # digit v into the biased digit v + 2^(8w-1), and back
+        return int.from_bytes((bytes(w - 1) + b"\x80") * count, "little")
 
     def pack(vals: Sequence[int]) -> int:
-        return int.from_bytes(
-            b"".join(v.to_bytes(width, "little") for v in vals), "little"
-        )
+        raw = (struct.pack(f"<{len(vals)}{code}", *vals) if code else
+               b"".join(v.to_bytes(w, "little", signed=True) for v in vals))
+        bias = top(len(vals))
+        return (int.from_bytes(raw, "little") ^ bias) - bias
 
-    def conv_nonneg(xs: Sequence[int], ys: Sequence[int]) -> list[int]:
-        big = pack(xs) * pack(ys)
-        raw = big.to_bytes(width * n, "little")
-        return [
-            int.from_bytes(raw[i * width:(i + 1) * width], "little")
-            for i in range(n)
-        ]
-
-    ap = [v if v > 0 else 0 for v in a]
-    an = [-v if v < 0 else 0 for v in a]
-    bp = [v if v > 0 else 0 for v in b]
-    bn = [-v if v < 0 else 0 for v in b]
-    pp = conv_nonneg(ap, bp)
-    nn = conv_nonneg(an, bn)
-    pn = conv_nonneg(ap, bn)
-    np_ = conv_nonneg(an, bp)
-    return [pp[i] + nn[i] - pn[i] - np_[i] for i in range(n)]
+    x = pack(a)
+    c = x * x if b is a else x * pack(b)
+    if s:
+        # lo is in [0, 2^(8wn)) and |hi| < 2^(8w(n-1)), so lo + s * hi lies
+        # above -modulus / 2 and below 3 * modulus / 2
+        shift = 8 * w * n
+        c = (c & ((1 << shift) - 1)) + s * (c >> shift)
+        modulus = (1 << shift) - s
+        if c > modulus >> 1:
+            c -= modulus
+    bias = top(n)
+    raw = ((c + bias) ^ bias).to_bytes(w * n, "little")
+    if code:
+        return list(struct.unpack(f"<{n}{code}", raw))
+    return [int.from_bytes(raw[i:i + w], "little", signed=True)
+            for i in range(0, w * n, w)]
 
 
 # ---------------------------------------------------------------------------
@@ -674,10 +704,13 @@ def _eval_f2_vec(
         return _Window.from_numerator((), n, k % n)
     deg = len(q) - 1
     # q(f^2) = P(chi) / (1-chi)^(2*deg) with
-    # P = sum_j q_j (1+chi)^(2j) (1-chi)^(2(deg-j)), built by a Horner sweep.
+    # P = sum_j q_j (1+chi)^(2j) (1-chi)^(2(deg-j)), built by a Horner sweep
+    # whose step, times (1 + chi)^2 = 1 + 2 chi + chi^2, adds shifted copies.
     p: list[int] = []
     for j in range(deg, -1, -1):
-        p = _poly_mul_int(p, (1, 2, 1))
+        if p:
+            p = [x + 2 * y + z
+                 for x, y, z in zip(p + [0, 0], [0, *p, 0], [0, 0, *p])]
         if q[j]:
             g = _binom_coeffs(2 * (deg - j), -1)
             p = [a + q[j] * b for a, b in zip_longest(p, g, fillvalue=0)]
@@ -725,11 +758,9 @@ def element_f_k(K: int, k: int) -> RingElement:
 
 def conjugate(a: RingElement) -> RingElement:
     """Substitute chi -> chi^(N-1) and reduce to canonical form."""
-    n = 1 << a.level
-    z = [0] * n
-    for j, c in enumerate(a.nums):
-        z[(-j) % n] += c
-    top = z[n - 1]
+    # chi^j goes to chi^(N - j); with no chi^(N - 1) term entry 1 is zero
+    z = [a.nums[0], 0, *a.nums[:0:-1]]
+    top = z[-1]
     return RingElement._from_ints(a.level, [v - top for v in z[:-1]], a.den)
 
 

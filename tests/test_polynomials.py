@@ -60,6 +60,24 @@ def test_int_polynomial_arithmetic():
     assert str(IntPolynomial(())) == "0"
 
 
+def test_int_polynomial_power():
+    rng = random.Random(3)
+    for _ in range(5):
+        p = IntPolynomial(tuple(rng.randrange(-9, 10) for _ in range(5)))
+        power = ONE
+        for e in range(12):
+            assert p ** e == power
+            power = power * p
+    assert IntPolynomial(()) ** 0 == ONE
+    assert IntPolynomial(()) ** 3 == IntPolynomial(())
+    # the binomial theorem at an exponent past one multiply per step
+    assert (X + ONE) ** 100 == IntPolynomial(
+        tuple(math.comb(100, j) for j in range(101)))
+    for bad in (True, False, -1, 2.0):
+        with pytest.raises(ValueError):
+            X ** bad
+
+
 def test_p_polynomials_match_binomial_oracle():
     # independent route: the degree 2^(k-1) polynomial with even binomial
     # coefficients of 2^k as its entries

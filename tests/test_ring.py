@@ -25,6 +25,7 @@ from lensring import (
     project,
     ring_arith,
 )
+from lensring.ring import _poly_mul_int
 
 
 def one(K):
@@ -537,3 +538,147 @@ def test_coeffs_is_a_cached_read_only_view():
         for name in ("level", "den", "nums", "coeffs", "other"):
             with pytest.raises(AttributeError):
                 setattr(x, name, 1)
+
+
+# ---------------------------------------------------------------------------
+# the one integer convolution: plain, cyclic and negacyclic
+# ---------------------------------------------------------------------------
+
+def schoolbook(a, b):
+    """The product over ints, cell by cell."""
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def wrapped(coeffs, wrap):
+    """sum(coeffs[j] chi^j) reduced by chi^n = s, for wrap = (n, s)."""
+    n, s = wrap
+    out = [0] * n
+    for j, v in enumerate(coeffs):
+        out[j % n] += s ** (j // n) * v
+    return out
+
+
+def assert_all_wraps(a, b):
+    """Plain product and, for every n >= max(len(a), len(b)) tried, the
+    cyclic and negacyclic ones, against the schoolbook."""
+    plain = schoolbook(a, b)
+    assert _poly_mul_int(a, b) == plain
+    longest = max(len(a), len(b))
+    for n in {longest, longest + 1, len(a) + len(b) - 1, 2 * longest}:
+        for s in (1, -1):
+            assert _poly_mul_int(a, b, (n, s)) == wrapped(plain, (n, s))
+
+
+def signed_draw(rng, length, bits, zeros=False):
+    vals = [rng.randrange(-(1 << bits) + 1, 1 << bits) for _ in range(length)]
+    if zeros:
+        vals = [v if rng.randrange(2) else 0 for v in vals]
+    return vals
+
+
+def test_poly_mul_int_lengths_match_schoolbook():
+    rng = random.Random(21)
+    lengths = (1, 2, 3, 7, 8, 9, 17, 31, 64, 65, 127, 300)
+    for la in lengths:
+        for lb in lengths:
+            if la * lb > 300 * 17 and la != lb:
+                continue
+            a = signed_draw(rng, la, rng.choice((1, 4, 12, 30)))
+            b = signed_draw(rng, lb, rng.choice((1, 4, 12, 30)), zeros=True)
+            assert_all_wraps(a, b)
+    # empty, zero and one-entry operands
+    assert _poly_mul_int([], [1, 2]) == _poly_mul_int([3], []) == []
+    assert _poly_mul_int([], [1, 2], (4, -1)) == [0] * 4
+    for la, lb in ((1, 1), (1, 40), (40, 1), (13, 40), (300, 2)):
+        zero_a, zero_b = [0] * la, [0] * lb
+        a, b = signed_draw(rng, la, 20), signed_draw(rng, lb, 20)
+        for x, y in ((zero_a, b), (a, zero_b), (zero_a, zero_b), (a, b)):
+            assert_all_wraps(x, y)
+    with pytest.raises(ValueError):
+        _poly_mul_int([1] * 5, [1] * 3, (4, 1))
+
+
+def test_poly_mul_int_digit_widths_match_schoolbook():
+    # one-bit to about 7000-bit entries: packed digits of 1 byte to well
+    # past the 8 bytes that struct handles
+    rng = random.Random(22)
+    for bits in (1, 2, 3, 5, 7, 8, 9, 13, 16, 17, 27, 28, 29, 31, 32, 33,
+                 60, 61, 62, 63, 64, 65, 100, 500, 2000, 7000):
+        for la, lb in ((9, 9), (20, 13), (3, 40), (64, 64)):
+            a = signed_draw(rng, la, bits, zeros=la > 20)
+            b = signed_draw(rng, lb, rng.choice((1, bits)))
+            assert_all_wraps(a, b)
+            square = schoolbook(a, a)
+            assert _poly_mul_int(a, a) == square
+            for s in (1, -1):
+                assert _poly_mul_int(a, a, (la, s)) == wrapped(square, (la, s))
+
+
+def test_poly_mul_int_at_the_digit_bound():
+    # every product coefficient lies within bound = max|a| * max|b| *
+    # min(la, lb); here some coefficient reaches it, on either side of a
+    # digit limit 2^(8w - 1), with la * lb past the schoolbook cutover
+    cases = [
+        (127, 1, 1, 127),     # 2^7 - 1: 127 terms of 1 * 1
+        (31, 7, 151, 31),     # 2^15 - 1 = 31 * 7 * 151
+    ]
+    for bits in (7, 15, 31, 63, 71, 127, 6999):
+        cases.append((1, (1 << bits) - 1, 1, 70))
+    for bits in (8, 16, 32, 64, 72, 128, 7000):
+        h = (bits - 5) // 2
+        cases.append((16, 1 << h, 1 << (bits - 5 - h), 16))
+    for m, x, y, lb in cases:
+        bound = m * x * y
+        top = 1 << ((bound.bit_length() + 1) // 8 * 8 - 1)
+        assert bound in (top - 1, top)
+        for sa, sb in ((1, 1), (1, -1), (-1, -1)):
+            a = [sa * x] * m
+            for b in ([sb * y] * lb, [sb * y] * lb + [0, -sb * y]):
+                assert max(map(abs, schoolbook(a, b))) == bound
+                assert_all_wraps(a, b)
+                assert_all_wraps(b, a)
+            square, n = schoolbook(b, b), len(b)
+            assert _poly_mul_int(b, b) == square
+            for s in (1, -1):
+                assert _poly_mul_int(b, b, (n, s)) == wrapped(square, (n, s))
+
+
+def assert_product_at_points(a, b, c, modulus):
+    """c(x) = a(x) * b(x) modulo modulus(x) at a few integer points x: a
+    check by Horner evaluation that shares nothing with the packing."""
+    for x in (3, -5, 7):
+        values = [0, 0, 0]
+        for i, coeffs in enumerate((a, b, c)):
+            for v in reversed(coeffs):
+                values[i] = values[i] * x + v
+        assert (values[2] - values[0] * values[1]) % modulus(x) == 0
+
+
+def test_ring_and_level_products_on_invert_sized_numerators():
+    # numerator bits as measured on the inverse of a small element: the
+    # result at K = 9 and 10, and its level parts at K - 2 and K - 1
+    rng = random.Random(23)
+
+    def draw(length, bits):
+        return [rng.randrange(-(1 << bits), 1 << bits) for _ in range(length)]
+
+    for K, ring_bits, level_bits in ((9, 3400, (900, 1700)),
+                                     (10, 7200, (1800, 3600))):
+        n = 1 << K
+        x = RingElement._from_ints(K, draw(n - 1, ring_bits))
+        y = RingElement._from_ints(K, draw(n - 1, 3))
+        # canonical coefficients agree modulo the norm 1 + chi + ... +
+        # chi^(N-1), which is (x^N - 1) / (x - 1) at chi = x
+        assert_product_at_points(x.nums, y.nums, (x * y).nums,
+                                 lambda t: (t ** n - 1) // (t - 1))
+        for l, bits in zip((K - 2, K - 1), level_bits):
+            p = LevelProjection._from_ints(l, draw(1 << l, bits))
+            q = LevelProjection._from_ints(l, draw(1 << l, 3))
+            # squarings only below l = 9, where one would take 0.8 s
+            for u, v in ((p, q), (p, p)) if l < 9 else ((p, q),):
+                assert_product_at_points(u.nums, v.nums, (u * v).nums,
+                                         lambda t: t ** (1 << l) + 1)
