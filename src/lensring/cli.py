@@ -483,6 +483,9 @@ def _suite_wl_rules(config: RunConfig) -> list[Check]:
         f = element_f(K)
         one = make_element(K, [1])
         fsq = f * f
+        f_pm = [(f + one, "f+1"), (f - one, "f-1")]
+        fsq_minus, fsq_plus = fsq - one, fsq + one
+        f_primes = [element_f_prime(K, k) for k in (1, 3, 5, 7)]
         for l in range(K):
             ok = True
             for a in range(5):
@@ -497,20 +500,20 @@ def _suite_wl_rules(config: RunConfig) -> list[Check]:
                     (f"K={K} l={l}: w(f) = 0",
                      not wf.is_infinite and (wf.a, wf.b) == (0, 0))
                 )
-            for sign, name in ((1, "f+1"), (-1, "f-1")):
-                w = w_l(f + (sign * one), l)
+            for g, name in f_pm:
+                w = w_l(g, l)
                 expected = Fraction((1 << l) - 1, 1 << l)
                 checks.append(
                     (f"K={K} l={l}: w({name}) = 1 - 2^-l",
                      not w.is_infinite and w.value() == expected)
                 )
-            w = w_l(fsq - one, l)
+            w = w_l(fsq_minus, l)
             checks.append(
                 (f"K={K} l={l}: w(f^2-1) = 2 - 2^(1-l)",
                  not w.is_infinite
                  and w.value() == Fraction(2) - Fraction(2, 1 << l))
             )
-            w = w_l(fsq + one, l)
+            w = w_l(fsq_plus, l)
             if l == 0:
                 ok = not w.is_infinite and w.value() == 0
             elif l == 1:
@@ -519,8 +522,8 @@ def _suite_wl_rules(config: RunConfig) -> list[Check]:
                 ok = not w.is_infinite and w.value() == 1
             checks.append((f"K={K} l={l}: w(f^2+1) three-way split", ok))
             ok = True
-            for k in (1, 3, 5, 7):
-                w = w_l(element_f_prime(K, k), l)
+            for fp in f_primes:
+                w = w_l(fp, l)
                 ok = ok and not w.is_infinite and w.value() == 0
             checks.append((f"K={K} l={l}: w(f'_k) = 0", ok))
     rng = random.Random(config.seed)

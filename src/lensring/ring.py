@@ -36,9 +36,10 @@ the `coeffs` view, built on first access and cached, hands them out.  Every
 dense product goes through `_poly_mul_int`, the package's one integer
 convolution: both signed operands packed once into big integers, one
 multiply, and for ring products (chi^N = 1) and level products
-(chi^(2^l) = -1) a wrap split at digit n by shifts and masks.  `project`
-walks the tower down with `_fold` and `crt_reconstruct` up with its
-butterfly.
+(chi^(2^l) = -1) a wrap split at digit n by shifts and masks.  The tower
+is walked with whole-list `map`s: `project` folds one level (`_fold`),
+`_tower` reads all K levels off one descent of about 2N additions (for
+`invert` and the criteria), and `crt_reconstruct` climbs back up.
 
 The families 8 f'_k f^m q(f^2) (and scale * f'_k f^p (f^2 - 1)) are never
 built with all N entries unless a public function returns them.  Their
@@ -75,6 +76,7 @@ import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, zip_longest
+from operator import add, sub
 from typing import Iterable, NamedTuple, Sequence, Union
 
 __all__ = [
@@ -225,7 +227,7 @@ class _IntVector:
 
     def in_4Z(self) -> bool:
         """True when every coefficient is an integer divisible by 4."""
-        return self.den == 1 and all(v % 4 == 0 for v in self.nums)
+        return self.den == 1 and math.gcd(*self.nums) % 4 == 0
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -460,8 +462,9 @@ class _Window(NamedTuple):
         return sum(d * math.comb(b, h) for h, d in enumerate(tails[r]))
 
     def entries(self, width: int) -> tuple[int, ...]:
-        """Entries 0 .. width - 1 (all n once width >= n), each tail class
-        stepped on by its forward differences."""
+        """Entries 0 .. width - 1 (all n once width >= n); along a tail
+        class the h-th differences are running sums of the (h+1)-th ones,
+        started at diffs[h], built from the highest difference down."""
         n, k, head, tails, _ = self
         width = min(width, n)
         s = len(head)
@@ -469,11 +472,11 @@ class _Window(NamedTuple):
             return head[:width]
         out = list(head) + [0] * (width - s)
         for r, diffs in enumerate(tails):
-            diffs = list(diffs)
-            for j in range(s + r, width, k):
-                out[j] = diffs[0]
-                for h in range(len(diffs) - 1):
-                    diffs[h] += diffs[h + 1]
+            if s + r < width:
+                col = [diffs[-1]] * len(range(s + r, width, k))
+                for d in reversed(diffs[:-1]):
+                    col = list(accumulate(col[:-1], initial=d))
+                out[s + r::k] = col
         return tuple(out)
 
     def divided(self, q: int, times: int = 1) -> "_Window":
@@ -797,10 +800,40 @@ def is_in_4Z(a: RingElement) -> bool:
 # ---------------------------------------------------------------------------
 
 def _fold(coeffs: Sequence[int], l: int) -> list[int]:
-    """Reduce sum(c_j * chi^j) modulo 1 + chi^(2^l): chi^(2^l) = -1."""
+    """Reduce sum(c_j * chi^j) modulo 1 + chi^(2^l): chi^(2^l) = -1, by
+    strided slice sums while the 2^(l+1) index classes hold 8 entries each
+    (the faster way there, measured for N = 2^5..2^12), else by adding the
+    halves of the list padded to a power of two, then subtracting."""
     m = 1 << l
-    step = 2 * m
-    return [sum(coeffs[r::step]) - sum(coeffs[r + m::step]) for r in range(m)]
+    if len(coeffs) + 1 >= 16 * m:
+        step = 2 * m
+        return [sum(coeffs[r::step]) - sum(coeffs[r + m::step])
+                for r in range(m)]
+    x = list(coeffs)
+    x += [0] * (max(2 * m, 1 << (len(x) - 1).bit_length()) - len(x))
+    while len(x) > 2 * m:
+        h = len(x) >> 1
+        x = list(map(add, x[:h], x[h:]))
+    return list(map(sub, x[:m], x[m:]))
+
+
+def _tower(nums: Sequence[int]) -> list[list[int]]:
+    """The folds of one numerator of length N - 1 at every level l < K, in
+    order of l, from one descent: about 2N additions, not K * N."""
+    x = [*nums, 0]
+    parts = []
+    while len(x) > 1:
+        h = len(x) >> 1
+        lo, hi = x[:h], x[h:]
+        parts.append(list(map(sub, lo, hi)))
+        x = list(map(add, lo, hi))
+    return parts[::-1]
+
+
+def _projections(a: RingElement) -> list[LevelProjection]:
+    """Every projection of a, in order of level, from one `_tower` descent."""
+    return [LevelProjection._from_ints(l, part, a.den)
+            for l, part in enumerate(_tower(a.nums))]
 
 
 def project(a: RingElement, l: int) -> LevelProjection:
@@ -836,7 +869,7 @@ def crt_reconstruct(parts: Sequence[LevelProjection]) -> RingElement:
     for l, p in enumerate(parts):
         scale = (den // p.den) << l
         ds = [v * scale for v in p.nums]
-        s = [x + y for x, y in zip(s, ds)] + [x - y for x, y in zip(s, ds)]
+        s = [*map(add, s, ds), *map(sub, s, ds)]
     top = s[-1]
     return RingElement._from_ints(K, [x - top for x in s[:-1]], den << K)
 
@@ -870,7 +903,7 @@ def invert(a: RingElement) -> RingElement:
     Raises ValueError when the element is not invertible, which is exactly
     when some projection is zero (0 included).
     """
-    parts = [project(a, l) for l in range(a.level)]
+    parts = _projections(a)
     for p in parts:
         if p.is_zero():
             raise ValueError(

@@ -14,8 +14,9 @@ or infinity when the projection vanishes.  The pair (a, b) is independent of
 every choice made while computing it.  `w_l` reads it without witnesses: a
 is the least v_2 of a coefficient of p, and b is the first odd coefficient
 of 2^-a p in powers of (1 - chi) mod 2, which a superset-sum transform over
-GF(2) gives in l shift/xor passes.  `normal_form` also returns the
-witnesses v1, v2, so a caller can replay the factorization.
+GF(2) gives in l shift/mask/xor passes on one int of parity bytes.
+`normal_form` also returns the witnesses v1, v2, so a caller can replay
+the factorization.  Valuations compare as integers, without `Fraction`s.
 
 Valuations obey a product rule (w_l of a product is the sum) and the usual
 ultrametric-style sum rules, and they power two membership criteria for
@@ -27,7 +28,8 @@ pr_l(g) lies in 4 * Z[chi]/<1 + chi^(2^l)>; under it,
     l != l_star and < at l_star proves non-membership.
 
 The criteria return three-valued verdicts and never guess: failing to prove
-is reported as inconclusive, not as the opposite claim.
+is reported as inconclusive, not as the opposite claim.  They read every
+projection off one descent of the tower (`ring._projections`).
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from fractions import Fraction
 from functools import cache
 
 from .polynomials import IntPolynomial, ONE, X, _v2
-from .ring import LevelProjection, RingElement, _fold, project
+from .ring import LevelProjection, RingElement, _fold, _projections, project
 
 __all__ = [
     "Valuation",
@@ -116,31 +118,30 @@ class Valuation:
                          total - ((total >> self.level) << self.level),
                          self.level)
 
+    def _scaled(self) -> int:
+        """The value times 2^level: (a << level) + b."""
+        return (self.a << self.level) + self.b
+
     def __lt__(self, other: "Valuation") -> bool:
         if not isinstance(other, Valuation):
             return NotImplemented
-        if self.is_infinite:
-            return False
-        if other.is_infinite:
-            return True
-        return self.value() < other.value()
+        if self.is_infinite or other.is_infinite:
+            return other.is_infinite and not self.is_infinite
+        return self._scaled() << other.level < other._scaled() << self.level
 
     def __le__(self, other: "Valuation") -> bool:
         if not isinstance(other, Valuation):
             return NotImplemented
-        if self.is_infinite:
-            return other.is_infinite
-        if other.is_infinite:
-            return True
-        return self.value() <= other.value()
+        return not other < self
 
     def at_least(self, bound: Fraction) -> bool:
         """True when the valuation is infinite or >= the rational bound."""
-        return self.is_infinite or self.value() >= bound
+        return self.is_infinite or (
+            self._scaled() * bound.denominator >= bound.numerator << self.level)
 
     def below(self, bound: Fraction) -> bool:
         """True when the valuation is finite and strictly below the bound."""
-        return not self.is_infinite and self.value() < bound
+        return not self.at_least(bound)
 
 
 def valuation_to_text(v: Valuation) -> str:
@@ -228,6 +229,16 @@ def normal_form_reconstruct(nf: NormalForm, level: int) -> LevelProjection:
         * (Fraction(2) ** nf.a / nf.u)
 
 
+@cache
+def _lane_masks(level: int) -> tuple[int, ...]:
+    """Per pass i < level: 1 in each of the 2^level byte lanes j with bit i
+    of j clear, h = 2^i lanes on in every period of 2h."""
+    n = 1 << level
+    return tuple(int.from_bytes((b"\x01" * h + bytes(h)) * (n // (2 * h)),
+                                "little")
+                 for h in (1 << i for i in range(level)))
+
+
 def _valuation(p: LevelProjection) -> Valuation:
     """(a, b) of the normal form of p, read off without witnesses.
 
@@ -235,30 +246,27 @@ def _valuation(p: LevelProjection) -> Valuation:
     the least v_2 over the coefficients of p.  Mod 2, chi^j is the sum of
     C(j, m) (1 + chi)^m, and by Lucas C(j, m) is odd exactly when the bits
     of m are a subset of those of j: the coefficients of 2^-a p that are
-    odd, summed over supersets (l shift/xor passes on one int), give the
-    parity of each (1 - chi)^m coefficient, and b is the lowest odd one.
+    odd, summed over supersets (l shift/mask/xor passes on one int with a
+    parity byte per coefficient), give the parity of each (1 - chi)^m
+    coefficient, and b is the lowest odd one: the lowest set byte.
     """
     nums = p.nums
     if not any(nums):
         return Valuation.infinite()
     # the least v_2 of a numerator, and the numerators that attain it
     low = _v2(math.gcd(*nums))
-    x = int("".join(str((v >> low) & 1) for v in reversed(nums)), 2)
-    full = (1 << len(nums)) - 1
-    for i in range(p.level):
-        h = 1 << i
-        # bits j with bit i of j clear: h ones in every period of 2h
-        mask = ((1 << h) - 1) * (full // ((1 << 2 * h) - 1))
-        x ^= (x >> h) & mask
-    return Valuation(low - _v2(p.den), _v2(x), p.level)
+    x = int.from_bytes(bytes([v >> low & 1 for v in nums]), "little")
+    for i, mask in enumerate(_lane_masks(p.level)):
+        x ^= (x >> (8 << i)) & mask
+    return Valuation(low - _v2(p.den), _v2(x) >> 3, p.level)
 
 
 def w_l(g: RingElement, l: int) -> Valuation:
     """The level-l valuation of g; infinite exactly when pr_l(g) = 0.
 
     Reads (a, b) of the normal form of pr_l(g) without building its
-    witnesses: 2^l coefficient valuations and l shift/xor passes on one
-    2^l-bit integer.  `normal_form` builds the witnesses.
+    witnesses: 2^l coefficient valuations and l shift/mask/xor passes on
+    one int of 2^l parity bytes.  `normal_form` builds the witnesses.
     """
     return _valuation(project(g, l))
 
@@ -275,18 +283,13 @@ class CriterionVerdict(Enum):
 
 def membership_bound(K: int, l: int) -> Fraction:
     """The threshold 2 + K - l - 2^(-l)."""
-    return Fraction(2 + K - l) - Fraction(1, 1 << l)
+    return Fraction(((2 + K - l) << l) - 1, 1 << l)
 
 
 def _hypothesis_parts(g: RingElement) -> list[LevelProjection] | None:
-    """Every projection of g, or None once one is not in 4 times its ring."""
-    parts = []
-    for l in range(g.level):
-        p = project(g, l)
-        if not p.in_4Z():
-            return None
-        parts.append(p)
-    return parts
+    """Every projection of g, or None when one is not in 4 times its ring."""
+    parts = _projections(g)
+    return parts if all(p.in_4Z() for p in parts) else None
 
 
 def criterion_sufficient(g: RingElement) -> CriterionVerdict:
@@ -325,8 +328,8 @@ def criterion_necessary(g: RingElement, h: RingElement,
     parts = _hypothesis_parts(g)
     if parts is None:
         return CriterionVerdict.INCONCLUSIVE
-    for l, p in enumerate(parts):
-        s = _valuation(p) + w_l(h, l)
+    for l, (p, q) in enumerate(zip(parts, _projections(h))):
+        s = _valuation(p) + _valuation(q)
         bound = membership_bound(K, l)
         if l == l_star:
             if not s.below(bound):
@@ -342,7 +345,7 @@ def _one_minus_chi_valuations(K: int, j: int) -> tuple[Valuation, ...]:
     from .ring import make_element
 
     h = make_element(K, [1, -1]) ** j
-    return tuple(w_l(h, l) for l in range(K))
+    return tuple(map(_valuation, _projections(h)))
 
 
 def criterion_necessary_search(g: RingElement, max_power: int | None = None):

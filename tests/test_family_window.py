@@ -98,6 +98,12 @@ def assert_window_matches(vec, z, den):
     assert full[:len(vec.head)] == vec.head
     assert all((a - full[-1]) * den == (b - z[-1]) * vec.den
                for a, b in zip(full, z))
+    if n <= 128:
+        # every width from the head to all n entries (and one past n),
+        # against the oracle moved onto the window's last entry and den
+        want = tuple(full[-1] + (b - z[-1]) * vec.den // den for b in z)
+        for width in range(len(vec.head), n + 2):
+            assert vec.entries(width) == want[:width]
     in_4z = all((v - z[-1]) % (4 * den) == 0 for v in z)
     assert ring._vec_is_in_4Z(vec) == in_4z
     return in_4z

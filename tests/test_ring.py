@@ -25,7 +25,7 @@ from lensring import (
     project,
     ring_arith,
 )
-from lensring.ring import _poly_mul_int
+from lensring.ring import _fold, _poly_mul_int, _tower
 
 
 def one(K):
@@ -326,7 +326,7 @@ def test_crt_round_trip():
             parts = [project(g, l) for l in range(K)]
             assert crt_reconstruct(parts) == g
     # deeper towers, with 2-power denominators
-    for K in (5, 6, 7):
+    for K in (5, 6, 7, 9, 10):
         for _ in range(4):
             g = make_element(K, [Fraction(rng.randrange(-99, 100),
                                           1 << rng.randrange(8))
@@ -350,6 +350,43 @@ def test_crt_rejects_misordered_levels():
     parts = [project(g, l) for l in range(3)]
     with pytest.raises(ValueError):
         crt_reconstruct(parts[::-1])
+
+
+def strided_fold(coeffs, l):
+    """The reference fold modulo 1 + chi^(2^l): 2^(l+1) strided slice sums."""
+    m = 1 << l
+    step = 2 * m
+    return [sum(coeffs[r::step]) - sum(coeffs[r + m::step]) for r in range(m)]
+
+
+def test_fold_matches_strided_oracle():
+    rng = random.Random(22)
+    for K in range(1, 11):
+        n = 1 << K
+        for l in range(K):
+            m = 1 << l
+            # N - 1 entries as a ring element has them, lists around and
+            # below 2^(l+1) entries, and lengths that are no power of two
+            lengths = {0, 1, m - 1, m, 2 * m - 1, 2 * m, 2 * m + 1, 3 * m + 1,
+                       5 * m - 3, n - 1, n, n + 3}
+            for length in sorted(lengths):
+                for bits in (4, 200):
+                    coeffs = tuple(signed_draw(rng, length, bits))
+                    assert _fold(coeffs, l) == strided_fold(coeffs, l)
+                    assert _fold(list(coeffs), l) == strided_fold(coeffs, l)
+
+
+def test_tower_equals_the_per_level_folds():
+    rng = random.Random(23)
+    for K in range(1, 11):
+        for bits in (4, 200):
+            nums = tuple(signed_draw(rng, (1 << K) - 1, bits))
+            assert _tower(nums) == [strided_fold(nums, l) for l in range(K)]
+        # over the element's denominator the parts are its projections
+        g = random_element(rng, K) * Fraction(1, 3 << K)
+        assert [LevelProjection(l, [Fraction(v, g.den) for v in part])
+                for l, part in enumerate(_tower(g.nums))] \
+            == [project(g, l) for l in range(K)]
 
 
 def test_large_products_cross_check():

@@ -71,6 +71,38 @@ def test_valuation_ordering():
     assert not inf.below(Fraction(10**9))
 
 
+def test_valuation_comparisons_match_fractions():
+    rng = random.Random(17)
+    vals = [Valuation.infinite()]
+    for level in range(7):
+        for a in range(-3, 4):
+            for b in {0, 1, (1 << level) - 1, rng.randrange(1 << level)}:
+                if b < 1 << level:
+                    vals.append(Valuation.finite(a, b, level))
+
+    def key(v):
+        return (1, 0) if v.is_infinite else (0, v.value())
+
+    for x in vals:
+        for y in vals:
+            kx, ky = key(x), key(y)
+            assert (x < y, x <= y, x > y, x >= y) \
+                == (kx < ky, kx <= ky, kx > ky, kx >= ky)
+            assert key(min(x, y)) == min(kx, ky)
+    assert [key(v) for v in sorted(vals)] == sorted(map(key, vals))
+    bounds = {membership_bound(K, l) for K in range(1, 9) for l in range(K)}
+    bounds |= {Fraction(rng.randrange(-99, 100), rng.randrange(1, 200))
+               for _ in range(40)}
+    bounds |= {Fraction(-3), Fraction(0), Fraction(5, 4), Fraction(10**9)}
+    for v in vals:
+        for bound in bounds:
+            if v.is_infinite:
+                assert v.at_least(bound) and not v.below(bound)
+            else:
+                assert v.at_least(bound) == (v.value() >= bound)
+                assert v.below(bound) == (v.value() < bound)
+
+
 def test_valuation_text_round_trip():
     for v in (
         Valuation.finite(0, 3, 2),
