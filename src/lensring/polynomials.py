@@ -256,17 +256,15 @@ def reset_polynomial_tables() -> None:
     r_plus.cache_clear()
 
 
-def _search_winners(base: IntPolynomial, scaled: Sequence[IntPolynomial],
-                    K: int, k: int, m: int) -> list[int]:
-    """Bit masks v for which base + sum of selected scaled terms passes the
-    4Z membership at level K, via one linearized residue enumeration."""
-    vecs = [ring._eval_f2_vec(base.coeffs, K, k, "odd", m)]
-    vecs += [ring._eval_f2_vec(s.coeffs, K, k, "odd", m) for s in scaled]
-    rows, modulus = ring._residue_images(vecs)
+def _search_winners(base_vec, term_vecs) -> list[int]:
+    """Bit masks v for which base_vec plus the selected term_vecs lands in
+    4 Z[chi]/I<K>, via one linearized residue enumeration over family
+    vectors of one level and class step, each at any positive scale."""
+    rows, modulus = ring._residue_images([base_vec, *term_vecs])
     base_row, term_rows = rows[0], rows[1:]
     winners = []
-    for v in range(1 << len(scaled)):
-        chosen = [term_rows[l] for l in range(len(scaled)) if (v >> l) & 1]
+    for v in range(1 << len(term_rows)):
+        chosen = [term_rows[l] for l in range(len(term_rows)) if (v >> l) & 1]
         ok = True
         for i in range(len(base_row)):
             s = base_row[i]
@@ -280,6 +278,11 @@ def _search_winners(base: IntPolynomial, scaled: Sequence[IntPolynomial],
     return winners
 
 
+# (k, m) -> (numerator, step) of f, f'_3 and f_3 = f f'_3 over 1 - chi^step
+_DERIVED = {(1, 2): ((1, 1), 1), (3, 1): ((1, -2, 2, -1), 3),
+            (3, 2): ((1, 0, 0, 1), 3)}
+
+
 def r_minus(n: int) -> RMinusRecord:
     """Search for the unique correction of q_n with the level-(2n+2) property.
 
@@ -287,6 +290,8 @@ def r_minus(n: int) -> RMinusRecord:
     with bits a_l in {0, 1}.  Exactly one choice makes 8 f'_k f^m r(f^2) land
     in 4 Z[chi]/I<2n+2>; the search asserts uniqueness and re-runs the scan
     for every (k, m) in {1, 3} x {1, 2} to confirm the winner is the same.
+    Each polynomial is evaluated once, at (k, m) = (1, 1); the other three
+    vectors are that one times f, f'_3 or f_3 (`_DERIVED`).
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise ValueError(f"n must be a non-negative integer, got {n!r}")
@@ -298,14 +303,17 @@ def r_minus(n: int) -> RMinusRecord:
         r_minus(l).polynomial * (1 << (2 * (n - l) - 1)) for l in range(nbits)
     ]
     K = 2 * n + 2
-    winners = _search_winners(base, scaled, K, 1, 1)
+    vecs = [ring._eval_f2_vec(p.coeffs, K, 1) for p in (base, *scaled)]
+    winners = _search_winners(vecs[0], vecs[1:])
     if len(winners) != 1:
         raise ArithmeticError(
             f"r^-_{n}: expected exactly one winning correction,"
             f" found {len(winners)}"
         )
-    for k, m in ((1, 2), (3, 1), (3, 2)):
-        if _search_winners(base, scaled, K, k, m) != winners:
+    held = {1: vecs, 3: [v.times((1,), 3) for v in vecs]}
+    for num, step in _DERIVED.values():
+        derived = [v.times(num, step).divided(step) for v in held[step]]
+        if _search_winners(derived[0], derived[1:]) != winners:
             raise ArithmeticError(
                 f"r^-_{n}: winning correction depends on (k, m), which"
                 " contradicts uniqueness"

@@ -54,15 +54,18 @@ division moves the start of the tail down instead).  `_Window` stores the
 head before the tail and, per class, the Newton forward differences of the
 tail: the last entry, the class sums each division needs (through
 sum_{s<L} C(s, j) = C(L, j + 1)) and the division itself then cost
-O(H + k*e) operations, not O(N).  Membership in 4 Z[chi]/I<K> of any
-integer combination needs only the first W entries and the last one, so
-the residue rows of the r^- search, the lattice oracles and the shape
-remark are W wide: W grows like n, not like N = 2^(2n+2).  When W >= N
-(small K, or a numerator that wraps) the vector simply holds all N
-entries.  Only `element_f`, `element_f_prime`, `element_f_k`,
-`evaluate_at_f_squared` and `structure.rho_bracket` step the tail out to
-all N entries, because they return a `RingElement`.  All of this is
-exact.
+O(H + k*e) operations, not O(N).  `times` multiplies by a short polynomial
+inside the window (each tail class becomes a sum of classes moved along by
+whole blocks), so `r_minus` evaluates each polynomial once, at (k, m) =
+(1, 1), and gets the other three vectors with one product and one division
+each.  Membership in 4 Z[chi]/I<K> of any integer combination needs only
+the first W entries and the last one, so the residue rows of the r^-
+search, the lattice oracles and the shape remark are W wide: W grows like
+n, not like N = 2^(2n+2).  When W >= N (small K, or a numerator that
+wraps) the vector simply holds all N entries.  Only `element_f`,
+`element_f_prime`, `element_f_k`, `evaluate_at_f_squared` and
+`structure.rho_bracket` step the tail out to all N entries, because they
+return a `RingElement`.  All of this is exact.
 
 Every value is immutable after construction and every function is pure, so
 everything here is safe to share across threads without synchronization.
@@ -75,8 +78,8 @@ import re
 import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, zip_longest
-from operator import add, sub
+from itertools import accumulate, repeat, zip_longest
+from operator import add, mul, sub
 from typing import Iterable, NamedTuple, Sequence, Union
 
 __all__ = [
@@ -109,17 +112,20 @@ def _validate_level(K: int) -> int:
 
 def _power(base, exponent: int, one):
     """base ** exponent by square-and-multiply, for any product with unit
-    `one`; a bool, negative or non-integer exponent raises ValueError."""
+    `one`, started at the lowest set bit (2^j costs j products); a bool,
+    negative or non-integer exponent raises ValueError."""
     if (not isinstance(exponent, int) or isinstance(exponent, bool)
             or exponent < 0):
         raise ValueError("exponent must be a non-negative integer")
-    result = one
-    while exponent:
+    if not exponent:
+        return one
+    while not exponent & 1:
+        base, exponent = base * base, exponent >> 1
+    result = base
+    while exponent := exponent >> 1:
+        base = base * base
         if exponent & 1:
             result = result * base
-        exponent >>= 1
-        if exponent:
-            base = base * base
     return result
 
 
@@ -453,18 +459,19 @@ class _Window(NamedTuple):
         head = tuple(poly) + (0,) * (s - len(poly))
         return cls(n, k, head, ((0,),) * k, 1)
 
-    def last(self) -> int:
-        """Entry N - 1."""
-        n, k, head, tails, _ = self
-        if not tails:
-            return head[-1]
-        b, r = divmod(n - 1 - len(head), k)
-        return sum(d * math.comb(b, h) for h, d in enumerate(tails[r]))
+    def entry(self, j: int) -> int:
+        """Entry j, for 0 <= j < N."""
+        _, k, head, tails, _ = self
+        if j < len(head):
+            return head[j]
+        b, r = divmod(j - len(head), k)
+        return sum(map(mul, tails[r], map(math.comb, repeat(b), range(b + 1))))
 
     def entries(self, width: int) -> tuple[int, ...]:
         """Entries 0 .. width - 1 (all n once width >= n); along a tail
         class the h-th differences are running sums of the (h+1)-th ones,
-        started at diffs[h], built from the highest difference down."""
+        started at diffs[h], built from the highest difference down.  The
+        first c entries of a class need only its first c differences."""
         n, k, head, tails, _ = self
         width = min(width, n)
         s = len(head)
@@ -472,12 +479,50 @@ class _Window(NamedTuple):
             return head[:width]
         out = list(head) + [0] * (width - s)
         for r, diffs in enumerate(tails):
-            if s + r < width:
-                col = [diffs[-1]] * len(range(s + r, width, k))
+            count = len(range(s + r, width, k))
+            if count:
+                diffs = diffs[:count]
+                col = [diffs[-1]] * count
                 for d in reversed(diffs[:-1]):
                     col = list(accumulate(col[:-1], initial=d))
                 out[s + r::k] = col
         return tuple(out)
+
+    def times(self, poly: Sequence[int], step: int) -> "_Window":
+        """Multiply by poly(chi) modulo chi^N - 1, held with class step
+        `step` (a multiple of k; a new step reads its classes off one
+        stride-step difference of the entries).  The head grows by
+        len(poly) - 1 entries, into which chi^N = 1 wraps the last ones;
+        past it each class sums tail classes moved along whole blocks, one
+        move being D[h] + D[h+1] on the Newton differences.  All n entries
+        are held when the window does not fit."""
+        n, k, head, tails, den = self
+        if step % k:
+            raise ValueError(f"cannot hold class step {k} with step {step}")
+        lp = len(poly)
+        s = len(head)
+        if s + lp - 1 + (len(tails[0]) * step if tails else n) > n:
+            z = _poly_mul_int(self.entries(n), poly)
+            return _Window(n, step, tuple(sum(z[j::n]) for j in range(n)),
+                           (), den)
+        if step != k:
+            vals = self.entries(s + len(tails[0]) * step)[s:]
+            rows = []
+            while vals:
+                rows.append(vals[:step])
+                vals = [*map(sub, vals[step:], vals[:-step])]
+            tails, k = list(zip(*rows)), step
+        wrap = [self.entry(j) for j in range(n - lp + 1, n)]
+        z = _poly_mul_int(wrap + list(self.entries(s + lp - 1)), poly)
+        # moved[c]: class c % k moved along c // k blocks
+        moved = list(tails)
+        while len(moved) < lp - 1 + k:
+            d = moved[-k]
+            moved.append((*map(add, d[:-1], d[1:]), d[-1]))
+        new = tuple(tuple(map(sum, zip(*(
+            [p * x for x in moved[lp - 1 - i + r]]
+            for i, p in enumerate(poly))))) for r in range(k))
+        return _Window(n, k, tuple(z[lp - 1:2 * lp - 2 + s]), new, den)
 
     def divided(self, q: int, times: int = 1) -> "_Window":
         """Divide by (1 - chi^q)^times (q = k or q = 1, gcd(q, n) = 1)
@@ -515,9 +560,8 @@ class _Window(NamedTuple):
                 sums = [sum(head[r::q]) for r in range(q)]
             for r, diffs in enumerate(tails):
                 count = (n - s - r + k - 1) // k
-                sums[(s + r) % q] += sum(
-                    d * math.comb(count, h + 1) for h, d in enumerate(diffs)
-                )
+                sums[(s + r) % q] += sum(map(mul, diffs, map(
+                    math.comb, repeat(count), range(1, len(diffs) + 1))))
             total = sum(sums)
             scale = 1 if total % n == 0 else n
             if scale > 1:
@@ -594,7 +638,7 @@ def _element_from_vec(K: int, vec: _Window) -> RingElement:
 def _vec_is_in_4Z(vec: _Window) -> bool:
     """Every entry congruent to the last one modulo 4*den: the head entries,
     and per tail class its value at b = 0 and its higher differences."""
-    top = vec.last()
+    top = vec.entry(vec.n - 1)
     m = 4 * vec.den
     return (all((v - top) % m == 0 for v in vec.head)
             and all((diffs[0] - top) % m == 0
@@ -637,7 +681,7 @@ def _residue_images(vecs: Sequence[_Window]):
     rows = []
     for v in vecs:
         s = den // v.den
-        top = v.last() * s
+        top = v.entry(n - 1) * s
         rows.append([(x * s - top) % m for x in v.entries(width)])
     return rows, m
 

@@ -90,6 +90,13 @@ class Valuation:
             )
 
     @classmethod
+    def _unchecked(cls, a: int, b: int, level: int) -> "Valuation":
+        """A finite valuation from parts already canonical: no checks."""
+        v = object.__new__(cls)
+        vars(v).update(a=a, b=b, level=level)
+        return v
+
+    @classmethod
     def infinite(cls) -> "Valuation":
         return cls(None, None, None)
 
@@ -113,10 +120,9 @@ class Valuation:
             return Valuation.infinite()
         if self.level != other.level:
             raise ValueError("cannot add valuations at different levels")
-        total = ((self.a + other.a) << self.level) + self.b + other.b
-        return Valuation(total >> self.level,
-                         total - ((total >> self.level) << self.level),
-                         self.level)
+        level = self.level
+        total = ((self.a + other.a) << level) + self.b + other.b
+        return Valuation._unchecked(total >> level, total % (1 << level), level)
 
     def _scaled(self) -> int:
         """The value times 2^level: (a << level) + b."""
@@ -258,7 +264,7 @@ def _valuation(p: LevelProjection) -> Valuation:
     x = int.from_bytes(bytes([v >> low & 1 for v in nums]), "little")
     for i, mask in enumerate(_lane_masks(p.level)):
         x ^= (x >> (8 << i)) & mask
-    return Valuation(low - _v2(p.den), _v2(x) >> 3, p.level)
+    return Valuation._unchecked(low - _v2(p.den), _v2(x) >> 3, p.level)
 
 
 def w_l(g: RingElement, l: int) -> Valuation:

@@ -12,7 +12,9 @@ import math
 import random
 from itertools import accumulate
 
-from lensring import ring
+import pytest
+
+from lensring import polynomials, ring
 from lensring.polynomials import q_n
 
 
@@ -94,7 +96,8 @@ def assert_window_matches(vec, z, den):
     """Equal canonical classes: (entry - last) / den agree at every index."""
     n = len(z)
     full = vec.entries(n)
-    assert len(full) == n and vec.last() == full[-1]
+    assert len(full) == n
+    assert all(vec.entry(j) == full[j] for j in {0, n // 3, n - 2, n - 1})
     assert full[:len(vec.head)] == vec.head
     assert all((a - full[-1]) * den == (b - z[-1]) * vec.den
                for a, b in zip(full, z))
@@ -216,3 +219,69 @@ def test_window_steps_out_when_the_tail_outgrows_n():
             for _ in range(12):
                 z, den = _div_geom(z, den, 1, n)
             assert_window_matches(vec, z, den)
+
+
+def cyclic_product(z, poly):
+    """z times poly(chi) modulo chi^n - 1, entry by entry."""
+    n = len(z)
+    return [sum(c * z[(j - i) % n] for i, c in enumerate(poly))
+            for j in range(n)]
+
+
+TIMES_POLYS = [(1, 1), (1, -2, 2, -1), (1, 0, 0, 1)]
+
+
+def test_times_matches_cyclic_product():
+    rng = random.Random(13)
+    windowed = 0
+    for K in range(1, 11):
+        n = 1 << K
+        polys = TIMES_POLYS + [
+            tuple(rng.randrange(-4, 5) for _ in range(rng.randrange(1, 6)))
+            for _ in range(3)
+        ]
+        for q in [(1,), q_n(3).coeffs, (5, -3, 0, 2), (0, 0, 0, 0, 0, 1)]:
+            base = ring._eval_f2_vec(q, K, 1, "odd", 1)
+            z = list(base.entries(n))
+            full = ring._Window(n, 1, tuple(z), (), base.den)
+            for vec in (base, full):
+                for poly in polys:
+                    for step in (1, 3 % n):
+                        out = vec.times(poly, step)
+                        assert out.k == step and out.den == vec.den
+                        want = cyclic_product(z, poly)
+                        assert out.entries(n) == tuple(want)
+                        assert_window_matches(out, want, out.den)
+                        if out.tails:
+                            windowed += 1
+                            assert (len(out.head)
+                                    == len(vec.head) + len(poly) - 1)
+                            assert len(out.tails[0]) == len(vec.tails[0])
+    assert windowed > 100
+    # a class step of 3 holds no step-1 product
+    vec = ring._eval_f2_vec((1, 1), 8, 3, "odd", 1)
+    with pytest.raises(ValueError):
+        vec.times((1, 1), 1)
+
+
+def test_derived_vectors_match_direct_evaluation():
+    # f B, f'_3 B and f_3 B from B = 8 f q(f^2), as r_minus derives them
+    rng = random.Random(17)
+    for K in range(1, 13):
+        n = 1 << K
+        for _ in range(3):
+            q = [rng.randrange(-9, 10) for _ in range(rng.randrange(1, 8))]
+            q[-1] = q[-1] or 1
+            base = ring._eval_f2_vec(q, K, 1, "odd", 1)
+            for (k, m), (num, step) in polynomials._DERIVED.items():
+                step %= n
+                vec = base.times(num, step).divided(step)
+                z, den = oracle_eval_f2(q, K, k, "odd", m, 0)
+                assert_window_matches(vec, z, den)
+                direct = ring._eval_f2_vec(q, K, k, "odd", m)
+                assert (ring._element_from_vec(K, vec)
+                        == ring._element_from_vec(K, direct))
+                # r_minus re-reads B with the new step once for both k = 3
+                held = base.times((1,), step)
+                assert held.times(num, step).divided(step) == vec
+

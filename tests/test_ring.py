@@ -25,7 +25,7 @@ from lensring import (
     project,
     ring_arith,
 )
-from lensring.ring import _fold, _poly_mul_int, _tower
+from lensring.ring import _fold, _poly_mul_int, _power, _tower
 
 
 def one(K):
@@ -112,11 +112,47 @@ def test_scalar_and_power():
     assert Fraction(1, 2) * (a + a) == a
     assert a ** 0 == one(K)
     assert a ** 3 == a * a * a
+    rng = random.Random(29)
+    for K in range(1, 7):
+        a = random_element(rng, K, span=3)
+        power = one(K)
+        for e in range(10):
+            assert a ** e == power
+            power = power * a
     with pytest.raises(ValueError):
         a ** -1
     for exponent in (True, False):
         with pytest.raises(ValueError):
             a ** exponent
+
+
+class Counted:
+    """A value under a multiplication that counts its products."""
+
+    products = 0
+
+    def __init__(self, value):
+        self.value = value
+
+    def __mul__(self, other):
+        Counted.products += 1
+        return Counted(self.value * other.value)
+
+
+def test_power_of_two_exponent_costs_one_product_per_bit():
+    for j in range(8):
+        Counted.products = 0
+        assert _power(Counted(3), 1 << j, Counted(1)).value == 3 ** (1 << j)
+        assert Counted.products == j
+    # 2^j - 1: j - 1 squarings and one multiply per set bit past the lowest
+    for j in range(1, 8):
+        Counted.products = 0
+        assert _power(Counted(3), (1 << j) - 1, Counted(1)).value \
+            == 3 ** ((1 << j) - 1)
+        assert Counted.products == 2 * (j - 1)
+    Counted.products = 0
+    unit = Counted(1)
+    assert _power(Counted(3), 0, unit) is unit and Counted.products == 0
 
 
 def test_mixed_level_arithmetic_rejected():

@@ -43,8 +43,25 @@ def test_valuation_construction():
         Valuation.finite(0, 4, 2)
     with pytest.raises(ValueError):
         Valuation.finite(0, -1, 2)
-    with pytest.raises(ValueError):
-        Valuation(1, None, 2)
+    for parts in [(1, None, 2), (1, 0, -1), (True, 0, 1), (0, 0, 1.0)]:
+        with pytest.raises(ValueError):
+            Valuation(*parts)
+
+
+def test_unchecked_valuation_equals_checked_one():
+    for level in range(5):
+        for a in (-2, 0, 3):
+            for b in range(1 << level):
+                v = Valuation._unchecked(a, b, level)
+                w = Valuation(a, b, level)
+                assert v == w and hash(v) == hash(w) and repr(v) == repr(w)
+                assert not v.is_infinite and v.value() == w.value()
+    # what w_l and addition return is the same as the public constructor's
+    g = make_element(3, [2, 0, 4, 6, 0, 0, 2])
+    v = w_l(g, 2)
+    assert v == Valuation(v.a, v.b, v.level)
+    s = v + v
+    assert s == Valuation(s.a, s.b, s.level)
 
 
 def test_valuation_addition_carries():
