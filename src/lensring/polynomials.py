@@ -36,7 +36,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from itertools import zip_longest
-from typing import Sequence
+from operator import mul
+from typing import Callable, Sequence
 
 from . import ring
 
@@ -248,12 +249,28 @@ class RMinusRecord:
 
 _r_minus_table: dict[int, RMinusRecord] = {}
 
+# Unit family windows (one per monomial x^j of A, one per rho slot) and the
+# rows read off them, by tagged key: every lattice test, kernel and rho[t] is
+# an integer combination of these.  Values are tuples, so callers share them;
+# two threads filling one key store equal values.
+_unit_cache: dict[tuple, object] = {}
+
+
+def _cached(key: tuple, build: Callable[[], object]):
+    """_unit_cache[key], built on the first request."""
+    try:
+        return _unit_cache[key]
+    except KeyError:
+        value = _unit_cache[key] = build()
+        return value
+
 
 def reset_polynomial_tables() -> None:
-    """Drop the cached r^-_n search results and the r^+_n derived from them
-    (used by tests for isolation)."""
+    """Drop the cached r^-_n search results, the r^+_n derived from them and
+    the unit family windows (used by tests for isolation)."""
     _r_minus_table.clear()
     r_plus.cache_clear()
+    _unit_cache.clear()
 
 
 def _search_winners(base_vec, term_vecs) -> list[int]:
@@ -291,7 +308,11 @@ def r_minus(n: int) -> RMinusRecord:
     in 4 Z[chi]/I<2n+2>; the search asserts uniqueness and re-runs the scan
     for every (k, m) in {1, 3} x {1, 2} to confirm the winner is the same.
     Each polynomial is evaluated once, at (k, m) = (1, 1); the other three
-    vectors are that one times f, f'_3 or f_3 (`_DERIVED`).
+    vectors are that one times f, f'_3 or f_3 (`_DERIVED`).  The three
+    confirming scans reuse that evaluation, so they show the winner does
+    not depend on (k, m) only as far as `_DERIVED` is right, which
+    `test_derived_vectors_match_direct_evaluation` checks against direct
+    evaluation.
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise ValueError(f"n must be a non-negative integer, got {n!r}")
@@ -376,11 +397,27 @@ def _lattice_shape(d: int) -> tuple[int, str, int]:
     return (c, "odd", 1) if d % 2 else (c, "even", 1)
 
 
+def _monomial_rows(K: int, k: int, mode: str, m: int, c: int):
+    """(rows, M): the residue images (`ring._residue_images`) of the family
+    vectors of x^0, ..., x^(c-1) as tuples, each monomial's window built
+    once."""
+    def window(j):
+        return _cached(("x^j", j, K, k, mode, m), lambda: ring._eval_f2_vec(
+            (0,) * j + (1,), K, k, mode, m))
+
+    def build():
+        rows, modulus = ring._residue_images([window(j) for j in range(c)])
+        return tuple(map(tuple, rows)), modulus
+    return _cached(("rows", K, k, mode, m, c), build)
+
+
 def membership_A(q, K: int, k: int, d: int, m: int | None = None) -> bool:
     """Exact membership of q in the lattice A at level K.
 
     Odd d tests 8 f'_k f^m q(f^2), even d tests 8 f'_k (f^2-1) q(f^2); the
-    test is membership in 4 Z[chi]/I<K>.  The degree of q must be < c.
+    test is membership in 4 Z[chi]/I<K>.  The degree of q must be < c.  The
+    map is Z-linear, so the test is sum_j q_j rows[j] = 0 mod M on the
+    monomial residue rows (`_monomial_rows`).
     """
     c, mode, _ = _lattice_shape(d)
     coeffs = ring._int_coeffs(q)
@@ -391,13 +428,18 @@ def membership_A(q, K: int, k: int, d: int, m: int | None = None) -> bool:
         )
     if mode == "odd":
         mm = 1 if m is None else m
-        if mm not in (1, 2):
+        if (not isinstance(mm, int) or isinstance(mm, bool)
+                or mm not in (1, 2)):
             raise ValueError(f"m must be 1 or 2 for odd d, got {m!r}")
     else:
         if m is not None:
             raise ValueError("even d does not take an exponent m")
         mm = 1
-    return ring._vec_is_in_4Z(ring._eval_f2_vec(coeffs, K, k, mode, mm))
+    ring._validate_level(K)
+    ring._validate_odd(k)
+    rows, modulus = _monomial_rows(K, k, mode, mm, c)
+    return all(sum(map(mul, coeffs, col)) % modulus == 0
+               for col in zip(*rows))
 
 
 @dataclass(frozen=True)
@@ -556,10 +598,7 @@ def brute_force_A(K: int, k: int, d: int,
     ring._validate_level(K)
     ring._validate_odd(k)
     _check_budget(K, c, budget, "A")
-    vecs = [
-        ring._eval_f2_vec((0,) * j + (1,), K, k, mode, m) for j in range(c)
-    ]
-    mats, modulus = ring._residue_images(vecs)
+    mats, modulus = _monomial_rows(K, k, mode, m, c)
     rows = _residue_kernel(mats, modulus, K)
     exps = tuple(_v2(row[lead]) for lead, row in rows.items())
     index_exponent = K * c - sum(K - e for e in exps)
@@ -601,7 +640,10 @@ def verify_A_equals_B(K: int, k: int, d: int,
     element passes the exact membership test and reduces to zero against the
     oracle basis; every oracle basis row reduces to zero against the claimed
     basis (both are triangular, so each is its own echelon); and the two
-    index exponents agree.
+    index exponents agree.  The membership evidence is read off the same
+    monomial residue rows the oracle eliminates (`membership_A`), so the
+    two are not independent here; the tests compare `membership_A` with
+    the direct evaluation of each polynomial, which stays their oracle.
     """
     claimed = b_basis(K, d)
     oracle = brute_force_A(K, k, d, budget)
@@ -703,10 +745,7 @@ def shape_remark_report(n: int, k: int = 1) -> ShapeRemarkReport:
         r_minus(l).polynomial * (1 << (2 * (n - l) + 1)) for l in range(n + 1)
     ]
     gen_ok = tuple(membership_A(g, K, k, d) for g in gens)
-    vecs = [
-        ring._eval_f2_vec((0,) * j + (1,), K, k, "odd", 1) for j in range(n + 1)
-    ]
-    mats, modulus = ring._residue_images(vecs)
+    mats, modulus = _monomial_rows(K, k, "odd", 1, n + 1)
     if modulus & (modulus - 1):
         raise ArithmeticError("residue modulus is not a power of two")
     mu = modulus.bit_length() - 1

@@ -63,9 +63,11 @@ the first W entries and the last one, so the residue rows of the r^-
 search, the lattice oracles and the shape remark are W wide: W grows like
 n, not like N = 2^(2n+2).  When W >= N (small K, or a numerator that
 wraps) the vector simply holds all N entries.  Only `element_f`,
-`element_f_prime`, `element_f_k`, `evaluate_at_f_squared` and
-`structure.rho_bracket` step the tail out to all N entries, because they
-return a `RingElement`.  All of this is exact.
+`element_f_prime`, `element_f_k` and `evaluate_at_f_squared` step the tail
+out to all N entries per call, because they return a `RingElement`;
+`structure.rho_bracket` reads its N entries off slot rows stepped out once
+per (d, K, k) and shared (see `polynomials.reset_polynomial_tables`).  All
+of this is exact.
 
 Every value is immutable after construction and every function is pure, so
 everything here is safe to share across threads without synchronization.
@@ -646,16 +648,6 @@ def _vec_is_in_4Z(vec: _Window) -> bool:
                     for diffs in vec.tails))
 
 
-def _sum_vecs(vecs: Sequence[_Window], n: int) -> _Window:
-    """The sum of the vectors, with all n entries stored."""
-    den = math.lcm(*(v.den for v in vecs)) if vecs else 1
-    out = [0] * n
-    for v in vecs:
-        s = den // v.den
-        out = [o + s * x for o, x in zip(out, v.entries(n))]
-    return _Window(n, 1, tuple(out), (), den)
-
-
 def _residue_images(vecs: Sequence[_Window]):
     """Canonical difference vectors modulo 4*den, on one common denominator.
 
@@ -978,7 +970,8 @@ def evaluate_at_f_squared(
     """
     if mode == "odd":
         mm = 1 if m is None else m
-        if mm not in (1, 2):
+        if (not isinstance(mm, int) or isinstance(mm, bool)
+                or mm not in (1, 2)):
             raise ValueError(f"m must be 1 or 2 in odd mode, got {m!r}")
     elif mode == "even":
         if m is not None:
@@ -986,7 +979,8 @@ def evaluate_at_f_squared(
         mm = 1
     else:
         raise ValueError(f"mode must be 'odd' or 'even', got {mode!r}")
-    if not isinstance(times_one_minus_chi, int) or times_one_minus_chi < 0:
+    t = times_one_minus_chi
+    if not isinstance(t, int) or isinstance(t, bool) or t < 0:
         raise ValueError("times_one_minus_chi must be a non-negative integer")
     coeffs = _int_coeffs(q)
     return _element_from_vec(

@@ -28,12 +28,13 @@ back-substitution against the scaled best-polynomial basis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
+from math import lcm, prod
 from typing import NamedTuple
 
 from . import ring
 from .polynomials import (
     IntPolynomial,
+    _cached,
     _check_budget,
     _residue_kernel,
     _smith_normal_form,
@@ -109,20 +110,45 @@ def _rho_slot_vec(d: int, K: int, k: int, slot: int, scale: int):
     )
 
 
+def _slot_windows(d: int, K: int, k: int) -> list:
+    """The c unit slot windows _rho_slot_vec(d, K, k, slot, 8), each built
+    once (`polynomials._unit_cache`)."""
+    def window(slot):
+        return _cached(("slot", d, K, k, slot),
+                       lambda: _rho_slot_vec(d, K, k, slot, 8))
+    return [window(slot) for slot in range((d - 1) // 2)]
+
+
+def _slot_rows(d: int, K: int, k: int):
+    """(rows, den): the canonical numerators of the c unit slot windows,
+    all N - 1 of them, over one common denominator."""
+    def build():
+        vecs = _slot_windows(d, K, k)
+        den = lcm(*(v.den for v in vecs))
+        rows = []
+        for v in vecs:
+            z = v.entries(1 << K)
+            s = den // v.den
+            rows.append(tuple((x - z[-1]) * s for x in z[:-1]))
+        return tuple(rows), den
+    return _cached(("slot rows", d, K, k), build)
+
+
 def rho_bracket(t: NormalInvariantVector, k: int = 1) -> RingElement:
     """The surgery obstruction element rho[t] in Q[chi]/I<K>.
 
     Only the t4 residues contribute; t2 is carried along untouched.  The
-    sum is assembled termwise from the f'_k, f, f^2 - 1 building blocks, so
-    no dense polynomial product is ever formed.
+    map is Z-linear, so rho[t] is sum t4[slot] * (unit slot row) over one
+    denominator (`_slot_rows`); the rows are built termwise from the f'_k,
+    f, f^2 - 1 building blocks, so no dense polynomial product is formed.
     """
     ring._validate_odd(k)
-    n = 1 << t.K
-    vecs = []
-    for slot, coeff in enumerate(t.t4):
+    rows, den = _slot_rows(t.d, t.K, k)
+    nums = [0] * ((1 << t.K) - 1)
+    for coeff, row in zip(t.t4, rows):
         if coeff:
-            vecs.append(_rho_slot_vec(t.d, t.K, k, slot, 8 * coeff))
-    return ring._element_from_vec(t.K, ring._sum_vecs(vecs, n))
+            nums = [x + coeff * y for x, y in zip(nums, row)]
+    return RingElement._from_ints(t.K, nums, den)
 
 
 def t_to_polynomial(t: NormalInvariantVector) -> IntPolynomial:
@@ -169,8 +195,7 @@ def kernel_oracle(d: int, K: int, k: int = 1,
     ring._validate_level(K)
     ring._validate_odd(k)
     _check_budget(K, c, budget, "the kernel")
-    vecs = [_rho_slot_vec(d, K, k, slot, 8) for slot in range(c)]
-    mats, modulus = ring._residue_images(vecs)
+    mats, modulus = ring._residue_images(_slot_windows(d, K, k))
     rows = _residue_kernel(mats, modulus, K)
     generators = tuple(tuple(row) for row in rows.values())
     count = 1 << sum(K - _v2(row[lead]) for lead, row in rows.items())

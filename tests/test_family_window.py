@@ -8,6 +8,7 @@ entry as canonical classes, in 4Z-membership and in the order of the image
 of the residue map.
 """
 
+import copy
 import math
 import random
 from itertools import accumulate
@@ -112,6 +113,17 @@ def assert_window_matches(vec, z, den):
     return in_4z
 
 
+def sum_vecs(vecs, n):
+    """The sum of the windows, with all n entries stored: rho[t] as it was
+    formed before the unit slot rows, kept as the oracle of rho_bracket."""
+    den = math.lcm(*(v.den for v in vecs)) if vecs else 1
+    out = [0] * n
+    for v in vecs:
+        s = den // v.den
+        out = [o + s * x for o, x in zip(out, v.entries(n))]
+    return ring._Window(n, 1, tuple(out), (), den)
+
+
 def image_order(rows, modulus):
     """log2 of the order of the subgroup the rows generate mod 2^mu.
 
@@ -204,7 +216,7 @@ def test_family_vec_window_matches_n_length_oracle():
             den = math.lcm(*(d for _, d in oracles))
             total = [sum(z[j] * (den // d) for z, d in oracles)
                      for j in range(1 << K)]
-            assert_window_matches(ring._sum_vecs(vecs, 1 << K), total, den)
+            assert_window_matches(sum_vecs(vecs, 1 << K), total, den)
 
 
 def test_window_steps_out_when_the_tail_outgrows_n():
@@ -285,3 +297,108 @@ def test_derived_vectors_match_direct_evaluation():
                 held = base.times((1,), step)
                 assert held.times(num, step).divided(step) == vec
 
+
+
+# ---------------------------------------------------------------------------
+# the unit windows: membership_A and rho_bracket as integer combinations of
+# windows built once, against the direct evaluation of each input
+# ---------------------------------------------------------------------------
+
+def _lattice_cells():
+    for d in range(5, 14):
+        for m in ((1, 2) if d % 2 else (None,)):
+            yield d, m
+
+
+def test_membership_A_matches_direct_evaluation():
+    rng = random.Random(41)
+    verdicts = set()
+    for d, m in _lattice_cells():
+        c = (d - 1) // 2
+        mode = "odd" if d % 2 else "even"
+        for K in range(1, 11):
+            for k in (1, 3, 5, 7):
+                for deg in range(c):
+                    q = [rng.randrange(-9, 10) for _ in range(deg + 1)]
+                    q[-1] = q[-1] or 1
+                    for shift in (0, rng.randrange(1, K + 1)):
+                        # scaling by 2^shift makes members of most q
+                        scaled = tuple(x << shift for x in q)
+                        want = ring._vec_is_in_4Z(ring._eval_f2_vec(
+                            scaled, K, k, mode, m or 1))
+                        got = polynomials.membership_A(scaled, K, k, d, m)
+                        assert got == want, (scaled, K, k, d, m)
+                        verdicts.add(got)
+    assert verdicts == {True, False}
+
+
+def test_rho_bracket_matches_fresh_slot_windows():
+    from lensring.structure import (NormalInvariantVector, _rho_slot_vec,
+                                    rho_bracket)
+    rng = random.Random(42)
+    for d in range(5, 14):
+        c = (d - 1) // 2
+        for K in range(1, 11):
+            for k in (1, 3, 5, 7):
+                for _ in range(2):
+                    t4 = tuple(rng.choice((0, rng.randrange(1 << K)))
+                               for _ in range(c))
+                    vecs = [_rho_slot_vec(d, K, k, slot, 8 * coeff)
+                            for slot, coeff in enumerate(t4) if coeff]
+                    want = ring._element_from_vec(K, sum_vecs(vecs, 1 << K))
+                    t = NormalInvariantVector(d, K, t4, (0,) * c)
+                    assert rho_bracket(t, k) == want, (d, K, k, t4)
+
+
+def _exercise_unit_windows():
+    """Every route that reads the unit windows, with its results."""
+    from lensring.structure import (NormalInvariantVector, kernel_oracle,
+                                    rho_bracket)
+    out = []
+    for d in (5, 6, 9):
+        c = (d - 1) // 2
+        for K in (1, 3, 5):
+            out.append(polynomials.brute_force_A(K, 3, d))
+            out.append(polynomials.verify_A_equals_B(K, 3, d).passed)
+            out.append(kernel_oracle(d, K, 3))
+            for row in out[-1].generators + ((1,) * c,):
+                t = NormalInvariantVector(d, K, row, (0,) * c)
+                out.append(rho_bracket(t, 3))
+                out.append(polynomials.membership_A(row, K, 3, d))
+    out.append(polynomials.shape_remark_report(3, 3))
+    return out
+
+
+def _all_tuples(value):
+    if isinstance(value, (list, dict, set)):
+        return False
+    if isinstance(value, tuple):
+        return all(_all_tuples(v) for v in value)
+    return True
+
+
+def test_unit_windows_are_shared_unchanged_and_reset():
+    polynomials.reset_polynomial_tables()
+    assert polynomials._unit_cache == {}
+    cold = _exercise_unit_windows()
+    cache = polynomials._unit_cache
+    kinds = {key[0] for key in cache}
+    assert kinds == {"x^j", "rows", "slot", "slot rows"}
+    # stored immutable, so no caller's elimination can change them ...
+    assert all(_all_tuples(v) for v in cache.values())
+    snapshot = {key: copy.deepcopy(v) for key, v in cache.items()}
+    warm = _exercise_unit_windows()
+    assert warm == cold
+    assert cache == snapshot
+    # ... and equal to freshly built windows
+    from lensring.structure import _rho_slot_vec
+    for key, value in cache.items():
+        if key[0] == "x^j":
+            j, K, k, mode, m = key[1:]
+            assert value == ring._eval_f2_vec((0,) * j + (1,), K, k, mode, m)
+        elif key[0] == "slot":
+            d, K, k, slot = key[1:]
+            assert value == _rho_slot_vec(d, K, k, slot, 8)
+    polynomials.reset_polynomial_tables()
+    assert polynomials._unit_cache == {}
+    assert _exercise_unit_windows() == cold

@@ -225,6 +225,14 @@ def test_membership_A_validation():
         membership_A(ONE, 2, 1, 8, m=1)
     with pytest.raises(ValueError):
         membership_A(ONE, 2, 1, 2)
+    # True == 1 as a value and as a cache key, but a bool is no exponent
+    for m in (True, False, 1.0):
+        with pytest.raises(ValueError):
+            membership_A((1,), 3, 1, 7, m=m)
+    with pytest.raises(ValueError):
+        membership_A(ONE, True, 1, 7)
+    with pytest.raises(ValueError):
+        membership_A(ONE, 2, True, 7)
 
 
 def test_membership_A_scaling_consequence():

@@ -476,6 +476,18 @@ def test_evaluate_at_f_squared_validates_arguments():
         evaluate_at_f_squared([1], 3, 1, "odd", 1, times_one_minus_chi=-1)
     with pytest.raises(ValueError):
         evaluate_at_f_squared([Fraction(1, 2)], 3, 1)
+    # bools are not exponents, although True == 1
+    with pytest.raises(ValueError):
+        evaluate_at_f_squared((1, 2), 3, 1, "odd", True)
+    with pytest.raises(ValueError):
+        evaluate_at_f_squared((1, 2), 3, 1, "odd", 1, True)
+    with pytest.raises(ValueError):
+        evaluate_at_f_squared((1, 2), 3, 1, "odd", True, True)
+    with pytest.raises(ValueError):
+        evaluate_at_f_squared((1, 2), 3, 1, "odd", 1.0)
+    assert (evaluate_at_f_squared((1, 2), 3, 1, "odd", 1, 1)
+            == evaluate_at_f_squared((1, 2), 3, 1, "odd", 1) * (
+                make_element(3, [1, -1])))
 
 
 def test_text_round_trip():
