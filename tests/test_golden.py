@@ -7,9 +7,11 @@ users see and must update the pin on purpose, with the reason.
 """
 
 import hashlib
+import json
 
 import pytest
 
+from lensring import cli
 from lensring.cli import main
 
 # (arguments, sha256 of the text output, sha256 of the structured output)
@@ -62,6 +64,26 @@ GOLDEN = [
     (('wl', '--expr', 'f+1', '--K', '1', '--l', '0'),
      '2c332b0ab3b1b206e08ce6a8a341ff605bf31c2d1ceb42a65372321b53c6e0b1',
      'e3c8b11e7fb5320964aecad9fb90de68d204c86011fe4f0008ee59d68197b5b5'),
+    # d < 5: unsupported torsion, a JSON-only note, no provenance
+    (('structure-set', '--d', '3', '--K', '2'),
+     '81a4e199971e48b64626fd3ba7c998e4ea1f58b573235150f41f06b61e969322',
+     'e8174cd50c651fe53282cfe0364578026e4ee6f62e7046563203063770fd205f'),
+    # even d: the provenance hashes an r^+ tables document
+    (('structure-set', '--d', '6', '--K', '3'),
+     '28e9809f89761a648ada6a23f66f7a758c2bfd21c291c350f3e588554052a616',
+     'bcb3d4df613d93d498ea21632caac6712680682ed6bd2d50f551e77d517116cc'),
+    # no p rows: an empty p table
+    (('tables', '--max-n', '0'),
+     '47d18196243f14c5b8eb9e84ef46ab3f9c6fd821ab61bb5ac25eebed4e34d38d',
+     '8352c204650a4d0cd613a44a6ca470993a0263cc7506a0b916c808f1b34917ce'),
+    # a numeric level: scalings as integers
+    (('tables', '--max-n', '3', '--K', '5', '--sign', '+'),
+     '087c8b39aac1d7255c9ccb3f85c247475441c6c5989e900d9ac13309a621b193',
+     '318989f2551fcddffdd2a9b6685374278a10b03ffbad2ebe280c9b531c8ff694'),
+    # no chosen bits
+    (('best-poly', '--n', '0', '--sign', '+'),
+     '309d03335bfbeec2a70099050d2cfc3114ab80f3b3fd7d724629c8b2bf2cac4c',
+     '4046529a537175b7dfb1f76f0dec419a7edae179feb231dc91b80b739483a1d5'),
 ]
 
 
@@ -74,3 +96,21 @@ def test_golden_bytes(capsys, args, text_hash, structured_hash):
         assert main(list(args) + ["--format", fmt]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == want, fmt
+
+
+def test_golden_bytes_of_a_failing_verify(capsys, monkeypatch):
+    monkeypatch.setitem(cli._SUITE_RUNNERS, "wl-rules", lambda config: [
+        ("stub pass", True), ("stub check", False),
+    ])
+    outputs = {}
+    for fmt, want in (
+        ("text",
+         "7992086a00001fcd8a8aa7a8173880f31867349cde5a893b87c502b4dd689ed9"),
+        ("structured",
+         "e40f938bfd0b0f98748604a7f102415ad92d0ee789da09ac97400bbccdb840b8"),
+    ):
+        assert main(["verify", "--suite", "wl-rules", "--format", fmt]) == 1
+        outputs[fmt] = capsys.readouterr().out
+        assert hashlib.sha256(outputs[fmt].encode()).hexdigest() == want, fmt
+    assert "FAIL wl-rules: stub check\n" in outputs["text"]
+    assert json.loads(outputs["structured"])["ok"] is False
