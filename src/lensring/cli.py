@@ -3,20 +3,22 @@
 Subcommands:
 
   structure-set --d D --K K      classification descriptor for one (d, K)
-  tables --max-n N [--sign S]    the p/q/r polynomial tables as a document
+  tables --max-n N [--sign S]    the p/q/r polynomial tables as a document,
+         [--K K]                 scaled at a positive level K if given
   wl --expr E --l L --K K        one valuation of a ring expression
   verify --suite NAME            re-run a book of exact checks
   best-poly --n N --sign S       a single best polynomial with its bits
 
 Common flags: --format text|structured (JSON), --out FILE, --budget INT and
---seed INT.  The enumeration budget may also be set through the environment
-variable LENSRING_BUDGET; an explicit --budget wins.  Output is byte
-identical for identical configurations; nothing is timestamped or machine
-dependent.
+--seed INT.  Each command builds one record, which both formats render: as
+`key = value` lines, or as sorted-key JSON.  The enumeration budget may also
+be set through the environment variable LENSRING_BUDGET; an explicit
+--budget wins.  Output is byte identical for identical configurations;
+nothing is timestamped or machine dependent.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or validation error,
-3 enumeration budget exceeded, 4 internal invariant failure (an
-ArithmeticError: a result the code certifies did not check out).  Each
+Exit codes: 0 success, 1 verification failure, 2 usage or validation error
+(nothing else), 3 enumeration budget exceeded, 4 internal invariant failure
+(an ArithmeticError: a result the code certifies did not check out).  Each
 failing verify check also writes a one-line reproducer (suite and seed,
 with the check name) to stderr.
 
@@ -42,6 +44,8 @@ from .polynomials import (
     DEFAULT_BUDGET,
     BudgetExceededError,
     IntPolynomial,
+    beta,
+    beta_inv,
     membership_A,
     p_k,
     q_n,
@@ -55,6 +59,7 @@ from .polynomials import (
 from .ring import (
     RingElement,
     _eval_f2_vec,
+    _validate_level,
     _vec_is_in_4Z,
     conjugate,
     crt_reconstruct,
@@ -108,10 +113,7 @@ class RunConfig:
     seed: int = DEFAULT_SEED
 
     def param(self, name: str):
-        for key, value in self.params:
-            if key == name:
-                return value
-        raise KeyError(name)
+        return dict(self.params)[name]
 
 
 # ---------------------------------------------------------------------------
@@ -239,83 +241,88 @@ def parse_expression(text: str, K: int) -> RingElement:
 
 
 # ---------------------------------------------------------------------------
-# the tables document
+# output records: one list of fields per command, rendered as text or JSON
 # ---------------------------------------------------------------------------
 
-def _coeff_text(coeffs: Sequence[int]) -> str:
-    return ",".join(str(c) for c in coeffs) if coeffs else "0"
+# (text line, or None if JSON only; JSON path, or None if text only; value)
+Field = tuple[str | None, tuple[str, ...] | None, object]
 
 
-def _bits_text(bits: dict[int, int]) -> str:
-    if not bits:
-        return "none"
-    return ",".join(f"{l}:{bits[l]}" for l in sorted(bits))
+def _field(key: str, value, text=None, path=None) -> Field:
+    """`key = text` as text (text defaults to value) and value at path
+    (default (key,)) as JSON."""
+    shown = value if text is None else text
+    return (f"{key} = {shown}", path or (key,), value)
 
 
-def tables_document(max_n: int, sign: str, K: int | None = None) -> str:
-    """The deterministic text document listing p, q, r and the scalings.
+def _coeffs_field(key: str, path, coeffs: Sequence[int]) -> Field:
+    text = ",".join(str(c) for c in coeffs) if coeffs else "0"
+    return _field(key, list(coeffs), text, path)
 
-    This exact byte sequence is what the structure-set provenance hash is
-    taken over, so its format is versioned by schema_version.
-    """
+
+def _bits_field(key: str, path, bits: dict[int, int]) -> Field:
+    text = ",".join(f"{l}:{bits[l]}" for l in sorted(bits)) or "none"
+    return _field(key, {str(l): bits[l] for l in sorted(bits)}, text, path)
+
+
+def _header(kind: str) -> list[Field]:
+    return [_field("schema_version", SCHEMA_VERSION), _field("kind", kind)]
+
+
+def _render(fields: Sequence[Field], output_format: str) -> str:
+    """The text lines in order, or the JSON values nested at their paths."""
+    if output_format == "text":
+        lines = [text for text, _, _ in fields if text is not None]
+        return "\n".join(lines) + "\n"
+    doc: dict = {}
+    for _, path, value in fields:
+        if path is not None:
+            node = doc
+            for key in path[:-1]:
+                node = node.setdefault(key, {})
+            node[path[-1]] = value
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def _tables_fields(max_n: int, sign: str, K: int | None) -> list[Field]:
     if sign not in ("+", "-"):
         raise ValueError(f"sign must be '+' or '-', got {sign!r}")
     if not isinstance(max_n, int) or isinstance(max_n, bool) or max_n < 0:
         raise ValueError(f"max_n must be a non-negative integer, got {max_n!r}")
-    lines = [
-        f"schema_version = {SCHEMA_VERSION}",
-        "kind = polynomial-tables",
-        f"sign = {sign}",
-        f"max_n = {max_n}",
-        f"K = {'symbolic' if K is None else K}",
-    ]
-    a_max = split_n(max_n)[0]
-    for k in range(1, a_max + 1):
-        lines.append(f"p[{k}] = {_coeff_text(p_k(k).coeffs)}")
+    if K is not None:
+        _validate_level(K)
+    fields = _header("polynomial-tables") + [
+        _field("sign", sign),
+        _field("max_n", max_n),
+        _field("K", K, "symbolic" if K is None else None),
+    ] + [(None, (table,), {}) for table in ("p", "q", "r", "scaling")]
+    # each table is in the JSON even when empty (max_n = 0 has no p rows)
+    for k in range(1, split_n(max_n)[0] + 1):
+        fields.append(_coeffs_field(f"p[{k}]", ("p", str(k)), p_k(k).coeffs))
     for n in range(max_n + 1):
-        lines.append(f"q[{n}] = {_coeff_text(q_n(n).coeffs)}")
-    for n in range(max_n + 1):
-        record = r_minus(n)
-        poly = record.polynomial if sign == "-" else r_plus(n)
-        lines.append(f"r[{n}] = {_coeff_text(poly.coeffs)}")
-        lines.append(f"r[{n}].bits = {_bits_text(record.chosen_bits)}")
-    for n in range(max_n + 1):
-        if K is None:
-            lines.append(f"scaling[{n}] = max(K-{2 * n + 2},0)")
-        else:
-            lines.append(f"scaling[{n}] = {max(K - 2 * n - 2, 0)}")
-    return "\n".join(lines) + "\n"
-
-
-def _tables_json(max_n: int, sign: str, K: int | None = None) -> dict:
-    doc: dict = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "polynomial-tables",
-        "sign": sign,
-        "max_n": max_n,
-        "K": K,
-        "p": {},
-        "q": {},
-        "r": {},
-        "scaling": {},
-    }
-    a_max = split_n(max_n)[0]
-    for k in range(1, a_max + 1):
-        doc["p"][str(k)] = list(p_k(k).coeffs)
-    for n in range(max_n + 1):
-        doc["q"][str(n)] = list(q_n(n).coeffs)
+        fields.append(_coeffs_field(f"q[{n}]", ("q", str(n)), q_n(n).coeffs))
     for n in range(max_n + 1):
         record = r_minus(n)
         poly = record.polynomial if sign == "-" else r_plus(n)
-        doc["r"][str(n)] = {
-            "coeffs": list(poly.coeffs),
-            "bits": {str(l): v for l, v in sorted(record.chosen_bits.items())},
-        }
+        row = ("r", str(n))
+        fields += [
+            _coeffs_field(f"r[{n}]", row + ("coeffs",), poly.coeffs),
+            _bits_field(f"r[{n}].bits", row + ("bits",), record.chosen_bits),
+        ]
     for n in range(max_n + 1):
-        doc["scaling"][str(n)] = (
-            f"max(K-{2 * n + 2},0)" if K is None else max(K - 2 * n - 2, 0)
+        scaling = max(K - 2 * n - 2, 0) if K else f"max(K-{2 * n + 2},0)"
+        fields.append(
+            _field(f"scaling[{n}]", scaling, path=("scaling", str(n)))
         )
-    return doc
+    return fields
+
+
+def tables_document(max_n: int, sign: str, K: int | None = None) -> str:
+    """The text rendering of the tables record: p, q, r and the scalings at
+    a positive level K, or symbolic in K.  The structure-set provenance hash
+    is taken over these exact bytes, so their format is versioned by
+    schema_version."""
+    return _render(_tables_fields(max_n, sign, K), "text")
 
 
 def _basis_provenance(d: int, K: int) -> str | None:
@@ -330,127 +337,68 @@ def _basis_provenance(d: int, K: int) -> str | None:
 
 
 # ---------------------------------------------------------------------------
-# subcommand implementations (each returns text and an exit code)
+# subcommand implementations (each returns its output fields and an exit code)
 # ---------------------------------------------------------------------------
 
-def _emit_kv(pairs: Sequence[tuple[str, object]]) -> str:
-    return "\n".join(f"{key} = {value}" for key, value in pairs) + "\n"
-
-
-def _run_structure_set(config: RunConfig) -> tuple[str, int]:
+def _run_structure_set(config: RunConfig) -> tuple[list[Field], int]:
     d = config.param("d")
     K = config.param("K")
     descriptor = structure_set(d, K)
     provenance = _basis_provenance(d, K)
-    if config.output_format == "structured":
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "structure-set",
-            "d": d,
-            "K": K,
-            "N": 1 << K,
-            "free_rank": descriptor.free_rank,
-            "torsion": (
-                None
-                if descriptor.torsion is None
-                else [
-                    {"label": s.label, "order": s.order}
-                    for s in descriptor.torsion
-                ]
-            ),
-            "basis_provenance": provenance,
-        }
-        if descriptor.torsion is None:
-            doc["note"] = "no torsion description for d < 5"
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n", 0
-    if descriptor.torsion is None:
-        torsion_text = "unsupported (no torsion description for d < 5)"
-    else:
-        torsion_text = ", ".join(
-            f"{s.label}:{s.order}" for s in descriptor.torsion
-        )
-    pairs = [
-        ("schema_version", SCHEMA_VERSION),
-        ("kind", "structure-set"),
-        ("d", d),
-        ("K", K),
-        ("N", 1 << K),
-        ("free_rank", descriptor.free_rank),
-        ("torsion", torsion_text),
-        ("basis_provenance", provenance if provenance else "none"),
+    fields = _header("structure-set") + [
+        _field("d", d),
+        _field("K", K),
+        _field("N", 1 << K),
+        _field("free_rank", descriptor.free_rank),
     ]
-    return _emit_kv(pairs), 0
+    if descriptor.torsion is None:
+        note = "no torsion description for d < 5"
+        fields.append(_field("torsion", None, f"unsupported ({note})"))
+        fields.append((None, ("note",), note))
+    else:
+        fields.append(_field(
+            "torsion",
+            [{"label": s.label, "order": s.order} for s in descriptor.torsion],
+            ", ".join(f"{s.label}:{s.order}" for s in descriptor.torsion),
+        ))
+    fields.append(_field("basis_provenance", provenance, provenance or "none"))
+    return fields, 0
 
 
-def _run_tables(config: RunConfig) -> tuple[str, int]:
-    max_n = config.param("max_n")
-    sign = config.param("sign")
-    K = config.param("K")
-    if config.output_format == "structured":
-        doc = _tables_json(max_n, sign, K)
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n", 0
-    return tables_document(max_n, sign, K), 0
+def _run_tables(config: RunConfig) -> tuple[list[Field], int]:
+    return _tables_fields(
+        config.param("max_n"), config.param("sign"), config.param("K")
+    ), 0
 
 
-def _run_wl(config: RunConfig) -> tuple[str, int]:
+def _run_wl(config: RunConfig) -> tuple[list[Field], int]:
     expr = config.param("expr")
     K = config.param("K")
     l = config.param("l")
-    element = parse_expression(expr, K)
-    w = w_l(element, l)
-    text = valuation_to_text(w)
-    value = "inf" if w.is_infinite else str(w.value())
-    if config.output_format == "structured":
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "valuation",
-            "expr": expr,
-            "K": K,
-            "l": l,
-            "w": text,
-            "value": value,
-        }
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n", 0
-    pairs = [
-        ("schema_version", SCHEMA_VERSION),
-        ("kind", "valuation"),
-        ("expr", expr),
-        ("K", K),
-        ("l", l),
-        ("w", text),
-        ("value", value),
-    ]
-    return _emit_kv(pairs), 0
+    w = w_l(parse_expression(expr, K), l)
+    return _header("valuation") + [
+        _field("expr", expr),
+        _field("K", K),
+        _field("l", l),
+        _field("w", valuation_to_text(w)),
+        _field("value", "inf" if w.is_infinite else str(w.value())),
+    ], 0
 
 
-def _run_best_poly(config: RunConfig) -> tuple[str, int]:
+def _run_best_poly(config: RunConfig) -> tuple[list[Field], int]:
     n = config.param("n")
     sign = config.param("sign")
     if sign not in ("+", "-"):
         raise ValueError(f"sign must be '+' or '-', got {sign!r}")
     record = r_minus(n)
     poly = record.polynomial if sign == "-" else r_plus(n)
-    if config.output_format == "structured":
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "best-poly",
-            "n": n,
-            "sign": sign,
-            "polynomial": str(poly),
-            "coeffs": list(poly.coeffs),
-            "bits": {str(l): v for l, v in sorted(record.chosen_bits.items())},
-        }
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n", 0
-    pairs = [
-        ("schema_version", SCHEMA_VERSION),
-        ("kind", "best-poly"),
-        ("n", n),
-        ("sign", sign),
-        ("polynomial", str(poly)),
-        ("coeffs", _coeff_text(poly.coeffs)),
-        ("bits", _bits_text(record.chosen_bits)),
-    ]
-    return _emit_kv(pairs), 0
+    return _header("best-poly") + [
+        _field("n", n),
+        _field("sign", sign),
+        _field("polynomial", str(poly)),
+        _coeffs_field("coeffs", None, poly.coeffs),
+        _bits_field("bits", None, record.chosen_bits),
+    ], 0
 
 
 # ---------------------------------------------------------------------------
@@ -737,8 +685,6 @@ def _suite_extras(config: RunConfig) -> list[Check]:
                 sound = False
         checks.append((f"K={K}: sufficient criterion never overclaims", sound))
     ok = True
-    from .polynomials import beta, beta_inv
-
     for _ in range(50):
         poly = IntPolynomial(
             tuple(rng.randrange(-30, 31) for _ in range(rng.randrange(1, 9)))
@@ -775,42 +721,28 @@ _SUITE_RUNNERS: dict[str, Callable[[RunConfig], list[Check]]] = {
 }
 
 
-def _run_verify(config: RunConfig) -> tuple[str, int]:
+def _run_verify(config: RunConfig) -> tuple[list[Field], int]:
     suite = config.param("suite")
-    if suite == "all":
-        names = list(_SUITE_RUNNERS)
-    else:
-        names = [suite]
+    names = list(_SUITE_RUNNERS) if suite == "all" else [suite]
     lines = []
-    total = 0
     failed = 0
     for name in names:
-        runner = _SUITE_RUNNERS[name]
-        for check_name, ok in runner(config):
-            total += 1
+        for check_name, ok in _SUITE_RUNNERS[name](config):
             if not ok:
                 failed += 1
                 print(f"reproduce: lensring verify --suite {name}"
                       f" --seed {config.seed}  # {check_name}",
                       file=sys.stderr)
             lines.append(f"{'ok' if ok else 'FAIL'} {name}: {check_name}")
-    lines.append(
-        f"suite {suite}: {total} checks, {total - failed} ok, {failed} failed"
-    )
-    if config.output_format == "structured":
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "verify",
-            "suite": suite,
-            "total": total,
-            "failed": failed,
-            "ok": failed == 0,
-            "lines": lines[:-1],
-        }
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n", (
-            1 if failed else 0
-        )
-    return "\n".join(lines) + "\n", 1 if failed else 0
+    total = len(lines)
+    header = (("schema_version", SCHEMA_VERSION), ("kind", "verify"),
+              ("suite", suite), ("total", total), ("failed", failed),
+              ("ok", failed == 0), ("lines", lines))
+    summary = (f"suite {suite}: {total} checks, {total - failed} ok,"
+               f" {failed} failed")
+    return [(None, (key,), value) for key, value in header] + [
+        (line, None, None) for line in lines + [summary]
+    ], 1 if failed else 0
 
 
 # ---------------------------------------------------------------------------
@@ -914,7 +846,8 @@ _COMMANDS = {
 
 def run(config: RunConfig) -> tuple[str, int]:
     """Execute one configuration; returns (output text, exit code)."""
-    return _COMMANDS[config.subcommand](config)
+    fields, code = _COMMANDS[config.subcommand](config)
+    return _render(fields, config.output_format), code
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -929,7 +862,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:

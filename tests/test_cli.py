@@ -185,6 +185,30 @@ def test_usage_errors_exit_two(capsys):
     capsys.readouterr()
 
 
+def test_tables_level_must_be_positive(capsys):
+    for K in (0, -3):
+        with pytest.raises(ValueError, match="positive"):
+            tables_document(2, "-", K)
+        for fmt in ("text", "structured"):
+            assert main(["tables", "--max-n", "2", "--K", str(K),
+                         "--format", fmt]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "level K must be a positive integer" in captured.err
+
+
+def test_internal_key_error_is_not_a_usage_error(capsys, monkeypatch):
+    from lensring import cli
+
+    def broken(config):
+        return [("stub", config.param("no-such-param"))]
+
+    monkeypatch.setitem(cli._SUITE_RUNNERS, "kernel", broken)
+    with pytest.raises(KeyError, match="no-such-param"):
+        main(["verify", "--suite", "kernel"])
+    assert capsys.readouterr().err == ""
+
+
 def test_budget_exit_three(capsys, monkeypatch):
     assert main(["verify", "--suite", "a-eq-b", "--budget", "4"]) == 3
     monkeypatch.setenv("LENSRING_BUDGET", "4")
