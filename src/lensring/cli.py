@@ -6,7 +6,7 @@ Subcommands:
   tables --max-n N [--sign S]    the p/q/r polynomial tables as a document,
          [--K K]                 scaled at a positive level K if given
   wl --expr E --l L --K K        one valuation of a ring expression
-  verify --suite NAME            re-run a book of exact checks
+  verify --suite NAME            re-run one book of exact checks, or all
   best-poly --n N --sign S       a single best polynomial with its bits
 
 Common flags: --format text|structured (JSON), --out FILE, --budget INT and
@@ -79,6 +79,7 @@ from .structure import (
 )
 from .valuation import (
     CriterionVerdict,
+    _valuations,
     criterion_sufficient,
     valuation_to_text,
     w_l,
@@ -90,16 +91,6 @@ __all__ = ["RunConfig", "main", "tables_document"]
 SCHEMA_VERSION = 1
 DEFAULT_SEED = 1729
 BUDGET_ENV_VAR = "LENSRING_BUDGET"
-
-SUITES = (
-    "wl-rules",
-    "p-identities",
-    "q-ladder",
-    "r-uniqueness",
-    "a-eq-b",
-    "kernel",
-    "all",
-)
 
 
 @dataclass(frozen=True)
@@ -413,16 +404,20 @@ def _ladder_member(q, K: int, k: int, m: int, times: int = 0) -> bool:
 
 
 def _random_element(rng: random.Random, K: int) -> RingElement:
-    n = 1 << K
-    coeffs = [rng.randrange(-8, 9) for _ in range(n - 1)]
-    g = make_element(K, coeffs)
-    if g.is_zero():
-        g = make_element(K, [1])
-    g = g * Fraction(1 << rng.randrange(0, 3), 1 << rng.randrange(0, 3))
-    twist = rng.randrange(0, 4)
-    if twist:
-        g = g * (make_element(K, [1, -1]) ** twist)
-    return g
+    """Entries in [-8, 8] (1 if all vanish), times 2^up / 2^down with up and
+    down in [0, 2], times (1 - chi)^twist with twist in [0, 3]: each factor
+    of (1 - chi) is one cyclic difference of the N entries (the last one
+    0), then the last entry is subtracted to clear chi^(N-1)."""
+    nums = [rng.randrange(-8, 9) for _ in range((1 << K) - 1)]
+    if not any(nums):
+        nums[0] = 1
+    up = rng.randrange(0, 3)
+    down = rng.randrange(0, 3)
+    x = [v << up for v in nums] + [0]
+    for _ in range(rng.randrange(0, 4)):
+        x = [a - b for a, b in zip(x, x[-1:] + x[:-1])]
+    top = x[-1]
+    return RingElement._from_ints(K, [v - top for v in x[:-1]], 1 << down)
 
 
 def _suite_wl_rules(config: RunConfig) -> list[Check]:
@@ -481,13 +476,11 @@ def _suite_wl_rules(config: RunConfig) -> list[Check]:
         for _ in range(60):
             g1 = _random_element(rng, K)
             g2 = _random_element(rng, K)
-            g12 = g1 * g2
-            gsum = g1 + g2
-            for l in range(K):
-                w1, w2 = w_l(g1, l), w_l(g2, l)
-                if w_l(g12, l) != w1 + w2:
+            for w1, w2, w12, ws in zip(
+                    _valuations(g1), _valuations(g2),
+                    _valuations(g1 * g2), _valuations(g1 + g2)):
+                if w12 != w1 + w2:
                     product_ok = False
-                ws = w_l(gsum, l)
                 if w1 == w2:
                     if not (ws.is_infinite or w1.is_infinite
                             or ws.value() >= w1.value()):
@@ -787,7 +780,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l", type=int, required=True)
     p = sub.add_parser("verify", parents=[common],
                        help="re-run a book of exact checks")
-    p.add_argument("--suite", choices=SUITES, required=True)
+    p.add_argument("--suite", choices=(*_SUITE_RUNNERS, "all"),
+                   required=True)
     p = sub.add_parser("best-poly", parents=[common],
                        help="a single best polynomial with its bits")
     p.add_argument("--n", type=int, required=True)

@@ -38,8 +38,10 @@ convolution: both signed operands packed once into big integers, one
 multiply, and for ring products (chi^N = 1) and level products
 (chi^(2^l) = -1) a wrap split at digit n by shifts and masks.  The tower
 is walked with whole-list `map`s: `project` folds one level (`_fold`),
-`_tower` reads all K levels off one descent of about 2N additions (for
-`invert` and the criteria), and `crt_reconstruct` climbs back up.
+`_tower` reads all K levels off one descent of about 2N additions, and
+`crt_reconstruct` climbs back up.  `invert` wraps the descent's parts as
+`LevelProjection`s (`_projections`); the valuations of every level and the
+membership criteria read its raw numerators over the element's denominator.
 
 The families 8 f'_k f^m q(f^2) (and scale * f'_k f^p (f^2 - 1)) are never
 built with all N entries unless a public function returns them.  Their
@@ -365,7 +367,7 @@ def _poly_mul_int(a: Sequence[int], b: Sequence[int],
     la, lb = len(a), len(b)
     n, s = wrap or (la + lb - 1, 0)
     if wrap and max(la, lb) > n:
-        raise ValueError(f"operands longer than the wrap length {n}")
+        raise ArithmeticError(f"operands longer than the wrap length {n}")
     if not la or not lb:
         return [0] * n if wrap else []
     if la * lb <= _SCHOOLBOOK_CELLS:
@@ -500,7 +502,8 @@ class _Window(NamedTuple):
         are held when the window does not fit."""
         n, k, head, tails, den = self
         if step % k:
-            raise ValueError(f"cannot hold class step {k} with step {step}")
+            raise ArithmeticError(
+                f"cannot hold class step {k} with step {step}")
         lp = len(poly)
         s = len(head)
         if s + lp - 1 + (len(tails[0]) * step if tails else n) > n:
@@ -538,7 +541,7 @@ class _Window(NamedTuple):
         """
         n, k, head, tails, den = self
         if k % q:
-            raise ValueError(
+            raise ArithmeticError(
                 f"cannot divide by 1 - chi^{q} with class step {k}"
             )
         for _ in range(times):
@@ -660,7 +663,7 @@ def _residue_images(vecs: Sequence[_Window]):
     """
     n, k = vecs[0].n, vecs[0].k
     if any(v.n != n or v.k != k for v in vecs):
-        raise ValueError(
+        raise ArithmeticError(
             "family vectors of different levels or class steps do not combine"
         )
     if all(v.tails for v in vecs):

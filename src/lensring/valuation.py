@@ -28,8 +28,10 @@ pr_l(g) lies in 4 * Z[chi]/<1 + chi^(2^l)>; under it,
     l != l_star and < at l_star proves non-membership.
 
 The criteria return three-valued verdicts and never guess: failing to prove
-is reported as inconclusive, not as the opposite claim.  They read every
-projection off one descent of the tower (`ring._projections`).
+is reported as inconclusive, not as the opposite claim.  They, and
+`_valuations`, read the raw integer part of every level, numerators over
+the element's denominator, off one descent of the tower (`ring._tower`),
+without building a `LevelProjection`.
 """
 
 from __future__ import annotations
@@ -40,9 +42,10 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cache
+from typing import Sequence
 
 from .polynomials import IntPolynomial, ONE, X, _v2
-from .ring import LevelProjection, RingElement, _fold, _projections, project
+from .ring import LevelProjection, RingElement, _fold, _tower, project
 
 __all__ = [
     "Valuation",
@@ -245,26 +248,27 @@ def _lane_masks(level: int) -> tuple[int, ...]:
                  for h in (1 << i for i in range(level)))
 
 
-def _valuation(p: LevelProjection) -> Valuation:
-    """(a, b) of the normal form of p, read off without witnesses.
+def _valuation(nums: Sequence[int], den: int, level: int) -> Valuation:
+    """(a, b) of the normal form of the level part nums / den, read off
+    without witnesses; nums / den need not be in lowest terms.
 
     The basis change from chi^j to (1 - chi)^m is unimodular over Z, so a is
-    the least v_2 over the coefficients of p.  Mod 2, chi^j is the sum of
+    the least v_2 over the coefficients.  Mod 2, chi^j is the sum of
     C(j, m) (1 + chi)^m, and by Lucas C(j, m) is odd exactly when the bits
-    of m are a subset of those of j: the coefficients of 2^-a p that are
-    odd, summed over supersets (l shift/mask/xor passes on one int with a
-    parity byte per coefficient), give the parity of each (1 - chi)^m
-    coefficient, and b is the lowest odd one: the lowest set byte.
+    of m are a subset of those of j: the coefficients of 2^-a nums / den
+    that are odd, summed over supersets (level shift/mask/xor passes on one
+    int with a parity byte per coefficient), give the parity of each
+    (1 - chi)^m coefficient, and b is the lowest odd one: the lowest set
+    byte.  A common odd factor of nums and den changes no parity.
     """
-    nums = p.nums
     if not any(nums):
         return Valuation.infinite()
     # the least v_2 of a numerator, and the numerators that attain it
     low = _v2(math.gcd(*nums))
     x = int.from_bytes(bytes([v >> low & 1 for v in nums]), "little")
-    for i, mask in enumerate(_lane_masks(p.level)):
+    for i, mask in enumerate(_lane_masks(level)):
         x ^= (x >> (8 << i)) & mask
-    return Valuation._unchecked(low - _v2(p.den), _v2(x) >> 3, p.level)
+    return Valuation._unchecked(low - _v2(den), _v2(x) >> 3, level)
 
 
 def w_l(g: RingElement, l: int) -> Valuation:
@@ -274,7 +278,14 @@ def w_l(g: RingElement, l: int) -> Valuation:
     witnesses: 2^l coefficient valuations and l shift/mask/xor passes on
     one int of 2^l parity bytes.  `normal_form` builds the witnesses.
     """
-    return _valuation(project(g, l))
+    p = project(g, l)
+    return _valuation(p.nums, p.den, l)
+
+
+def _valuations(g: RingElement) -> list[Valuation]:
+    """w_l(g) at every level l < K, in order, from one `_tower` descent."""
+    den = g.den
+    return [_valuation(part, den, l) for l, part in enumerate(_tower(g.nums))]
 
 
 # ---------------------------------------------------------------------------
@@ -292,10 +303,13 @@ def membership_bound(K: int, l: int) -> Fraction:
     return Fraction(((2 + K - l) << l) - 1, 1 << l)
 
 
-def _hypothesis_parts(g: RingElement) -> list[LevelProjection] | None:
-    """Every projection of g, or None when one is not in 4 times its ring."""
-    parts = _projections(g)
-    return parts if all(p.in_4Z() for p in parts) else None
+def _hypothesis_parts(g: RingElement) -> list[list[int]] | None:
+    """The numerators of every level part of g over g.den, or None when one
+    part is not in 4 times its ring: when some numerator is not a multiple
+    of 4 den (gcd(4 den, *part) == 4 den, small after its first step)."""
+    parts = _tower(g.nums)
+    m = 4 * g.den
+    return parts if all(math.gcd(m, *p) == m for p in parts) else None
 
 
 def criterion_sufficient(g: RingElement) -> CriterionVerdict:
@@ -308,9 +322,9 @@ def criterion_sufficient(g: RingElement) -> CriterionVerdict:
     parts = _hypothesis_parts(g)
     if parts is None:
         return CriterionVerdict.INCONCLUSIVE
-    K = g.level
+    K, den = g.level, g.den
     for l, p in enumerate(parts):
-        if not _valuation(p).at_least(membership_bound(K, l)):
+        if not _valuation(p, den, l).at_least(membership_bound(K, l)):
             return CriterionVerdict.INCONCLUSIVE
     return CriterionVerdict.PROVES_MEMBERSHIP
 
@@ -334,8 +348,8 @@ def criterion_necessary(g: RingElement, h: RingElement,
     parts = _hypothesis_parts(g)
     if parts is None:
         return CriterionVerdict.INCONCLUSIVE
-    for l, (p, q) in enumerate(zip(parts, _projections(h))):
-        s = _valuation(p) + _valuation(q)
+    for l, (p, wh) in enumerate(zip(parts, _valuations(h))):
+        s = _valuation(p, g.den, l) + wh
         bound = membership_bound(K, l)
         if l == l_star:
             if not s.below(bound):
@@ -350,8 +364,7 @@ def criterion_necessary(g: RingElement, h: RingElement,
 def _one_minus_chi_valuations(K: int, j: int) -> tuple[Valuation, ...]:
     from .ring import make_element
 
-    h = make_element(K, [1, -1]) ** j
-    return tuple(map(_valuation, _projections(h)))
+    return tuple(_valuations(make_element(K, [1, -1]) ** j))
 
 
 def criterion_necessary_search(g: RingElement, max_power: int | None = None):
@@ -366,7 +379,7 @@ def criterion_necessary_search(g: RingElement, max_power: int | None = None):
     parts = _hypothesis_parts(g)
     if parts is None:
         return CriterionVerdict.INCONCLUSIVE, None, None
-    wg = [_valuation(p) for p in parts]
+    wg = [_valuation(p, g.den, l) for l, p in enumerate(parts)]
     bounds = [membership_bound(K, l) for l in range(K)]
     for j in range(max_power + 1):
         wh = _one_minus_chi_valuations(K, j)

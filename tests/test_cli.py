@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -234,11 +236,40 @@ def test_internal_invariant_failure_exits_four(capsys, monkeypatch):
     assert "witness did not check out" in capsys.readouterr().err
 
 
+def test_window_invariant_failure_exits_four(capsys, monkeypatch):
+    from lensring import cli, ring
+
+    def broken(config):
+        # a class step of 3 holds no step-1 product
+        ring._eval_f2_vec((1, 1), 8, 3, "odd", 1).times((1, 1), 1)
+        return [("unreachable", True)]
+
+    monkeypatch.setitem(cli._SUITE_RUNNERS, "q-ladder", broken)
+    assert main(["verify", "--suite", "q-ladder"]) == 4
+    assert "cannot hold class step 3" in capsys.readouterr().err
+
+
+def test_each_reproducer_command_is_accepted(capsys, monkeypatch):
+    from lensring import cli
+
+    monkeypatch.setattr(cli, "_SUITE_RUNNERS", {
+        name: (lambda config: [("stub", False)]) for name in cli._SUITE_RUNNERS
+    })
+    assert main(["verify", "--suite", "all", "--seed", "5"]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == len(cli._SUITE_RUNNERS)
+    for line in lines:
+        command = line.split("  # ")[0].split()
+        assert command[:2] == ["reproduce:", "lensring"]
+        assert main(command[2:]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("FAIL ") and f"suite {command[4]}:" in out
+
+
 def test_verify_all_runs_each_listed_suite_once(capsys, monkeypatch):
     from lensring import cli
 
-    names = [s for s in cli.SUITES if s != "all"] + ["extras"]
-    assert list(cli._SUITE_RUNNERS) == names
+    names = list(cli._SUITE_RUNNERS)
     monkeypatch.setattr(cli, "_SUITE_RUNNERS", {
         name: (lambda config: [("stub", True)]) for name in names
     })
@@ -247,6 +278,43 @@ def test_verify_all_runs_each_listed_suite_once(capsys, monkeypatch):
     assert out.splitlines() == [f"ok {name}: stub" for name in names] + [
         f"suite all: {len(names)} checks, {len(names)} ok, 0 failed"
     ]
+
+
+def old_random_element(rng, K):
+    """The generator built with ring products, kept as the oracle."""
+    g = make_element(K, [rng.randrange(-8, 9) for _ in range((1 << K) - 1)])
+    if g.is_zero():
+        g = make_element(K, [1])
+    g = g * Fraction(1 << rng.randrange(0, 3), 1 << rng.randrange(0, 3))
+    twist = rng.randrange(0, 4)
+    if twist:
+        g = g * (make_element(K, [1, -1]) ** twist)
+    return g
+
+
+def test_random_element_matches_the_ring_product_generator():
+    from lensring.cli import _random_element
+
+    for seed in range(40):
+        for K in range(1, 7):
+            rng, want_rng = random.Random(seed), random.Random(seed)
+            for _ in range(5):
+                got, want = _random_element(rng, K), old_random_element(
+                    want_rng, K)
+                assert (got.level, got.den, got.nums) == (
+                    want.level, want.den, want.nums)
+            assert rng.getstate() == want_rng.getstate()
+    # an all-zero draw becomes 1 (K = 1 draws one entry)
+    rng = random.Random(0)
+    while True:
+        state = rng.getstate()
+        if rng.randrange(-8, 9) == 0:
+            break
+    rng.setstate(state)
+    want_rng = random.Random()
+    want_rng.setstate(state)
+    assert _random_element(rng, 1) == old_random_element(want_rng, 1)
+    assert rng.getstate() == want_rng.getstate()
 
 
 def test_expression_language():

@@ -9,10 +9,12 @@ import sympy
 from lensring import (
     CriterionVerdict,
     IntPolynomial,
+    LevelProjection,
     Valuation,
     criterion_necessary,
     criterion_necessary_search,
     criterion_sufficient,
+    crt_reconstruct,
     element_f,
     element_f_prime,
     evaluate_at_f_squared,
@@ -27,6 +29,9 @@ from lensring import (
     w_l,
     x_polynomial,
 )
+
+
+from lensring.valuation import _valuations
 
 
 def random_element(rng, K, span=9):
@@ -237,6 +242,9 @@ def test_w_l_validates_level_index():
         w_l(g, 3)
     with pytest.raises(ValueError):
         w_l(g, -1)
+    for bad in (True, False, 1.0):
+        with pytest.raises(ValueError):
+            w_l(g, bad)
 
 
 def tower_inputs(rng, K, dens):
@@ -260,8 +268,11 @@ def test_w_l_matches_normal_form():
     for K in range(1, 11):
         for dens in ((1,), odd, two_powers, odd + two_powers):
             for g in tower_inputs(rng, K, dens):
+                every = _valuations(g)
+                assert len(every) == K
                 for l in range(K):
                     w, p = w_l(g, l), project(g, l)
+                    assert every[l] == w
                     if p.is_zero():
                         assert w.is_infinite
                     else:
@@ -340,6 +351,93 @@ def test_criteria_never_contradict_the_oracle():
             verdict, _, _ = criterion_necessary_search(g)
             if verdict == CriterionVerdict.PROVES_NON_MEMBERSHIP:
                 assert not member
+
+
+def oracle_valuation(p):
+    """(a, b) of the witnessed normal form of a LevelProjection."""
+    if p.is_zero():
+        return Valuation.infinite()
+    nf = normal_form(p)
+    return Valuation(nf.a, nf.b, p.level)
+
+
+def oracle_parts(g):
+    """Every LevelProjection of g, or None when one is not in 4Z."""
+    parts = [project(g, l) for l in range(g.level)]
+    return parts if all(p.in_4Z() for p in parts) else None
+
+
+def oracle_sufficient(g):
+    parts = oracle_parts(g)
+    if parts is None or not all(
+            oracle_valuation(p).at_least(membership_bound(g.level, l))
+            for l, p in enumerate(parts)):
+        return CriterionVerdict.INCONCLUSIVE
+    return CriterionVerdict.PROVES_MEMBERSHIP
+
+
+def oracle_deficient(g, h):
+    """The levels where w_l(g) + w_l(h) falls below the bound, or None
+    when g fails the hypothesis."""
+    parts = oracle_parts(g)
+    if parts is None:
+        return None
+    return [l for l, p in enumerate(parts)
+            if (oracle_valuation(p) + oracle_valuation(project(h, l)))
+            .below(membership_bound(g.level, l))]
+
+
+def criterion_inputs(rng, K):
+    """Elements in and out of 4Z, passing and failing the hypothesis."""
+    out = []
+    for dens in ((1,), (1, 2, 4), (1, 3)):
+        for g in tower_inputs(rng, K, dens):
+            for scale in (1, 4, 8, 1 << (K + 2)):
+                g2 = g * scale
+                out.append(g2)
+                out.append(g2 * make_element(K, [1, -1]) ** rng.randrange(4))
+    out.append(evaluate_at_f_squared([1], K, 1))
+    # integral level parts in 4Z reassemble to denominators up to 2^K
+    for shift in range(2, K + 4):
+        parts = [LevelProjection(l, [rng.randrange(-3, 4) << shift
+                                     for _ in range(1 << l)])
+                 for l in range(K)]
+        out.append(crt_reconstruct(parts))
+    return out
+
+
+def test_criteria_match_the_projection_route():
+    rng = random.Random(16)
+    seen = set()
+    for K in range(1, 7):
+        for g in criterion_inputs(rng, K):
+            verdict = criterion_sufficient(g)
+            assert verdict == oracle_sufficient(g)
+            seen.add(verdict)
+            found = criterion_necessary_search(g, 2 * K)
+            want = (CriterionVerdict.INCONCLUSIVE, None, None)
+            for j in range(2 * K + 1):
+                deficient = oracle_deficient(g, make_element(K, [1, -1]) ** j)
+                if deficient is not None and len(deficient) == 1:
+                    want = (CriterionVerdict.PROVES_NON_MEMBERSHIP, j,
+                            deficient[0])
+                    break
+            assert found == want
+            seen.add(found[0])
+            if found[1] is not None:
+                witness = make_element(K, [1, -1]) ** found[1]
+                assert criterion_necessary(g, witness, found[2]) \
+                    == CriterionVerdict.PROVES_NON_MEMBERSHIP
+            h = random_element(rng, K, span=3)
+            deficient = oracle_deficient(g, h)
+            for l_star in range(K):
+                proves = deficient == [l_star]
+                assert criterion_necessary(g, h, l_star) == (
+                    CriterionVerdict.PROVES_NON_MEMBERSHIP if proves
+                    else CriterionVerdict.INCONCLUSIVE)
+    assert seen == set(CriterionVerdict)
+    assert any(g.den > 1 and oracle_parts(g) is not None
+               for g in criterion_inputs(random.Random(16), 4))
 
 
 def test_x_polynomial_family():
