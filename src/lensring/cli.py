@@ -742,7 +742,9 @@ def _run_verify(config: RunConfig) -> tuple[list[Field], int]:
 # argument parsing and dispatch
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
+def _common_parser() -> argparse.ArgumentParser:
+    """The flags every subcommand takes; the rest of a parsed namespace is
+    the subcommand's own parameters."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format", choices=("text", "structured"), default="text",
@@ -758,6 +760,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed", type=int, default=DEFAULT_SEED,
         help="seed for the randomized checks",
     )
+    return common
+
+
+_COMMON_DESTS = frozenset(
+    {"subcommand", *vars(_common_parser().parse_args([]))})
+
+
+def build_parser() -> argparse.ArgumentParser:
+    common = _common_parser()
     parser = argparse.ArgumentParser(
         prog="lensring",
         description="Structure sets of fake lens spaces via exact"
@@ -789,15 +800,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_PARAM_NAMES = {
-    "structure-set": ("d", "K"),
-    "tables": ("max_n", "sign", "K"),
-    "wl": ("expr", "K", "l"),
-    "verify": ("suite",),
-    "best-poly": ("n", "sign"),
-}
-
-
 def _resolve_budget(flag_value: int | None) -> int:
     if flag_value is not None:
         budget, source = flag_value, "--budget"
@@ -817,9 +819,10 @@ def _resolve_budget(flag_value: int | None) -> int:
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    params = tuple(
-        (name, getattr(args, name)) for name in _PARAM_NAMES[args.subcommand]
-    )
+    """The run configuration of a parsed command line: its params are the
+    subcommand's own arguments, in the order the subparser declares them."""
+    params = tuple((name, value) for name, value in vars(args).items()
+                   if name not in _COMMON_DESTS)
     return RunConfig(
         subcommand=args.subcommand,
         params=params,

@@ -274,10 +274,63 @@ def reset_polynomial_tables() -> None:
 
 
 def _search_winners(base_vec, term_vecs) -> list[int]:
-    """Bit masks v for which base_vec plus the selected term_vecs lands in
-    4 Z[chi]/I<K>, via one linearized residue enumeration over family
-    vectors of one level and class step, each at any positive scale."""
+    """Ascending bit masks v for which base_vec plus the selected term_vecs
+    lands in 4 Z[chi]/I<K>, family vectors of one level and class step,
+    each at any positive scale.
+
+    The test is linear on the residue rows mod M (`ring._residue_images`).
+    When every row is 0 mod M/2 it is the affine system
+    sum_l v_l row_l / (M/2) = base / (M/2) over GF(2), solved by
+    elimination (`_solve_winners`): the winners are one solution plus the
+    span of the null space, and a single winner means full column rank.
+    Otherwise every mask is tried (`_scan_winners`).
+    """
     rows, modulus = ring._residue_images([base_vec, *term_vecs])
+    bits = {0, modulus // 2}
+    if all(bits.issuperset(row) for row in rows):
+        # column i of a row is bit 8i of its mask
+        masks = [int.from_bytes(bytes(map(bool, row)), "little")
+                 for row in rows]
+        return _solve_winners(masks[0], masks[1:])
+    return _scan_winners(rows, modulus)
+
+
+def _solve_winners(base: int, terms: Sequence[int]) -> list[int]:
+    """Ascending bit masks v with the xor of terms[l] over the set bits l of
+    v equal to base, by Gaussian elimination on bitmask ints: each term is
+    reduced against the pivots (keyed by their highest bit) and becomes a
+    pivot or, reduced to zero, a null vector of the masks it combined."""
+    pivots: dict[int, tuple[int, int]] = {}
+    null = []
+    for l, vec in enumerate(terms):
+        combo = 1 << l
+        while vec:
+            top = vec.bit_length() - 1
+            if top not in pivots:
+                pivots[top] = vec, combo
+                break
+            pivot, used = pivots[top]
+            vec ^= pivot
+            combo ^= used
+        else:
+            null.append(combo)
+    combo = 0
+    while base:
+        top = base.bit_length() - 1
+        if top not in pivots:
+            return []
+        pivot, used = pivots[top]
+        base ^= pivot
+        combo ^= used
+    winners = [combo]
+    for v in null:
+        winners += [w ^ v for w in winners]
+    return sorted(winners)
+
+
+def _scan_winners(rows: Sequence[Sequence[int]], modulus: int) -> list[int]:
+    """Ascending bit masks v with rows[0] plus the rows[1 + l] of the set
+    bits l of v congruent to 0 mod modulus, by trying all of them."""
     base_row, term_rows = rows[0], rows[1:]
     winners = []
     for v in range(1 << len(term_rows)):
@@ -305,11 +358,15 @@ def r_minus(n: int) -> RMinusRecord:
 
     The candidates are q_n + sum over l < floor(n/2) of a_l 2^(2(n-l)-1) r^-_l
     with bits a_l in {0, 1}.  Exactly one choice makes 8 f'_k f^m r(f^2) land
-    in 4 Z[chi]/I<2n+2>; the search asserts uniqueness and re-runs the scan
-    for every (k, m) in {1, 3} x {1, 2} to confirm the winner is the same.
+    in 4 Z[chi]/I<2n+2>.  The condition is linear in the bits: on the
+    residue rows (the windows' stored Newton differences mod M) it is an
+    affine system over GF(2) whenever every row is 0 mod M/2, which it is
+    on every rung so far, and then uniqueness is full column rank
+    (`_search_winners`).  The search asserts uniqueness and re-runs for
+    every (k, m) in {1, 3} x {1, 2} to confirm the winner is the same.
     Each polynomial is evaluated once, at (k, m) = (1, 1); the other three
     vectors are that one times f, f'_3 or f_3 (`_DERIVED`).  The three
-    confirming scans reuse that evaluation, so they show the winner does
+    confirming searches reuse that evaluation, so they show the winner does
     not depend on (k, m) only as far as `_DERIVED` is right, which
     `test_derived_vectors_match_direct_evaluation` checks against direct
     evaluation.

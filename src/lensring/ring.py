@@ -63,7 +63,9 @@ whole blocks), so `r_minus` evaluates each polynomial once, at (k, m) =
 each.  Membership in 4 Z[chi]/I<K> of any integer combination needs only
 the first W entries and the last one, so the residue rows of the r^-
 search, the lattice oracles and the shape remark are W wide: W grows like
-n, not like N = 2^(2n+2).  When W >= N (small K, or a numerator that
+n, not like N = 2^(2n+2).  They are read off the head and the Newton
+differences as stored, which is a unimodular change of columns from the
+entries (`_residue_images`).  When W >= N (small K, or a numerator that
 wraps) the vector simply holds all N entries.  Only `element_f`,
 `element_f_prime`, `element_f_k` and `evaluate_at_f_squared` step the tail
 out to all N entries per call, because they return a `RingElement`;
@@ -82,8 +84,8 @@ import re
 import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, repeat, zip_longest
-from operator import add, mul, sub
+from itertools import accumulate, zip_longest
+from operator import add, sub
 from typing import Iterable, NamedTuple, Sequence, Union
 
 __all__ = [
@@ -425,6 +427,30 @@ def _poly_mul_int(a: Sequence[int], b: Sequence[int],
 # coefficient j is (entry j - entry N-1) / den.
 
 
+def _binomial_dot(diffs: Sequence[int], b: int, first: int) -> int:
+    """sum_h diffs[h] * C(b, first + h), the binomials taken in turn from one
+    running product C(b, h + 1) = C(b, h) (b - h) / (h + 1)."""
+    c = b if first else 1
+    h = first
+    total = 0
+    for d in diffs:
+        total += d * c
+        c = c * (b - h) // (h + 1)
+        h += 1
+    return total
+
+
+def _moved(tails: Sequence[Sequence[int]], k: int,
+           count: int) -> list[tuple[int, ...]]:
+    """moved[c] for c < count: tail class c % k moved along c // k blocks,
+    one move being D[h] + D[h+1] on the Newton differences."""
+    moved = list(tails)
+    while len(moved) < count:
+        d = moved[-k]
+        moved.append((*map(add, d[:-1], d[1:]), d[-1]))
+    return moved
+
+
 class _Window(NamedTuple):
     """A family vector stored as a head of entries and a polynomial tail.
 
@@ -469,7 +495,7 @@ class _Window(NamedTuple):
         if j < len(head):
             return head[j]
         b, r = divmod(j - len(head), k)
-        return sum(map(mul, tails[r], map(math.comb, repeat(b), range(b + 1))))
+        return _binomial_dot(tails[r], b, 0)
 
     def entries(self, width: int) -> tuple[int, ...]:
         """Entries 0 .. width - 1 (all n once width >= n); along a tail
@@ -519,15 +545,21 @@ class _Window(NamedTuple):
             tails, k = list(zip(*rows)), step
         wrap = [self.entry(j) for j in range(n - lp + 1, n)]
         z = _poly_mul_int(wrap + list(self.entries(s + lp - 1)), poly)
-        # moved[c]: class c % k moved along c // k blocks
-        moved = list(tails)
-        while len(moved) < lp - 1 + k:
-            d = moved[-k]
-            moved.append((*map(add, d[:-1], d[1:]), d[-1]))
-        new = tuple(tuple(map(sum, zip(*(
-            [p * x for x in moved[lp - 1 - i + r]]
-            for i, p in enumerate(poly))))) for r in range(k))
-        return _Window(n, k, tuple(z[lp - 1:2 * lp - 2 + s]), new, den)
+        moved = _moved(tails, k, lp - 1 + k)
+        terms = [(lp - 1 - i, p) for i, p in enumerate(poly) if p]
+        new = []
+        for r in range(k):
+            acc = [0] * len(moved[r])
+            for c, p in terms:
+                col = moved[c + r]
+                if p == 1:
+                    acc = [*map(add, acc, col)]
+                elif p == -1:
+                    acc = [*map(sub, acc, col)]
+                else:
+                    acc = [a + p * x for a, x in zip(acc, col)]
+            new.append(tuple(acc))
+        return _Window(n, k, tuple(z[lp - 1:2 * lp - 2 + s]), tuple(new), den)
 
     def divided(self, q: int, times: int = 1) -> "_Window":
         """Divide by (1 - chi^q)^times (q = k or q = 1, gcd(q, n) = 1)
@@ -565,8 +597,7 @@ class _Window(NamedTuple):
                 sums = [sum(head[r::q]) for r in range(q)]
             for r, diffs in enumerate(tails):
                 count = (n - s - r + k - 1) // k
-                sums[(s + r) % q] += sum(map(mul, diffs, map(
-                    math.comb, repeat(count), range(1, len(diffs) + 1))))
+                sums[(s + r) % q] += _binomial_dot(diffs, count, 1)
             total = sum(sums)
             scale = 1 if total % n == 0 else n
             if scale > 1:
@@ -657,27 +688,46 @@ def _residue_images(vecs: Sequence[_Window]):
     Returns (rows, M): integer rows reduced mod M with the property that an
     integer combination sum(t_i * rows[i]) is congruent to 0 mod M in every
     entry exactly when the corresponding combination of ring values lies in
-    4 * Z[chi]/I<K>.  The rows cover the common window of the vectors: the
-    longest head plus, per tail class, as many entries as the highest
-    degree needs, or all N entries when some vector stores them all.
+    4 * Z[chi]/I<K>.  When every vector has a tail and the common window
+    (the longest head plus, per class, as many entries as the longest tail
+    needs) fits in N, a row is read off the stored data: the head entries
+    minus the last entry, then per tail class its value at b = 0 minus the
+    last entry followed by its higher Newton differences, zero-padded to
+    the longest tail.  A shorter head is first aligned to the longest one
+    by moving its classes along whole blocks (`_Window.times`).  Against
+    the entries of the common window this is a unimodular change of
+    columns, the same for every vector (Pascal's matrix per class), so
+    kernels, Smith exponents and 4Z verdicts are those of the entries.
+    Otherwise a row is all N entries minus the last one.
     """
     n, k = vecs[0].n, vecs[0].k
     if any(v.n != n or v.k != k for v in vecs):
         raise ArithmeticError(
             "family vectors of different levels or class steps do not combine"
         )
-    if all(v.tails for v in vecs):
-        width = (max(len(v.head) for v in vecs)
-                 + max(len(v.tails[0]) for v in vecs) * k)
-    else:
-        width = n
     den = math.lcm(*(v.den for v in vecs))
     m = 4 * den
     rows = []
+    if all(v.tails for v in vecs):
+        s = max(len(v.head) for v in vecs)
+        length = max(len(v.tails[0]) for v in vecs)
+        if s + length * k <= n:
+            for v in vecs:
+                scale = den // v.den
+                top = v.entry(n - 1)
+                lag = s - len(v.head)
+                row = [x - top for x in v.head]
+                row += [v.entry(j) - top for j in range(len(v.head), s)]
+                for diffs in _moved(v.tails, k, lag + k)[lag:]:
+                    row.append(diffs[0] - top)
+                    row += diffs[1:]
+                    row += [0] * (length - len(diffs))
+                rows.append([x * scale % m for x in row])
+            return rows, m
     for v in vecs:
-        s = den // v.den
-        top = v.entry(n - 1) * s
-        rows.append([(x * s - top) % m for x in v.entries(width)])
+        scale = den // v.den
+        top = v.entry(n - 1) * scale
+        rows.append([(x * scale - top) % m for x in v.entries(n)])
     return rows, m
 
 

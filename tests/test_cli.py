@@ -280,6 +280,32 @@ def test_verify_all_runs_each_listed_suite_once(capsys, monkeypatch):
     ]
 
 
+def test_every_subcommand_argument_reaches_the_run_config():
+    import argparse
+
+    from lensring import cli
+
+    parser = cli.build_parser()
+    (subparsers,) = [a for a in parser._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+    assert set(subparsers.choices) == set(cli._COMMANDS)
+    common = {"help", "format", "out", "budget", "seed"}
+    for name, sub in subparsers.choices.items():
+        own = [a for a in sub._actions if a.dest not in common]
+        argv = [name]
+        for action in own:
+            value = (action.choices[0] if action.choices
+                     else "3" if action.type is int else "f")
+            argv += [action.option_strings[0], str(value)]
+        args = parser.parse_args(argv + ["--seed", "5", "--format",
+                                          "structured"])
+        config = cli.config_from_args(args)
+        assert config.subcommand == name
+        assert config.params == tuple(
+            (a.dest, getattr(args, a.dest)) for a in own)
+        assert (config.seed, config.output_format) == (5, "structured")
+
+
 def old_random_element(rng, K):
     """The generator built with ring products, kept as the oracle."""
     g = make_element(K, [rng.randrange(-8, 9) for _ in range((1 << K) - 1)])

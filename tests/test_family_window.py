@@ -299,6 +299,64 @@ def test_derived_vectors_match_direct_evaluation():
 
 
 
+def _values_minus_top(row, s, k, length):
+    """Undo the stored-differences layout of a residue row: per class, the
+    values minus the last entry from (d0 - last, d1, d2, ...), as running
+    sums from the highest difference down."""
+    out = list(row[:s]) + [0] * (length * k)
+    for r in range(k):
+        diffs = row[s + r * length:s + (r + 1) * length]
+        col = [diffs[-1]] * length
+        for d in reversed(diffs[:-1]):
+            col = list(accumulate(col[:-1], initial=d))
+        out[s + r::k] = col
+    return out
+
+
+def test_residue_rows_are_the_stored_differences():
+    # rows read off heads and Newton differences are the entries of the
+    # common window minus the last one after one change of columns,
+    # Pascal's matrix per class, the same for every vector
+    rng = random.Random(29)
+    seen = set()
+    for K in range(3, 13):
+        n = 1 << K
+        qs = GRID_Q + [[rng.randrange(-9, 10) for _ in range(rng.randrange(
+            1, 9))] + [1] for _ in range(3)]
+        bases = [ring._eval_f2_vec(q, K, 1, "odd", 1) for q in qs]
+        sets = [bases] + [
+            [v.times(num, step % n).divided(step % n) for v in bases]
+            for num, step in polynomials._DERIVED.values()]
+        sets += [[ring._eval_f2_vec(q, K, k, mode, 1) for q in qs]
+                 for k in (3, 5) for mode in ("odd", "even")]
+        for vecs in sets:
+            rows, m = ring._residue_images(vecs)
+            k = vecs[0].k
+            if not all(v.tails for v in vecs):
+                seen.add("all n")
+                continue
+            s = max(len(v.head) for v in vecs)
+            length = max(len(v.tails[0]) for v in vecs)
+            if s + length * k > n:
+                seen.add("all n")
+                continue
+            seen.add("stored")
+            if len({len(v.head) for v in vecs}) > 1:
+                seen.add("aligned heads")
+            if len({len(v.tails[0]) for v in vecs}) > 1:
+                seen.add("padded tails")
+            den = math.lcm(*(v.den for v in vecs))
+            for v, row in zip(vecs, rows):
+                assert len(row) == s + length * k
+                scale = den // v.den
+                top = v.entry(n - 1) * scale
+                want = [(x * scale - top) % m
+                        for x in v.entries(s + length * k)]
+                got = _values_minus_top(row, s, k, length)
+                assert [x % m for x in got] == want
+    assert seen == {"all n", "stored", "aligned heads", "padded tails"}
+
+
 # ---------------------------------------------------------------------------
 # the unit windows: membership_A and rho_bracket as integer combinations of
 # windows built once, against the direct evaluation of each input

@@ -28,6 +28,7 @@ from lensring import (
     split_n,
     verify_A_equals_B,
 )
+from lensring import polynomials, ring
 from lensring.polynomials import _smith_normal_form
 
 
@@ -170,9 +171,11 @@ def test_r_minus_search_and_frozen_table():
 
 
 # sha256 of ",".join(map(str, r_minus(n).polynomial.coeffs)), as pinned by
-# the benchmark from the seed commit's output for n <= 9, and for n >= 10
-# from the search that evaluated every (k, m) vector directly; the lower
-# rungs being pinned, the coefficients also fix the bits
+# the benchmark from the seed commit's output for n <= 9, for 10 <= n <= 16
+# from the search that evaluated every (k, m) vector directly, and for
+# 17 <= n <= 30 from the search that tried all 2^(n/2) correction masks
+# (before the GF(2) solver); the lower rungs being pinned, the coefficients
+# also fix the bits
 R_MINUS_SHA256 = {
     0: "6b86b273ff34fce19d6b804eff5a3f5747ada4eaa22f1d49c01e52ddb7875b4b",
     1: "03ebfc2d40db30128bccfcea3aa3e32abd00335d2054f06631f31fe711a3be58",
@@ -191,6 +194,20 @@ R_MINUS_SHA256 = {
     14: "eb11371ab7ee734dac7529c3412cf2f9fecb655099e8ac36c1189d29bd757cb5",
     15: "e2965de8b6af1008045b2468533a197acba8a58166c64e6648231b38f754ed60",
     16: "c238b719667a6165184aca1473b0ae54870a9806d89bbe0c35808bad00f086d6",
+    17: "f1f5e0a2d974f10ccb26722a1594f17fde96a00da0a2601c8aaf6ebab88ece91",
+    18: "db44e191907babe97210f6eb42f557d312a612cb8b518648eae2d7e419b7aedc",
+    19: "2bfb23a4ccaa6f0bb674bfef55a39588707a83c582d5d7d91c0aaa3de0ac79b4",
+    20: "6265598050c5d1e7394e4a49e3db9bc8a930f2f3fe38df9356772c8479633d7a",
+    21: "ea27d921af47f55ba4446a30a76b2b111826c14f9c5ad11c33a33426f16f4bb5",
+    22: "60b68ee856980e3eff384c52eaf972a60e089e954e5afea8f3c6353a6f893a0c",
+    23: "507f1a96918f6e213c198e4a42e5394920c6c01c55c0dce723ae980347ec7d35",
+    24: "f0cc39deac4e50d972eddb91023c700e229b60b2d0501335f2c0fbfc0eea0c5c",
+    25: "db7500cfb489c2b951452d6ca11fe646ddbcf60e6de3158611e256c737c8ba2f",
+    26: "abfb42201238580b551bc215eea0603cf9a67556b5c6a6caa3167673bcbaba21",
+    27: "162d2fc3f671af8508eb28471dd779e1f5cde509fac255b5b79a6f36a8455e32",
+    28: "67171f90c3c62c8a70447b3c7f01a1eec9f7ea3dd51e35f0c9dccaa6379dbec0",
+    29: "f13375d7315d702c867596265c8f55f0c3ff991f102d80612fc208444ba38814",
+    30: "d3f26c192f7d520ac8a525babc5b14a714bbfc4c2765515b593b9058ff934ac7",
 }
 
 
@@ -200,6 +217,112 @@ def test_r_minus_cold_matches_pinned_hash(n):
     coeffs = r_minus(n).polynomial.coeffs
     digest = hashlib.sha256(",".join(map(str, coeffs)).encode()).hexdigest()
     assert digest == R_MINUS_SHA256[n]
+
+
+def test_solver_matches_scan_on_every_r_minus_search(monkeypatch):
+    # the main search and the three confirming (k, m) searches of every
+    # rung n <= 28, each solved over GF(2) and scanned mask by mask
+    reset_polynomial_tables()
+    searches = []
+    search = polynomials._search_winners
+
+    def recorded(base_vec, term_vecs):
+        winners = search(base_vec, term_vecs)
+        searches.append((base_vec, term_vecs, winners))
+        return winners
+
+    monkeypatch.setattr(polynomials, "_search_winners", recorded)
+    for n in range(29):
+        r_minus(n)
+    reset_polynomial_tables()
+    assert len(searches) == 4 * 29
+    for base_vec, term_vecs, winners in searches:
+        rows, modulus = ring._residue_images([base_vec, *term_vecs])
+        # every row is 0 mod M/2, so the solver answered
+        assert all(x in (0, modulus // 2) for row in rows for x in row)
+        assert polynomials._scan_winners(rows, modulus) == winners
+        assert len(winners) == 1
+
+
+def test_search_scans_rows_that_are_not_half_the_modulus(monkeypatch):
+    # full windows at N = 8 over den = 1, so M = 4 and the rows are the
+    # entries; the entries 1 and 3 are not 0 mod 2
+    calls = []
+
+    def spy(name):
+        path = getattr(polynomials, name)
+
+        def wrapped(*args):
+            calls.append(name)
+            return path(*args)
+        monkeypatch.setattr(polynomials, name, wrapped)
+
+    spy("_scan_winners")
+    spy("_solve_winners")
+
+    def vec(first):
+        return ring._Window(8, 1, (first,) + (0,) * 7, (), 1)
+
+    winners = polynomials._search_winners(vec(1), [vec(3), vec(2), vec(0)])
+    assert calls == ["_scan_winners"]
+    assert winners == [0b001, 0b101]
+    calls.clear()
+    assert polynomials._search_winners(vec(2), [vec(2), vec(0)]) == [1, 3]
+    assert calls == ["_solve_winners"]
+
+
+def test_solve_winners_matches_brute_force():
+    rng = random.Random(23)
+    nullities = set()
+    for _ in range(400):
+        width = rng.randrange(1, 7)
+        terms = [rng.getrandbits(width) for _ in range(rng.randrange(0, 7))]
+        if terms and rng.randrange(3) == 0:
+            terms.append(rng.choice(terms))
+        base = rng.getrandbits(width)
+        want = []
+        for v in range(1 << len(terms)):
+            acc = 0
+            for l, t in enumerate(terms):
+                if v >> l & 1:
+                    acc ^= t
+            if acc == base:
+                want.append(v)
+        assert polynomials._solve_winners(base, terms) == want
+        nullities.add(len(want).bit_length())
+    # no solution, exactly one, and several
+    assert {0, 1, 2, 3} <= nullities
+
+
+def _set_bits(n):
+    return {l for l, bit in r_minus(n).chosen_bits.items() if bit}
+
+
+def test_r_minus_bits_follow_the_two_adic_rule():
+    # an observation, not a theorem: for n = 2^m + r (0 <= r < 2^m) and
+    # n0 = 2^(bit_length r) + r, the least rung with that r, the set bits
+    # of r^-_n are those of r^-_n0 and r, cut to [0, floor(n/2)); it shares
+    # no code with the search
+    checked = []
+    failed = []
+    for n in range(1, 41):
+        r = n - (1 << (n.bit_length() - 1))
+        n0 = (1 << r.bit_length()) + r
+        if n0 == n:
+            continue
+        want = (_set_bits(n0) | {r}) & set(range(n // 2))
+        checked.append(n)
+        if _set_bits(n) != want:
+            failed.append(n)
+    assert not failed, f"the bit rule first fails at n = {failed[0]}"
+    assert len(checked) == 24
+
+
+def test_A_equals_B_past_the_acceptance_ranges():
+    # d = 61 needs r^-_n up to n = 29
+    report = verify_A_equals_B(16, 1, 61, budget=1 << 500)
+    assert report.claimed.ambient_rank == 30
+    assert report.passed
 
 
 def test_r_plus_frozen_table():
