@@ -74,9 +74,10 @@ class BudgetExceededError(RuntimeError):
 
 def _check_budget(K: int, c: int, budget: int | None, what: str) -> None:
     budget = DEFAULT_BUDGET if budget is None else budget
-    if (1 << K) ** c > budget:
+    # 2^(K c) > budget, without building the count
+    if budget < 0 or K * c >= budget.bit_length():
         raise BudgetExceededError(
-            f"{what} lies in (Z_2^{K})^{c} of {(1 << K) ** c} tuples,"
+            f"{what} lies in (Z_2^{K})^{c} of 2^{K * c} tuples,"
             f" over the budget of {budget}"
         )
 
@@ -283,16 +284,19 @@ def _search_winners(base_vec, term_vecs) -> list[int]:
     sum_l v_l row_l / (M/2) = base / (M/2) over GF(2), solved by
     elimination (`_solve_winners`): the winners are one solution plus the
     span of the null space, and a single winner means full column rank.
-    Otherwise every mask is tried (`_scan_winners`).
+    Every r^- search through n = 64 has such rows; a row that is not
+    0 mod M/2 raises ArithmeticError, as nothing else solves the test.
     """
     rows, modulus = ring._residue_images([base_vec, *term_vecs])
     bits = {0, modulus // 2}
-    if all(bits.issuperset(row) for row in rows):
-        # column i of a row is bit 8i of its mask
-        masks = [int.from_bytes(bytes(map(bool, row)), "little")
-                 for row in rows]
-        return _solve_winners(masks[0], masks[1:])
-    return _scan_winners(rows, modulus)
+    if not all(bits.issuperset(row) for row in rows):
+        raise ArithmeticError(
+            f"a residue row is not 0 mod {modulus // 2}, so the search is"
+            " not a system over GF(2)"
+        )
+    # column i of a row is bit 8i of its mask
+    masks = [int.from_bytes(bytes(map(bool, row)), "little") for row in rows]
+    return _solve_winners(masks[0], masks[1:])
 
 
 def _solve_winners(base: int, terms: Sequence[int]) -> list[int]:
@@ -328,26 +332,6 @@ def _solve_winners(base: int, terms: Sequence[int]) -> list[int]:
     return sorted(winners)
 
 
-def _scan_winners(rows: Sequence[Sequence[int]], modulus: int) -> list[int]:
-    """Ascending bit masks v with rows[0] plus the rows[1 + l] of the set
-    bits l of v congruent to 0 mod modulus, by trying all of them."""
-    base_row, term_rows = rows[0], rows[1:]
-    winners = []
-    for v in range(1 << len(term_rows)):
-        chosen = [term_rows[l] for l in range(len(term_rows)) if (v >> l) & 1]
-        ok = True
-        for i in range(len(base_row)):
-            s = base_row[i]
-            for row in chosen:
-                s += row[i]
-            if s % modulus:
-                ok = False
-                break
-        if ok:
-            winners.append(v)
-    return winners
-
-
 # (k, m) -> (numerator, step) of f, f'_3 and f_3 = f f'_3 over 1 - chi^step
 _DERIVED = {(1, 2): ((1, 1), 1), (3, 1): ((1, -2, 2, -1), 3),
             (3, 2): ((1, 0, 0, 1), 3)}
@@ -360,9 +344,10 @@ def r_minus(n: int) -> RMinusRecord:
     with bits a_l in {0, 1}.  Exactly one choice makes 8 f'_k f^m r(f^2) land
     in 4 Z[chi]/I<2n+2>.  The condition is linear in the bits: on the
     residue rows (the windows' stored Newton differences mod M) it is an
-    affine system over GF(2) whenever every row is 0 mod M/2, which it is
-    on every rung so far, and then uniqueness is full column rank
-    (`_search_winners`).  The search asserts uniqueness and re-runs for
+    affine system over GF(2) when every row is 0 mod M/2, and uniqueness
+    is full column rank (`_search_winners`).  Every rung through n = 64
+    has such rows; a rung that did not would raise ArithmeticError, since
+    no other search is left.  The search asserts uniqueness and re-runs for
     every (k, m) in {1, 3} x {1, 2} to confirm the winner is the same.
     Each polynomial is evaluated once, at (k, m) = (1, 1); the other three
     vectors are that one times f, f'_3 or f_3 (`_DERIVED`).  The three
@@ -446,12 +431,11 @@ def r_plus(n: int) -> IntPolynomial:
 # the lattices A and B
 # ---------------------------------------------------------------------------
 
-def _lattice_shape(d: int) -> tuple[int, str, int]:
-    """(c, mode, m) for the degree-d lattice; validates d >= 3."""
+def _lattice_shape(d: int) -> tuple[int, str]:
+    """(c, mode) for the degree-d lattice; validates d >= 3."""
     if not isinstance(d, int) or isinstance(d, bool) or d < 3:
         raise ValueError(f"d must be an integer >= 3, got {d!r}")
-    c = (d - 1) // 2
-    return (c, "odd", 1) if d % 2 else (c, "even", 1)
+    return (d - 1) // 2, "odd" if d % 2 else "even"
 
 
 def _monomial_rows(K: int, k: int, mode: str, m: int, c: int):
@@ -476,7 +460,7 @@ def membership_A(q, K: int, k: int, d: int, m: int | None = None) -> bool:
     map is Z-linear, so the test is sum_j q_j rows[j] = 0 mod M on the
     monomial residue rows (`_monomial_rows`).
     """
-    c, mode, _ = _lattice_shape(d)
+    c, mode = _lattice_shape(d)
     coeffs = ring._int_coeffs(q)
     if len(coeffs) > c:
         raise ValueError(
@@ -550,6 +534,28 @@ def _v2(x: int) -> int:
     return (x & -x).bit_length() - 1
 
 
+def _reduce(pivots: dict[int, Sequence[int]], vec: Sequence[int],
+            K: int) -> tuple[list[int], dict[int, int]]:
+    """(remainder, multipliers): vec reduced over Z_{2^K} against the rows
+    of pivots from the highest pivot position down.
+
+    pivots maps a position p to a row whose entry at p is 2^e and which is
+    zero above p; it may be shorter than vec.  Row p is taken off
+    multipliers[p] = v[p] >> e times, which leaves the entry at p in
+    [0, 2^e).  A zero remainder writes vec as sum_p multipliers[p] row_p.
+    """
+    mod = 1 << K
+    v = [x % mod for x in vec]
+    multipliers = {}
+    for p in sorted(pivots, reverse=True):
+        row = pivots[p]
+        q = v[p] >> _v2(row[p])
+        if q:
+            multipliers[p] = q
+            v[:len(row)] = [(x - q * y) % mod for x, y in zip(v, row)]
+    return v, multipliers
+
+
 def _eliminate(rows: list[list[int]], cols: Sequence[int],
                mu: int) -> dict[int, list[int]]:
     """Row-reduce rows (entries in [0, 2^mu)) over Z/2^mu column by column.
@@ -588,12 +594,10 @@ def _hermite_form(gens: Sequence[Sequence[int]], K: int) -> dict[int, list[int]]
     rows = [[x % mod for x in g] for g in gens]
     width = len(rows[0]) if rows else 0
     pivots = _eliminate(rows, range(width - 1, -1, -1), K)
-    for lead, row in pivots.items():
-        for p in range(lead - 1, -1, -1):
-            if p in pivots and row[p]:
-                q = row[p] >> _v2(pivots[p][p])
-                row[:] = [(x - q * y) % mod for x, y in zip(row, pivots[p])]
-    return dict(sorted(pivots.items()))
+    form: dict[int, list[int]] = {}
+    for lead in sorted(pivots):
+        form[lead] = _reduce(form, pivots[lead], K)[0]
+    return form
 
 
 def _residue_kernel(mats: Sequence[Sequence[int]], modulus: int,
@@ -620,29 +624,6 @@ def _residue_kernel(mats: Sequence[Sequence[int]], modulus: int,
     return _hermite_form([row[width:] for row in rows], K)
 
 
-def _echelon_reduces_to_zero(rows: dict[int, list[int]], vec: Sequence[int],
-                             K: int) -> bool:
-    """Whether vec lies in the span of rows over Z_{2^K}; rows maps the
-    highest nonzero index of each row to the row, whose entry there is 2^e."""
-    mod = 1 << K
-    v = [x % mod for x in vec]
-    while True:
-        lead = None
-        for i in range(len(v) - 1, -1, -1):
-            if v[i]:
-                lead = i
-                break
-        if lead is None:
-            return True
-        if lead not in rows:
-            return False
-        r = rows[lead]
-        sr = _v2(r[lead])
-        if _v2(v[lead]) < sr:
-            return False
-        v = [(x - (v[lead] >> sr) * y) % mod for x, y in zip(v, r)]
-
-
 def brute_force_A(K: int, k: int, d: int,
                   budget: int | None = None) -> LatticeDescriptor:
     """The lattice A from its definition, in Hermite form.
@@ -651,11 +632,11 @@ def brute_force_A(K: int, k: int, d: int,
     monomial x^j), read off a 2-adic elimination.  Nothing is enumerated,
     but BudgetExceededError is raised when (2^K)^c exceeds the budget.
     """
-    c, mode, m = _lattice_shape(d)
+    c, mode = _lattice_shape(d)
     ring._validate_level(K)
     ring._validate_odd(k)
     _check_budget(K, c, budget, "A")
-    mats, modulus = _monomial_rows(K, k, mode, m, c)
+    mats, modulus = _monomial_rows(K, k, mode, 1, c)
     rows = _residue_kernel(mats, modulus, K)
     exps = tuple(_v2(row[lead]) for lead, row in rows.items())
     index_exponent = K * c - sum(K - e for e in exps)
@@ -712,7 +693,7 @@ def verify_A_equals_B(K: int, k: int, d: int,
     def reduces(basis, others):
         rows = {j: _poly_vector(p, c, K) for j, p in enumerate(basis)}
         return tuple(
-            (str(p), _echelon_reduces_to_zero(rows, _poly_vector(p, c, K), K))
+            (str(p), not any(_reduce(rows, _poly_vector(p, c, K), K)[0]))
             for p in others
         )
 

@@ -21,8 +21,8 @@ The classification output is a descriptor with a free part of rank N/2 - 1
     r_{4i-2} of order 2              (i = 1..c, copied from t_{4i-2}),
     r_{4i}   of order 2^min(K, 2i)   (i = 1..c).
 
-r_coordinates expresses a kernel member in those coordinates by triangular
-back-substitution against the scaled best-polynomial basis.
+r_coordinates expresses a kernel member in those coordinates by reducing
+it mod 2^K against the scaled best-polynomial basis (polynomials._reduce).
 """
 
 from __future__ import annotations
@@ -36,11 +36,11 @@ from .polynomials import (
     IntPolynomial,
     _cached,
     _check_budget,
+    _reduce,
     _residue_kernel,
     _smith_normal_form,
     _v2,
-    r_minus,
-    r_plus,
+    b_basis,
 )
 from .ring import RingElement, is_in_4Z
 
@@ -251,11 +251,12 @@ def structure_set(d: int, K: int) -> StructureSetDescriptor:
 def polynomial_r_coordinates(q: IntPolynomial, d: int, K: int) -> tuple[int, ...]:
     """Coordinates of q against the scaled best-polynomial basis, mod 2^K.
 
-    Solves q = sum_n a_n 2^max(K-2n-2, 0) r_n by back-substitution from the
-    top degree down, entirely over the integers; a_n is reported modulo
-    2^min(K, 2n+2).  The result only depends on q modulo 2^K Z[x], which is
-    what makes coordinates of residue vectors well defined.  Raises when q
-    is not in the span.
+    Solves q = sum_n a_n 2^max(K-2n-2, 0) r_n mod 2^K by reducing q against
+    b_basis(K, d) from the top degree down (`polynomials._reduce`); a_n is
+    the multiplier of the degree-n row, in [0, 2^min(K, 2n+2)).  The
+    result only depends on q modulo 2^K Z[x], which is what makes
+    coordinates of residue vectors well defined.  Raises when q is not in
+    the span, naming the highest degree left nonzero.
     """
     c = _validate_d(d, minimum=5)
     ring._validate_level(K)
@@ -263,43 +264,26 @@ def polynomial_r_coordinates(q: IntPolynomial, d: int, K: int) -> tuple[int, ...
         raise ValueError(
             f"degree overflow: deg q = {q.degree}, needs to be < {c}"
         )
-    use_plus = d % 2 == 0
-    basis = [
-        r_plus(n) if use_plus else r_minus(n).polynomial for n in range(c)
-    ]
-    mod = 1 << K
-    rem = [q.coefficient(j) for j in range(c)]
-    coords = [0] * c
-    for n in range(c - 1, -1, -1):
-        g = rem[n] % mod
-        s = max(K - 2 * n - 2, 0)
-        if g % (1 << s):
-            raise ArithmeticError(
-                f"coefficient at degree {n} is not divisible by 2^{s};"
-                " q is outside the lattice"
-            )
-        a = g >> s
-        coords[n] = a
-        if a:
-            scaled = basis[n] * (a << s)
-            for j, bc in enumerate(scaled.coeffs):
-                rem[j] -= bc
-    for j, v in enumerate(rem):
-        if v % mod:
-            raise ArithmeticError(
-                f"residual coefficient at degree {j} is nonzero mod 2^{K}"
-            )
-    return tuple(coords)
+    basis = b_basis(K, d)
+    rows = {n: p.coeffs for n, p in enumerate(basis.basis)}
+    rem, coords = _reduce(rows, [q.coefficient(j) for j in range(c)], K)
+    if any(rem):
+        n = max(j for j, x in enumerate(rem) if x)
+        raise ArithmeticError(
+            f"coefficient at degree {n} is not divisible by"
+            f" 2^{basis.scaling_exponents[n]}; q is outside the lattice"
+        )
+    return tuple(coords.get(n, 0) for n in range(c))
 
 
 def r_coordinates(t: NormalInvariantVector, k: int = 1) -> dict[str, int]:
     """Coordinates of a kernel member in the t_bar summands.
 
     The r_{4i-2} coordinates are the t_{4i-2} residues verbatim; the r_{4i}
-    coordinates come from back-substituting the associated polynomial
-    against the scaled basis.  Raises ValueError when rho[t] is not in
-    4 Z[chi]/I<K> (the vector is not in the kernel, so it has no
-    coordinates).
+    coordinates come from reducing the associated polynomial against the
+    scaled basis (`polynomial_r_coordinates`).  Raises ValueError when
+    rho[t] is not in 4 Z[chi]/I<K> (the vector is not in the kernel, so it
+    has no coordinates).
     """
     c = _validate_d(t.d, minimum=5)
     if not is_in_4Z(rho_bracket(t, k)):

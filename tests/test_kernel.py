@@ -14,7 +14,6 @@ import pytest
 
 from lensring import brute_force_A, kernel_oracle, membership_A, ring
 from lensring.polynomials import (
-    _echelon_reduces_to_zero,
     _hermite_form,
     _residue_kernel,
     _v2,
@@ -50,6 +49,29 @@ def _echelon_insert(rows, vec, K):
             inv = pow(v[lead] >> s, -1, mod)
             rows[lead] = [(x * inv) % mod for x in v]
             v = r
+
+
+def _echelon_reduces_to_zero(rows, vec, K):
+    """Whether vec reduces to zero against an echelon basis over Z_{2^K}
+    (rows by the highest nonzero index of each, whose entry there is 2^e),
+    clearing the highest nonzero entry of vec until none is left."""
+    mod = 1 << K
+    v = [x % mod for x in vec]
+    while True:
+        lead = None
+        for i in range(len(v) - 1, -1, -1):
+            if v[i]:
+                lead = i
+                break
+        if lead is None:
+            return True
+        if lead not in rows:
+            return False
+        r = rows[lead]
+        sr = _v2(r[lead])
+        if _v2(v[lead]) < sr:
+            return False
+        v = [(x - (v[lead] >> sr) * y) % mod for x, y in zip(v, r)]
 
 
 def _walk_kernel(mats, modulus, K):

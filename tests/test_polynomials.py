@@ -18,6 +18,7 @@ from lensring import (
     beta,
     beta_inv,
     brute_force_A,
+    kernel_oracle,
     membership_A,
     p_k,
     q_n,
@@ -219,6 +220,19 @@ def test_r_minus_cold_matches_pinned_hash(n):
     assert digest == R_MINUS_SHA256[n]
 
 
+def _scan_winners(rows, modulus):
+    """Ascending bit masks v with rows[0] plus the rows[1 + l] of the set
+    bits l of v congruent to 0 mod modulus, by trying all of them."""
+    base_row, term_rows = rows[0], rows[1:]
+    winners = []
+    for v in range(1 << len(term_rows)):
+        chosen = [term_rows[l] for l in range(len(term_rows)) if (v >> l) & 1]
+        if all((base_row[i] + sum(row[i] for row in chosen)) % modulus == 0
+               for i in range(len(base_row))):
+            winners.append(v)
+    return winners
+
+
 def test_solver_matches_scan_on_every_r_minus_search(monkeypatch):
     # the main search and the three confirming (k, m) searches of every
     # rung n <= 28, each solved over GF(2) and scanned mask by mask
@@ -240,35 +254,32 @@ def test_solver_matches_scan_on_every_r_minus_search(monkeypatch):
         rows, modulus = ring._residue_images([base_vec, *term_vecs])
         # every row is 0 mod M/2, so the solver answered
         assert all(x in (0, modulus // 2) for row in rows for x in row)
-        assert polynomials._scan_winners(rows, modulus) == winners
+        assert _scan_winners(rows, modulus) == winners
         assert len(winners) == 1
 
 
-def test_search_scans_rows_that_are_not_half_the_modulus(monkeypatch):
+def test_search_rejects_rows_that_are_not_half_the_modulus(monkeypatch):
     # full windows at N = 8 over den = 1, so M = 4 and the rows are the
-    # entries; the entries 1 and 3 are not 0 mod 2
+    # entries; the entries 1 and 3 are not 0 mod 2, so the test is not a
+    # system over GF(2), although it has winners
     calls = []
+    solve = polynomials._solve_winners
 
-    def spy(name):
-        path = getattr(polynomials, name)
-
-        def wrapped(*args):
-            calls.append(name)
-            return path(*args)
-        monkeypatch.setattr(polynomials, name, wrapped)
-
-    spy("_scan_winners")
-    spy("_solve_winners")
+    def spy(*args):
+        calls.append(args)
+        return solve(*args)
+    monkeypatch.setattr(polynomials, "_solve_winners", spy)
 
     def vec(first):
         return ring._Window(8, 1, (first,) + (0,) * 7, (), 1)
 
-    winners = polynomials._search_winners(vec(1), [vec(3), vec(2), vec(0)])
-    assert calls == ["_scan_winners"]
-    assert winners == [0b001, 0b101]
-    calls.clear()
+    vecs = [vec(1), vec(3), vec(2), vec(0)]
+    assert _scan_winners(*ring._residue_images(vecs)) == [0b001, 0b101]
+    with pytest.raises(ArithmeticError, match="not 0 mod 2"):
+        polynomials._search_winners(vecs[0], vecs[1:])
+    assert calls == []
     assert polynomials._search_winners(vec(2), [vec(2), vec(0)]) == [1, 3]
-    assert calls == ["_solve_winners"]
+    assert len(calls) == 1
 
 
 def test_solve_winners_matches_brute_force():
@@ -394,6 +405,20 @@ def test_brute_force_A_budget_gate():
         brute_force_A(4, 1, 9, budget=100)
 
 
+def test_budget_gate_past_the_int_to_str_limit():
+    # (2^500)^30 has about 4500 decimal digits, over Python's default
+    # int-to-str limit of 4300, so the count is named as a power of two
+    for call in (lambda: kernel_oracle(61, 500),
+                 lambda: brute_force_A(500, 1, 61),
+                 lambda: verify_A_equals_B(500, 1, 61)):
+        with pytest.raises(BudgetExceededError, match=r"of 2\^15000 tuples"):
+            call()
+    # the gate is 2^(K c) > budget: a budget of exactly 2^(K c) passes
+    polynomials._check_budget(3, 2, 64, "A")
+    with pytest.raises(BudgetExceededError):
+        polynomials._check_budget(3, 2, 63, "A")
+
+
 def test_brute_force_A_properties():
     for K in (1, 2, 3):
         for d in (5, 6, 7):
@@ -413,6 +438,23 @@ def test_verify_A_equals_B_reports():
     assert report.basis_membership and report.basis_in_oracle
     assert report.oracle_in_claimed
     assert report.claimed.scaling_exponents == (1, 0, 0)
+
+
+def test_verify_A_equals_B_names_each_row_that_does_not_reduce(monkeypatch):
+    # a claimed basis whose degree-1 row is twice the oracle's spans a
+    # proper sublattice: all of it reduces into the oracle, but the
+    # oracle's degree-1 row does not reduce into it
+    oracle = brute_force_A(4, 1, 7)
+    assert [p.coeffs for p in oracle.basis] == [(4,), (1, 1), (3, 0, 1)]
+    e0, e1, e2 = oracle.scaling_exponents
+    claimed = LatticeDescriptor(
+        3, (oracle.basis[0], 2 * oracle.basis[1], oracle.basis[2]),
+        (e0, e1 + 1, e2), oracle.index_exponent + 1)
+    monkeypatch.setattr(polynomials, "b_basis", lambda K, d: claimed)
+    report = verify_A_equals_B(4, 1, 7)
+    assert [ok for _, ok in report.basis_in_oracle] == [True, True, True]
+    assert [ok for _, ok in report.oracle_in_claimed] == [True, False, True]
+    assert not report.passed
 
 
 def test_smith_normal_form_against_sympy():

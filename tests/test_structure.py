@@ -19,6 +19,8 @@ from lensring import (
     membership_A,
     polynomial_r_coordinates,
     r_coordinates,
+    r_minus,
+    r_plus,
     rho_bracket,
     structure_set,
     t_bar,
@@ -191,6 +193,68 @@ def test_polynomial_r_coordinates_ignore_the_lift():
             )
             assert polynomial_r_coordinates(q, d, K) \
                 == polynomial_r_coordinates(shifted, d, K)
+
+
+def _back_substitute(q, d, K):
+    """Coordinates of q against the scaled r^- (odd d) or r^+ (even d)
+    basis by integer back-substitution from the top degree down."""
+    c = (d - 1) // 2
+    basis = [r_plus(n) if d % 2 == 0 else r_minus(n).polynomial
+             for n in range(c)]
+    mod = 1 << K
+    rem = [q.coefficient(j) for j in range(c)]
+    coords = [0] * c
+    for n in range(c - 1, -1, -1):
+        g = rem[n] % mod
+        s = max(K - 2 * n - 2, 0)
+        if g % (1 << s):
+            raise ArithmeticError(
+                f"coefficient at degree {n} is not divisible by 2^{s};"
+                " q is outside the lattice"
+            )
+        coords[n] = g >> s
+        for j, bc in enumerate((basis[n] * (g >> s << s)).coeffs):
+            rem[j] -= bc
+    assert all(v % mod == 0 for v in rem)
+    return tuple(coords)
+
+
+def _outcome(coordinates, q, d, K):
+    try:
+        return coordinates(q, d, K)
+    except ArithmeticError as exc:
+        return str(exc)
+
+
+def test_polynomial_r_coordinates_match_back_substitution():
+    # lattice members, members plus 1, 2 or 3 x^j, and arbitrary q; a
+    # bumped member is often rejected at degree j, which a reduction that
+    # cuts its vector short at a lower pivot would lose
+    rng = random.Random(36)
+    rejected = set()
+    for d in range(5, 16):
+        c = (d - 1) // 2
+        for K in range(1, 9):
+            basis = b_basis(K, d)
+            for _ in range(6):
+                member = IntPolynomial(())
+                for p in basis.basis:
+                    member = member + rng.randrange(-(1 << K), 1 << K) * p
+                j = rng.randrange(c)
+                bumped = member + rng.randrange(1, 4) * IntPolynomial(
+                    (0,) * j + (1,))
+                arbitrary = IntPolynomial(tuple(
+                    rng.randrange(-(1 << K + 2), 1 << K + 2)
+                    for _ in range(c)))
+                for q in (member, bumped, arbitrary):
+                    want = _outcome(_back_substitute, q, d, K)
+                    assert _outcome(polynomial_r_coordinates, q, d, K) \
+                        == want
+                    if isinstance(want, str):
+                        degree = int(want.split()[3])
+                        rejected.add("top" if degree == c - 1
+                                     else "middle" if degree else "bottom")
+    assert rejected == {"bottom", "middle", "top"}
 
 
 def test_r_coordinates_labels_and_values():
