@@ -31,6 +31,7 @@ for - and *.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -403,18 +404,34 @@ def _ladder_member(q, K: int, k: int, m: int, times: int = 0) -> bool:
     return _vec_is_in_4Z(_eval_f2_vec(q.coeffs, K, k, "odd", m, times))
 
 
+def _draws(rng: random.Random, lo: int, hi: int, count: int) -> list[int]:
+    """[rng.randrange(lo, hi) for _ in range(count)], leaving rng in the same
+    state: randrange draws getrandbits(k), k = (hi - lo).bit_length(), until
+    a try falls below hi - lo, and so does this, without its per-call cost.
+    Each round makes only as many tries as draws are missing, so no try is
+    made past the last draw."""
+    width = hi - lo
+    k = width.bit_length()
+    getrandbits = rng.getrandbits
+    out: list[int] = []
+    while len(out) < count:
+        tries = [getrandbits(k) for _ in range(count - len(out))]
+        out += [lo + r for r in tries if r < width]
+    return out
+
+
 def _random_element(rng: random.Random, K: int) -> RingElement:
     """Entries in [-8, 8] (1 if all vanish), times 2^up / 2^down with up and
     down in [0, 2], times (1 - chi)^twist with twist in [0, 3]: each factor
     of (1 - chi) is one cyclic difference of the N entries (the last one
     0), then the last entry is subtracted to clear chi^(N-1)."""
-    nums = [rng.randrange(-8, 9) for _ in range((1 << K) - 1)]
+    nums = _draws(rng, -8, 9, (1 << K) - 1)
     if not any(nums):
         nums[0] = 1
-    up = rng.randrange(0, 3)
-    down = rng.randrange(0, 3)
+    up, down = _draws(rng, 0, 3, 2)
+    (twist,) = _draws(rng, 0, 4, 1)
     x = [v << up for v in nums] + [0]
-    for _ in range(rng.randrange(0, 4)):
+    for _ in range(twist):
         x = [a - b for a, b in zip(x, x[-1:] + x[:-1])]
     top = x[-1]
     return RingElement._from_ints(K, [v - top for v in x[:-1]], 1 << down)
@@ -637,7 +654,7 @@ def _suite_kernel(config: RunConfig) -> list[Check]:
                 )
                 agree = True
                 for _ in range(25):
-                    t4 = tuple(rng.randrange(1 << K) for _ in range(c))
+                    t4 = tuple(_draws(rng, 0, 1 << K, c))
                     t = NormalInvariantVector(d, K, t4, (0,) * c)
                     via_rho = is_in_4Z(rho_bracket(t, k))
                     via_poly = membership_A(t_to_polynomial(t), K, k, d)
@@ -663,7 +680,7 @@ def _suite_extras(config: RunConfig) -> list[Check]:
         inj = True
         f = element_f(K)
         for _ in range(20):
-            p = make_element(K, [rng.randrange(-9, 10) for _ in range(1 << K)])
+            p = make_element(K, _draws(rng, -9, 10, 1 << K))
             z = p - conjugate(p)
             if (f * z).is_zero() != z.is_zero():
                 inj = False
@@ -679,9 +696,8 @@ def _suite_extras(config: RunConfig) -> list[Check]:
         checks.append((f"K={K}: sufficient criterion never overclaims", sound))
     ok = True
     for _ in range(50):
-        poly = IntPolynomial(
-            tuple(rng.randrange(-30, 31) for _ in range(rng.randrange(1, 9)))
-        )
+        (length,) = _draws(rng, 1, 9, 1)
+        poly = IntPolynomial(tuple(_draws(rng, -30, 31, length)))
         if beta_inv(beta(poly)) != poly or beta(beta_inv(poly)) != poly:
             ok = False
     checks.append(("beta round trip on random polynomials", ok))
@@ -768,6 +784,8 @@ _COMMON_DESTS = frozenset(
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A fresh parser for the whole command line (`main` builds one per
+    process, through `_parser`)."""
     common = _common_parser()
     parser = argparse.ArgumentParser(
         prog="lensring",
@@ -798,6 +816,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--sign", choices=("+", "-"), required=True)
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` uses, built on first use and then shared: nothing
+    in it depends on the call, and parse_args does not change it."""
+    return build_parser()
 
 
 def _resolve_budget(flag_value: int | None) -> int:
@@ -848,9 +873,8 @@ def run(config: RunConfig) -> tuple[str, int]:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

@@ -76,9 +76,12 @@ def _check_budget(K: int, c: int, budget: int | None, what: str) -> None:
     budget = DEFAULT_BUDGET if budget is None else budget
     # 2^(K c) > budget, without building the count
     if budget < 0 or K * c >= budget.bit_length():
+        # a budget past 64 bits is named by its length: in decimal it could
+        # meet Python's int-to-str digit limit
+        named = (f"the budget of {budget}" if budget.bit_length() <= 64
+                 else f"a budget of {budget.bit_length()} bits")
         raise BudgetExceededError(
-            f"{what} lies in (Z_2^{K})^{c} of 2^{K * c} tuples,"
-            f" over the budget of {budget}"
+            f"{what} lies in (Z_2^{K})^{c} of 2^{K * c} tuples, over {named}"
         )
 
 
@@ -682,9 +685,11 @@ def verify_A_equals_B(K: int, k: int, d: int,
     monomial residue rows the oracle eliminates (`membership_A`), so the
     two are not independent here; the tests compare `membership_A` with
     the direct evaluation of each polynomial, which stays their oracle.
+    The oracle comes first, so the budget is checked before any r^- rung
+    is searched.
     """
-    claimed = b_basis(K, d)
     oracle = brute_force_A(K, k, d, budget)
+    claimed = b_basis(K, d)
     c = claimed.ambient_rank
     membership = tuple(
         (str(p), membership_A(p, K, k, d)) for p in claimed.basis

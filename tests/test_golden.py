@@ -6,6 +6,7 @@ across internal rewrites: a change that moves any of them changes what
 users see and must update the pin on purpose, with the reason.
 """
 
+import argparse
 import hashlib
 import json
 
@@ -17,6 +18,11 @@ from lensring.cli import main
 # (arguments, sha256 of the text output, sha256 of the structured output)
 GOLDEN = [
     (('verify', '--suite', 'all'),
+     '63b8966c24fe38afe1363366fce6f6d035422b3d03cb821574dec8d21817b130',
+     'cfeed6487a6b7c716b26af5688483649851e91eb1ca52a6d96edf17070c2824b'),
+    # another seed draws other random elements; while every check passes,
+    # the lines are the same
+    (('verify', '--suite', 'all', '--seed', '7'),
      '63b8966c24fe38afe1363366fce6f6d035422b3d03cb821574dec8d21817b130',
      'cfeed6487a6b7c716b26af5688483649851e91eb1ca52a6d96edf17070c2824b'),
     (('structure-set', '--d', '9', '--K', '6'),
@@ -114,3 +120,46 @@ def test_golden_bytes_of_a_failing_verify(capsys, monkeypatch):
         assert hashlib.sha256(outputs[fmt].encode()).hexdigest() == want, fmt
     assert "FAIL wl-rules: stub check\n" in outputs["text"]
     assert json.loads(outputs["structured"])["ok"] is False
+
+
+def test_many_main_calls_in_one_process(capsys, monkeypatch):
+    """`main` shares one parser: every golden invocation gives its pinned
+    bytes forward and then in reverse, with --help and usage errors in
+    between giving the same bytes each time, and no call after the first
+    builds an ArgumentParser."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    cli._parser.cache_clear()
+    extra = [["--help"], ["wl", "--K", "3"], ["verify", "--suite", "nope"],
+             ["verify", "--help"]]
+    seen = {}
+
+    def call(argv, code):
+        assert main(argv) == code, argv
+        captured = capsys.readouterr()
+        return captured.out, captured.err
+
+    seen[0] = call(extra[0], 0)
+    assert built
+    built.clear()
+    golden = [(list(args) + ["--format", fmt], want)
+              for args, text_hash, structured_hash in GOLDEN
+              for fmt, want in (("text", text_hash),
+                                ("structured", structured_hash))]
+    for order in (golden, golden[::-1]):
+        for i, (argv, want) in enumerate(order):
+            out, err = call(argv, 0)
+            assert hashlib.sha256(out.encode()).hexdigest() == want, argv
+            assert err == ""
+            j = i % len(extra)
+            got = call(extra[j], 0 if "--help" in extra[j] else 2)
+            assert seen.setdefault(j, got) == got, extra[j]
+    assert seen[1][0] == "" and "required" in seen[1][1]
+    assert seen[3][0].startswith("usage: lensring verify")
+    assert built == []

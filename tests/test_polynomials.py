@@ -419,6 +419,27 @@ def test_budget_gate_past_the_int_to_str_limit():
         polynomials._check_budget(3, 2, 63, "A")
 
 
+def test_a_budget_past_the_int_to_str_limit_is_named_by_its_length():
+    # 2^14999 has about 4516 decimal digits
+    with pytest.raises(BudgetExceededError,
+                       match=r"over a budget of 15000 bits$"):
+        kernel_oracle(61, 500, budget=1 << 14999)
+    # up to 64 bits the budget is written out in decimal
+    with pytest.raises(BudgetExceededError,
+                       match=r"over the budget of 18446744073709551615$"):
+        polynomials._check_budget(64, 1, (1 << 64) - 1, "A")
+    with pytest.raises(BudgetExceededError,
+                       match=r"over a budget of 65 bits$"):
+        polynomials._check_budget(65, 1, 1 << 64, "A")
+
+
+def test_verify_A_equals_B_checks_the_budget_before_the_r_minus_ladder():
+    reset_polynomial_tables()
+    with pytest.raises(BudgetExceededError):
+        verify_A_equals_B(500, 1, 61)
+    assert not polynomials._r_minus_table
+
+
 def test_brute_force_A_properties():
     for K in (1, 2, 3):
         for d in (5, 6, 7):
