@@ -31,7 +31,6 @@ for - and *.
 from __future__ import annotations
 
 import argparse
-import functools
 import hashlib
 import json
 import os
@@ -404,34 +403,18 @@ def _ladder_member(q, K: int, k: int, m: int, times: int = 0) -> bool:
     return _vec_is_in_4Z(_eval_f2_vec(q.coeffs, K, k, "odd", m, times))
 
 
-def _draws(rng: random.Random, lo: int, hi: int, count: int) -> list[int]:
-    """[rng.randrange(lo, hi) for _ in range(count)], leaving rng in the same
-    state: randrange draws getrandbits(k), k = (hi - lo).bit_length(), until
-    a try falls below hi - lo, and so does this, without its per-call cost.
-    Each round makes only as many tries as draws are missing, so no try is
-    made past the last draw."""
-    width = hi - lo
-    k = width.bit_length()
-    getrandbits = rng.getrandbits
-    out: list[int] = []
-    while len(out) < count:
-        tries = [getrandbits(k) for _ in range(count - len(out))]
-        out += [lo + r for r in tries if r < width]
-    return out
-
-
 def _random_element(rng: random.Random, K: int) -> RingElement:
     """Entries in [-8, 8] (1 if all vanish), times 2^up / 2^down with up and
     down in [0, 2], times (1 - chi)^twist with twist in [0, 3]: each factor
     of (1 - chi) is one cyclic difference of the N entries (the last one
     0), then the last entry is subtracted to clear chi^(N-1)."""
-    nums = _draws(rng, -8, 9, (1 << K) - 1)
+    nums = [rng.randrange(-8, 9) for _ in range((1 << K) - 1)]
     if not any(nums):
         nums[0] = 1
-    up, down = _draws(rng, 0, 3, 2)
-    (twist,) = _draws(rng, 0, 4, 1)
+    up = rng.randrange(0, 3)
+    down = rng.randrange(0, 3)
     x = [v << up for v in nums] + [0]
-    for _ in range(twist):
+    for _ in range(rng.randrange(0, 4)):
         x = [a - b for a, b in zip(x, x[-1:] + x[:-1])]
     top = x[-1]
     return RingElement._from_ints(K, [v - top for v in x[:-1]], 1 << down)
@@ -654,7 +637,7 @@ def _suite_kernel(config: RunConfig) -> list[Check]:
                 )
                 agree = True
                 for _ in range(25):
-                    t4 = tuple(_draws(rng, 0, 1 << K, c))
+                    t4 = tuple(rng.randrange(1 << K) for _ in range(c))
                     t = NormalInvariantVector(d, K, t4, (0,) * c)
                     via_rho = is_in_4Z(rho_bracket(t, k))
                     via_poly = membership_A(t_to_polynomial(t), K, k, d)
@@ -680,7 +663,7 @@ def _suite_extras(config: RunConfig) -> list[Check]:
         inj = True
         f = element_f(K)
         for _ in range(20):
-            p = make_element(K, _draws(rng, -9, 10, 1 << K))
+            p = make_element(K, [rng.randrange(-9, 10) for _ in range(1 << K)])
             z = p - conjugate(p)
             if (f * z).is_zero() != z.is_zero():
                 inj = False
@@ -696,8 +679,9 @@ def _suite_extras(config: RunConfig) -> list[Check]:
         checks.append((f"K={K}: sufficient criterion never overclaims", sound))
     ok = True
     for _ in range(50):
-        (length,) = _draws(rng, 1, 9, 1)
-        poly = IntPolynomial(tuple(_draws(rng, -30, 31, length)))
+        poly = IntPolynomial(
+            tuple(rng.randrange(-30, 31) for _ in range(rng.randrange(1, 9)))
+        )
         if beta_inv(beta(poly)) != poly or beta(beta_inv(poly)) != poly:
             ok = False
     checks.append(("beta round trip on random polynomials", ok))
@@ -758,71 +742,110 @@ def _run_verify(config: RunConfig) -> tuple[list[Field], int]:
 # argument parsing and dispatch
 # ---------------------------------------------------------------------------
 
-def _common_parser() -> argparse.ArgumentParser:
+def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
     """The flags every subcommand takes; the rest of a parsed namespace is
     the subcommand's own parameters."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
+    parser.add_argument(
         "--format", choices=("text", "structured"), default="text",
         help="output format: plain text or JSON",
     )
-    common.add_argument("--out", default=None, help="write output to a file")
-    common.add_argument(
+    parser.add_argument("--out", default=None, help="write output to a file")
+    parser.add_argument(
         "--budget", type=int, default=None,
         help=f"enumeration budget (default {DEFAULT_BUDGET}; or the"
              f" {BUDGET_ENV_VAR} environment variable)",
     )
-    common.add_argument(
+    parser.add_argument(
         "--seed", type=int, default=DEFAULT_SEED,
         help="seed for the randomized checks",
     )
-    return common
 
 
-_COMMON_DESTS = frozenset(
-    {"subcommand", *vars(_common_parser().parse_args([]))})
+def _common_dests() -> frozenset[str]:
+    common = argparse.ArgumentParser(add_help=False)
+    _add_common_arguments(common)
+    return frozenset({"subcommand", *vars(common.parse_args([]))})
+
+
+_COMMON_DESTS = _common_dests()
+
+
+def _structure_set_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--K", type=int, required=True)
+
+
+def _tables_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--max-n", dest="max_n", type=int, required=True)
+    p.add_argument("--sign", choices=("+", "-"), default="-")
+    p.add_argument("--K", type=int, default=None)
+
+
+def _wl_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--expr", required=True)
+    p.add_argument("--K", type=int, required=True)
+    p.add_argument("--l", type=int, required=True)
+
+
+def _verify_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--suite", choices=(*_SUITE_RUNNERS, "all"),
+                   required=True)
+
+
+def _best_poly_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--sign", choices=("+", "-"), required=True)
+
+
+# each subcommand's line in the top-level help and its own arguments
+_SUBCOMMANDS: dict[str, tuple[str,
+                              Callable[[argparse.ArgumentParser], None]]] = {
+    "structure-set": ("classification descriptor for one (d, K)",
+                      _structure_set_arguments),
+    "tables": ("the p/q/r polynomial tables", _tables_arguments),
+    "wl": ("one valuation of a ring expression", _wl_arguments),
+    "verify": ("re-run a book of exact checks", _verify_arguments),
+    "best-poly": ("a single best polynomial with its bits",
+                  _best_poly_arguments),
+}
+
+
+class _SubcommandParser:
+    """One subcommand's parser inside the top-level parser, built the first
+    time any attribute of it is read.  argparse reaches a subparser only
+    through its attributes (parse_known_args), so a command line builds the
+    parser of the one subcommand it names and no other."""
+
+    def __init__(self, *,
+                 add_arguments: Callable[[argparse.ArgumentParser], None],
+                 **kwargs) -> None:
+        self._add_arguments = add_arguments
+        self._kwargs = kwargs
+        self._parser: argparse.ArgumentParser | None = None
+
+    def __getattr__(self, name: str):
+        if self._parser is None:
+            parser = argparse.ArgumentParser(**self._kwargs)
+            _add_common_arguments(parser)
+            self._add_arguments(parser)
+            self._parser = parser
+        return getattr(self._parser, name)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """A fresh parser for the whole command line (`main` builds one per
-    process, through `_parser`)."""
-    common = _common_parser()
+    """A fresh parser for the whole command line; `main` builds one per
+    call.  Its subcommand parsers are built on first use, so parsing one
+    command line makes two ArgumentParsers rather than seven."""
     parser = argparse.ArgumentParser(
         prog="lensring",
         description="Structure sets of fake lens spaces via exact"
                     " ring arithmetic",
     )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-    p = sub.add_parser("structure-set", parents=[common],
-                       help="classification descriptor for one (d, K)")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--K", type=int, required=True)
-    p = sub.add_parser("tables", parents=[common],
-                       help="the p/q/r polynomial tables")
-    p.add_argument("--max-n", dest="max_n", type=int, required=True)
-    p.add_argument("--sign", choices=("+", "-"), default="-")
-    p.add_argument("--K", type=int, default=None)
-    p = sub.add_parser("wl", parents=[common],
-                       help="one valuation of a ring expression")
-    p.add_argument("--expr", required=True)
-    p.add_argument("--K", type=int, required=True)
-    p.add_argument("--l", type=int, required=True)
-    p = sub.add_parser("verify", parents=[common],
-                       help="re-run a book of exact checks")
-    p.add_argument("--suite", choices=(*_SUITE_RUNNERS, "all"),
-                   required=True)
-    p = sub.add_parser("best-poly", parents=[common],
-                       help="a single best polynomial with its bits")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--sign", choices=("+", "-"), required=True)
+    sub = parser.add_subparsers(dest="subcommand", required=True,
+                                parser_class=_SubcommandParser)
+    for name, (help_text, add_arguments) in _SUBCOMMANDS.items():
+        sub.add_parser(name, help=help_text, add_arguments=add_arguments)
     return parser
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser `main` uses, built on first use and then shared: nothing
-    in it depends on the call, and parse_args does not change it."""
-    return build_parser()
 
 
 def _resolve_budget(flag_value: int | None) -> int:
@@ -873,8 +896,9 @@ def run(config: RunConfig) -> tuple[str, int]:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    parser = build_parser()
     try:
-        args = _parser().parse_args(argv)
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

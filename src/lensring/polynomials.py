@@ -76,10 +76,11 @@ def _check_budget(K: int, c: int, budget: int | None, what: str) -> None:
     budget = DEFAULT_BUDGET if budget is None else budget
     # 2^(K c) > budget, without building the count
     if budget < 0 or K * c >= budget.bit_length():
-        # a budget past 64 bits is named by its length: in decimal it could
-        # meet Python's int-to-str digit limit
-        named = (f"the budget of {budget}" if budget.bit_length() <= 64
-                 else f"a budget of {budget.bit_length()} bits")
+        try:
+            named = f"the budget of {budget}"
+        except ValueError:
+            # past Python's int-to-str digit limit: name it by its length
+            named = f"a budget of {budget.bit_length()} bits"
         raise BudgetExceededError(
             f"{what} lies in (Z_2^{K})^{c} of 2^{K * c} tuples, over {named}"
         )

@@ -373,20 +373,3 @@ def test_tables_document_hash_stability():
     b = tables_document(2, "-", None)
     assert a == b
     assert tables_document(2, "-", 4) != a
-
-
-def test_draws_are_the_randrange_draws():
-    from lensring.cli import _draws
-
-    # every range the seeded suites draw from (0 to 2^K for the kernel
-    # suite's t4), the edge widths 1 and 2^k + 1, and widths past 32 bits
-    ranges = [(-8, 9), (0, 3), (0, 4), (-9, 10), (-30, 31), (1, 9),
-              (0, 1), (5, 6), (0, 33), (0, 1 << 40), (-(1 << 70), 3)]
-    ranges += [(0, 1 << K) for K in range(1, 7)]
-    for seed in [*range(40), 1729]:
-        for lo, hi in ranges:
-            for count in (0, 1, 2, 3, 31, 64):
-                rng, want_rng = random.Random(seed), random.Random(seed)
-                assert _draws(rng, lo, hi, count) == [
-                    want_rng.randrange(lo, hi) for _ in range(count)]
-                assert rng.getstate() == want_rng.getstate()

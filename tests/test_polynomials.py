@@ -424,13 +424,13 @@ def test_a_budget_past_the_int_to_str_limit_is_named_by_its_length():
     with pytest.raises(BudgetExceededError,
                        match=r"over a budget of 15000 bits$"):
         kernel_oracle(61, 500, budget=1 << 14999)
-    # up to 64 bits the budget is written out in decimal
+    # a budget that decimal can show is written out in decimal
     with pytest.raises(BudgetExceededError,
-                       match=r"over the budget of 18446744073709551615$"):
-        polynomials._check_budget(64, 1, (1 << 64) - 1, "A")
-    with pytest.raises(BudgetExceededError,
-                       match=r"over a budget of 65 bits$"):
+                       match=r"over the budget of 18446744073709551616$"):
         polynomials._check_budget(65, 1, 1 << 64, "A")
+    with pytest.raises(BudgetExceededError,
+                       match=rf"over the budget of {(1 << 9999) - 1}$"):
+        polynomials._check_budget(10000, 1, (1 << 9999) - 1, "A")
 
 
 def test_verify_A_equals_B_checks_the_budget_before_the_r_minus_ladder():
