@@ -25,7 +25,9 @@ with the check name) to stderr.
 Expressions use a tiny language: integer literals, chi, f, fk(k), fpk(k),
 binary + - *, powers ^ with a non-negative integer exponent, unary minus,
 and parentheses.  The unicode minus and middle dot are accepted as aliases
-for - and *.
+for - and *.  `wl` evaluates an expression in the level-l field
+Q[chi]/<1 + chi^(2^l)>, with atoms built at level l + 1 and projected, so
+its cost follows l and not K; `parse_expression` evaluates at level K.
 """
 
 from __future__ import annotations
@@ -57,9 +59,11 @@ from .polynomials import (
     verify_A_equals_B,
 )
 from .ring import (
+    LevelProjection,
     RingElement,
     _eval_f2_vec,
     _validate_level,
+    _validate_projection_level,
     _vec_is_in_4Z,
     conjugate,
     crt_reconstruct,
@@ -79,6 +83,7 @@ from .structure import (
 )
 from .valuation import (
     CriterionVerdict,
+    _valuation,
     _valuations,
     criterion_sufficient,
     valuation_to_text,
@@ -149,11 +154,21 @@ def _tokenize(text: str) -> list[tuple[str, object]]:
     return tokens
 
 
+# an expression's value: a ring element, or its image under a ring map
+_Value = RingElement | LevelProjection
+
+
 class _ExpressionParser:
-    def __init__(self, text: str, K: int):
+    """Recursive descent over the expression language.  Each atom is built
+    in Q[chi]/I<level> and passed through `atom_map`, a ring map out of it
+    (the identity by default); + - * ^ then act on the images."""
+
+    def __init__(self, text: str, level: int,
+                 atom_map: Callable[[RingElement], _Value] = lambda g: g):
         self.tokens = _tokenize(text)
         self.pos = 0
-        self.K = K
+        self.level = level
+        self.atom_map = atom_map
 
     def _peek(self) -> str:
         return self.tokens[self.pos][0]
@@ -169,13 +184,13 @@ class _ExpressionParser:
             raise ValueError(f"expected {kind!r}, found {tok_kind!r}")
         return value
 
-    def parse(self) -> RingElement:
+    def parse(self) -> _Value:
         value = self._sum()
         if self._peek() != "end":
             raise ValueError("trailing input after expression")
         return value
 
-    def _sum(self) -> RingElement:
+    def _sum(self) -> _Value:
         acc = self._product()
         while self._peek() in ("+", "-"):
             op, _ = self._next()
@@ -183,20 +198,20 @@ class _ExpressionParser:
             acc = acc + rhs if op == "+" else acc - rhs
         return acc
 
-    def _product(self) -> RingElement:
+    def _product(self) -> _Value:
         acc = self._unary()
         while self._peek() == "*":
             self._next()
             acc = acc * self._unary()
         return acc
 
-    def _unary(self) -> RingElement:
+    def _unary(self) -> _Value:
         if self._peek() == "-":
             self._next()
             return -self._unary()
         return self._power()
 
-    def _power(self) -> RingElement:
+    def _power(self) -> _Value:
         base = self._atom()
         if self._peek() == "^":
             self._next()
@@ -204,30 +219,34 @@ class _ExpressionParser:
             return base ** exponent
         return base
 
-    def _atom(self) -> RingElement:
+    def _atom(self) -> _Value:
         kind, value = self._next()
-        if kind == "int":
-            return make_element(self.K, [value])
         if kind == "(":
             inner = self._sum()
             self._expect(")")
             return inner
+        return self.atom_map(self._element(kind, value))
+
+    def _element(self, kind: str, value: object) -> RingElement:
+        K = self.level
+        if kind == "int":
+            return make_element(K, [value])
         if kind == "name":
             if value == "chi":
-                return make_element(self.K, [0, 1])
+                return make_element(K, [0, 1])
             if value == "f":
-                return element_f(self.K)
+                return element_f(K)
             self._expect("(")
             k = self._expect("int")
             self._expect(")")
             if value == "fk":
-                return element_f_k(self.K, k)
-            return element_f_prime(self.K, k)
+                return element_f_k(K, k)
+            return element_f_prime(K, k)
         raise ValueError(f"unexpected token {kind!r} in expression")
 
 
 def parse_expression(text: str, K: int) -> RingElement:
-    """Evaluate the wl mini-language at level K."""
+    """Evaluate the wl mini-language in Q[chi]/I<K>."""
     return _ExpressionParser(text, K).parse()
 
 
@@ -366,7 +385,12 @@ def _run_wl(config: RunConfig) -> tuple[list[Field], int]:
     expr = config.param("expr")
     K = config.param("K")
     l = config.param("l")
-    w = w_l(parse_expression(expr, K), l)
+    _validate_level(K)
+    _validate_projection_level(K, l)
+    # pr_l factors through Q[chi]/I<l+1>: each atom is built there and
+    # projected once, and the expression is evaluated in the level-l field
+    p = _ExpressionParser(expr, l + 1, lambda g: project(g, l)).parse()
+    w = _valuation(p.nums, p.den, l)
     return _header("valuation") + [
         _field("expr", expr),
         _field("K", K),

@@ -84,8 +84,9 @@ import re
 import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from itertools import accumulate, zip_longest
-from operator import add, sub
+from operator import add, mul, sub
 from typing import Iterable, NamedTuple, Sequence, Union
 
 __all__ = [
@@ -310,6 +311,11 @@ class LevelProjection(_IntVector):
                                               self.den * other.den)
         return self._scale(other)
 
+    def __pow__(self, exponent: int) -> "LevelProjection":
+        one = [1] + [0] * ((1 << self.level) - 1)
+        return _power(self, exponent,
+                      LevelProjection._from_ints(self.level, one))
+
 
 # ---------------------------------------------------------------------------
 # construction and basic ring operations
@@ -440,6 +446,28 @@ def _binomial_dot(diffs: Sequence[int], b: int, first: int) -> int:
     return total
 
 
+@cache
+def _restride_table(t: int, length: int) -> tuple[tuple[int, ...], ...]:
+    """Row j < length: the coefficients of z^j .. z^min(t j, length - 1)
+    in ((1 + z)^t - 1)^j; a longer table's rows start with a shorter one's.
+
+    A tail class with Newton differences D, read at every t-th block, is
+    again a polynomial; a step of t blocks is E^t = (1 + Delta)^t, so its
+    j-th difference is (E^t - 1)^j at 0, sum_h row_j[h - j] * D[h]."""
+    rows = []
+    power = [1] + [0] * (length - 1)
+    for j in range(length):
+        # ((1 + z)^t - 1)^j has degree t j
+        rows.append(tuple(power[j:t * j + 1]))
+        # times (1 + z)^t - 1, one shifted multiple per term, cut at length
+        nxt = [0] * length
+        for i in range(1, min(t, length - 1) + 1):
+            c = math.comb(t, i)
+            nxt[i:] = map(add, nxt[i:], [c * v for v in power[:length - i]])
+        power = nxt
+    return tuple(rows)
+
+
 def _moved(tails: Sequence[Sequence[int]], k: int,
            count: int) -> list[tuple[int, ...]]:
     """moved[c] for c < count: tail class c % k moved along c // k blocks,
@@ -520,8 +548,8 @@ class _Window(NamedTuple):
 
     def times(self, poly: Sequence[int], step: int) -> "_Window":
         """Multiply by poly(chi) modulo chi^N - 1, held with class step
-        `step` (a multiple of k; a new step reads its classes off one
-        stride-step difference of the entries).  The head grows by
+        `step` (a multiple of k; a new step reads its classes off the
+        stored differences, `_restride_table`).  The head grows by
         len(poly) - 1 entries, into which chi^N = 1 wraps the last ones;
         past it each class sums tail classes moved along whole blocks, one
         move being D[h] + D[h+1] on the Newton differences.  All n entries
@@ -537,12 +565,16 @@ class _Window(NamedTuple):
             return _Window(n, step, tuple(sum(z[j::n]) for j in range(n)),
                            (), den)
         if step != k:
-            vals = self.entries(s + len(tails[0]) * step)[s:]
-            rows = []
-            while vals:
-                rows.append(vals[:step])
-                vals = [*map(sub, vals[step:], vals[:-step])]
-            tails, k = list(zip(*rows)), step
+            # new class c is old class c % k moved c // k blocks, then read
+            # at every (step // k)-th block; the table is built for the
+            # next power of two, and its rows stop where the tail does
+            length = len(tails[0])
+            table = _restride_table(step // k,
+                                    1 << (length - 1).bit_length())
+            tails = [tuple(sum(map(mul, row, diffs[j:]))
+                           for j, row in zip(range(length), table))
+                     for diffs in _moved(tails, k, step)]
+            k = step
         wrap = [self.entry(j) for j in range(n - lp + 1, n)]
         z = _poly_mul_int(wrap + list(self.entries(s + lp - 1)), poly)
         moved = _moved(tails, k, lp - 1 + k)
@@ -925,12 +957,16 @@ def _projections(a: RingElement) -> list[LevelProjection]:
             for l, part in enumerate(_tower(a.nums))]
 
 
+def _validate_projection_level(K: int, l: int) -> None:
+    if not isinstance(l, int) or isinstance(l, bool) or l < 0 or l > K - 1:
+        raise ValueError(
+            f"projection level must satisfy 0 <= l <= {K - 1}, got {l!r}"
+        )
+
+
 def project(a: RingElement, l: int) -> LevelProjection:
     """Project onto Q[chi]/<1 + chi^(2^l)> for 0 <= l <= K-1."""
-    if not isinstance(l, int) or isinstance(l, bool) or l < 0 or l > a.level - 1:
-        raise ValueError(
-            f"projection level must satisfy 0 <= l <= {a.level - 1}, got {l!r}"
-        )
+    _validate_projection_level(a.level, l)
     return LevelProjection._from_ints(l, _fold(a.nums, l), a.den)
 
 

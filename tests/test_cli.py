@@ -9,6 +9,7 @@ import pytest
 
 from lensring import element_f, element_f_k, element_f_prime, make_element, w_l
 from lensring.cli import main, parse_expression, tables_document
+from lensring.valuation import valuation_to_text
 
 
 def run_cli(capsys, *args):
@@ -95,6 +96,76 @@ def test_wl_infinite(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["w"] == "inf" and doc["value"] == "inf"
+
+
+def random_expression(rng, depth=0):
+    if depth > 3 or rng.random() < 0.35:
+        kind = rng.choice(("int", "chi", "f", "fk", "fpk"))
+        if kind == "int":
+            return str(rng.randrange(0, 20))
+        if kind in ("fk", "fpk"):
+            return f"{kind}({rng.choice((1, 3, 5, 7, 9, 11))})"
+        return kind
+    op = rng.choice(("+", "-", "*", "^", "neg", "paren"))
+    if op == "^":
+        return f"({random_expression(rng, depth + 1)})^{rng.randrange(5)}"
+    if op == "neg":
+        return "-" + random_expression(rng, depth + 1)
+    if op == "paren":
+        return f"({random_expression(rng, depth + 1)})"
+    return (random_expression(rng, depth + 1) + op
+            + random_expression(rng, depth + 1))
+
+
+def test_wl_matches_the_level_K_evaluation(capsys):
+    # wl evaluates in the level-l field; the oracle evaluates the whole
+    # expression in Q[chi]/I<K> and projects at the end
+    rng = random.Random(43)
+    infinite = 0
+    for _ in range(300):
+        K = rng.randrange(1, 8)
+        l = rng.randrange(K)
+        expr = random_expression(rng)
+        w = w_l(parse_expression(expr, K), l)
+        infinite += w.is_infinite
+        value = "inf" if w.is_infinite else w.value()
+        want = (f"schema_version = 1\nkind = valuation\nexpr = {expr}\n"
+                f"K = {K}\nl = {l}\nw = {valuation_to_text(w)}\n"
+                f"value = {value}\n")
+        assert run_cli(capsys, "wl", f"--expr={expr}", "--K", str(K),
+                       "--l", str(l)) == (0, want), (expr, K, l)
+    assert 0 < infinite < 300
+
+
+def test_wl_cost_follows_l_not_K(capsys):
+    # atoms are built at level l + 1, so K = 40 costs what K = 4 does
+    lines = {}
+    for K in ("4", "40"):
+        code, out = run_cli(capsys, "wl", "--expr", "f^2-1", "--K", K,
+                            "--l", "3")
+        assert code == 0
+        lines[K] = [x for x in out.splitlines()
+                    if x.startswith(("w ", "value "))]
+    assert lines["4"] == lines["40"] == ["w = 1+6/2^3", "value = 7/4"]
+
+
+@pytest.mark.parametrize("args, err", [
+    (("--expr", "f", "--K", "0", "--l", "0"),
+     "level K must be a positive integer, got 0"),
+    (("--expr", "f", "--K", "3", "--l", "3"),
+     "projection level must satisfy 0 <= l <= 2, got 3"),
+    (("--expr", "f", "--K", "3", "--l", "-1"),
+     "projection level must satisfy 0 <= l <= 2, got -1"),
+    (("--expr", "fk(2)", "--K", "3", "--l", "1"),
+     "k must be a positive odd integer, got 2"),
+    (("--expr", "f^^2", "--K", "3", "--l", "1"), "expected 'int', found '^'"),
+    (("--expr", "foo", "--K", "3", "--l", "1"),
+     "unknown name 'foo' in expression"),
+])
+def test_wl_usage_errors(capsys, args, err):
+    assert main(["wl", *args]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {err}\n")
 
 
 def test_best_poly(capsys):

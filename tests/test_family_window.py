@@ -276,6 +276,55 @@ def test_times_matches_cyclic_product():
         vec.times((1, 1), 1)
 
 
+def restride_by_entries(vec, step):
+    """The window held with class step `step`, its tail classes read off
+    the entries: L entries per new class, then L stride-step difference
+    passes (L the tail length)."""
+    s, length = len(vec.head), len(vec.tails[0])
+    vals = list(vec.entries(s + length * step)[s:])
+    rows = []
+    while vals:
+        rows.append(vals[:step])
+        vals = [a - b for a, b in zip(vals[step:], vals[:-step])]
+    return ring._Window(vec.n, step, vec.head, tuple(zip(*rows)), vec.den)
+
+
+def test_restride_matches_the_entries_route():
+    # times((1,), step) restrides from the stored Newton differences; the
+    # oracle reads the same classes off the entries
+    rng = random.Random(37)
+    windowed = 0
+    for _ in range(400):
+        K = rng.randrange(4, 17)
+        k = rng.choice((1, 3))
+        q = [rng.randrange(-9, 10) for _ in range(rng.randrange(1, 8))]
+        q[-1] = q[-1] or 1
+        vec = ring._eval_f2_vec(q, K, k, "odd", rng.choice((1, 2)),
+                                rng.randrange(0, 3))
+        step = k * rng.choice((2, 3, 5))
+        if not vec.tails:
+            continue
+        out = vec.times((1,), step)
+        if out.tails:
+            windowed += 1
+            assert out == restride_by_entries(vec, step)
+        if K <= 10:
+            assert out.entries(vec.n) == vec.entries(vec.n)
+    assert windowed > 200
+    # row j of the table: ((1 + z)^t - 1)^j from z^j up to z^(length - 1)
+    for t in (1, 2, 3, 5):
+        for length in (1, 2, 7):
+            for j, row in enumerate(ring._restride_table(t, length)):
+                power = [1]
+                for _ in range(j):
+                    power = [sum(math.comb(t, i) * power[e - i]
+                                 for i in range(1, t + 1)
+                                 if 0 <= e - i < len(power))
+                             for e in range(len(power) + t)]
+                want = (power + [0] * length)[j:length]
+                assert list(row) + [0] * (length - j - len(row)) == want
+
+
 def test_derived_vectors_match_direct_evaluation():
     # f B, f'_3 B and f_3 B from B = 8 f q(f^2), as r_minus derives them
     rng = random.Random(17)

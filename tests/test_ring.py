@@ -307,6 +307,47 @@ def test_projection_is_a_ring_map():
         project(one(2), -1)
 
 
+def test_atoms_project_through_level_l_plus_one():
+    # pr_l factors through Q[chi]/I<l+1>, so every atom of the expression
+    # language may be built there instead of at K
+    atoms = [lambda K: make_element(K, [0]), lambda K: make_element(K, [-7]),
+             lambda K: make_element(K, [1 << 70]), chi, element_f]
+    for k in (1, 3, 5, 7, 9):
+        atoms += [lambda K, k=k: element_f_k(K, k),
+                  lambda K, k=k: element_f_prime(K, k)]
+    for K in range(1, 9):
+        for atom in atoms:
+            g = atom(K)
+            for l in range(K):
+                assert project(g, l) == project(atom(l + 1), l)
+        # chi^e for e up to 2^K + 3, as the language's ^ builds it
+        low = [project(chi(l + 1), l) for l in range(K)]
+        power = one(K)
+        for e in range((1 << K) + 4):
+            for l in range(K):
+                assert project(power, l) == low[l] ** e
+            power = power * chi(K)
+
+
+def test_level_projection_power():
+    rng = random.Random(41)
+    for l in range(6):
+        unit = [1] + [0] * ((1 << l) - 1)
+        assert LevelProjection(l, [0] * (1 << l)) ** 0 == LevelProjection(l, unit)
+        for K in (l + 1, l + 3):
+            g = random_element(rng, K) * Fraction(1, 6)
+            p = project(g, l)
+            acc = LevelProjection(l, unit)
+            for e in range(12):
+                assert p ** e == acc
+                assert project(g ** e, l) == p ** e
+                acc = acc * p
+    p = project(chi(3), 2)
+    for bad in (True, False, -1, 2.0):
+        with pytest.raises(ValueError):
+            p ** bad
+
+
 def test_level_projection_is_negacyclic():
     # at level 1 the image of chi squares to -1
     p = LevelProjection(1, (Fraction(0), Fraction(1)))
