@@ -440,8 +440,7 @@ def _random_element(rng: random.Random, K: int) -> RingElement:
     x = [v << up for v in nums] + [0]
     for _ in range(rng.randrange(0, 4)):
         x = [a - b for a, b in zip(x, x[-1:] + x[:-1])]
-    top = x[-1]
-    return RingElement._from_ints(K, [v - top for v in x[:-1]], 1 << down)
+    return RingElement._from_cyclic(K, x, 1 << down)
 
 
 def _suite_wl_rules(config: RunConfig) -> list[Check]:
@@ -806,7 +805,9 @@ def _tables_arguments(p: argparse.ArgumentParser) -> None:
 
 
 def _wl_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--expr", required=True)
+    p.add_argument("--expr", required=True,
+                   help="the ring expression; write one that starts with"
+                        " '-' as --expr=-f")
     p.add_argument("--K", type=int, required=True)
     p.add_argument("--l", type=int, required=True)
 
@@ -821,16 +822,20 @@ def _best_poly_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--sign", choices=("+", "-"), required=True)
 
 
-# each subcommand's line in the top-level help and its own arguments
-_SUBCOMMANDS: dict[str, tuple[str,
-                              Callable[[argparse.ArgumentParser], None]]] = {
+# each subcommand's line in the top-level help, its own arguments and the
+# runner `run` dispatches to
+_SUBCOMMANDS: dict[str, tuple[
+    str, Callable[[argparse.ArgumentParser], None],
+    Callable[[RunConfig], tuple[list[Field], int]]]] = {
     "structure-set": ("classification descriptor for one (d, K)",
-                      _structure_set_arguments),
-    "tables": ("the p/q/r polynomial tables", _tables_arguments),
-    "wl": ("one valuation of a ring expression", _wl_arguments),
-    "verify": ("re-run a book of exact checks", _verify_arguments),
+                      _structure_set_arguments, _run_structure_set),
+    "tables": ("the p/q/r polynomial tables", _tables_arguments,
+               _run_tables),
+    "wl": ("one valuation of a ring expression", _wl_arguments, _run_wl),
+    "verify": ("re-run a book of exact checks", _verify_arguments,
+               _run_verify),
     "best-poly": ("a single best polynomial with its bits",
-                  _best_poly_arguments),
+                  _best_poly_arguments, _run_best_poly),
 }
 
 
@@ -867,7 +872,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True,
                                 parser_class=_SubcommandParser)
-    for name, (help_text, add_arguments) in _SUBCOMMANDS.items():
+    for name, (help_text, add_arguments, _) in _SUBCOMMANDS.items():
         sub.add_parser(name, help=help_text, add_arguments=add_arguments)
     return parser
 
@@ -904,18 +909,10 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     )
 
 
-_COMMANDS = {
-    "structure-set": _run_structure_set,
-    "tables": _run_tables,
-    "wl": _run_wl,
-    "verify": _run_verify,
-    "best-poly": _run_best_poly,
-}
-
-
 def run(config: RunConfig) -> tuple[str, int]:
     """Execute one configuration; returns (output text, exit code)."""
-    fields, code = _COMMANDS[config.subcommand](config)
+    _, _, runner = _SUBCOMMANDS[config.subcommand]
+    fields, code = runner(config)
     return _render(fields, config.output_format), code
 
 

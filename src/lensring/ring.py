@@ -36,42 +36,47 @@ the `coeffs` view, built on first access and cached, hands them out.  Every
 dense product goes through `_poly_mul_int`, the package's one integer
 convolution: both signed operands packed once into big integers, one
 multiply, and for ring products (chi^N = 1) and level products
-(chi^(2^l) = -1) a wrap split at digit n by shifts and masks.  The tower
-is walked with whole-list `map`s: `project` folds one level (`_fold`),
-`_tower` reads all K levels off one descent of about 2N additions, and
-`crt_reconstruct` climbs back up.  `invert` wraps the descent's parts as
-`LevelProjection`s (`_projections`); the valuations of every level and the
-membership criteria read its raw numerators over the element's denominator.
+(chi^(2^l) = -1) a wrap split at digit n by shifts and masks.  Any other
+coefficient list is reduced by chi^n = +-1 in one place, `_wrap`:
+`make_element` and the family windows by chi^N = 1, `project` by
+chi^(2^l) = -1 to fold one level.  An N-entry vector read in
+Q[chi]/(chi^N - 1) becomes canonical in one place too,
+`RingElement._from_cyclic`, by subtracting its last entry.  The tower is
+walked with whole-list `map`s: `_tower` reads all K levels off one descent
+of about 2N additions, and `crt_reconstruct` climbs back up.  `invert`
+wraps the descent's parts as `LevelProjection`s (`_projections`); the
+valuations of every level and the membership criteria read its raw
+numerators over the element's denominator.
 
-The families 8 f'_k f^m q(f^2) (and scale * f'_k f^p (f^2 - 1)) are never
-built with all N entries unless a public function returns them.  Their
-sparse factors are multiplied out first into a numerator of H terms, which
-is then divided once by 1 - chi^k and e times by 1 - chi; each division is a
-running sum after adding the multiple of the norm element that makes the
-entry sum vanish, which is legitimate because the norm is zero in the
-quotient.  From index H - k on (H >= k), each residue class mod k of the
+The families scale * f'_k f^p (f^2 - 1)^[flag] q(f^2) (1 - chi)^t, f_k and
+the 8 f'_k f^m q(f^2) of the r^- search among them, are all built by
+`_family_vec`, and never with all N entries unless a public function returns
+them.  Their sparse factors are multiplied out first into a numerator of H
+terms, which is then divided once by 1 - chi^k and e times by 1 - chi; each
+division is a running sum after adding the multiple of the norm element that
+makes the entry sum vanish, which is legitimate because the norm is zero in
+the quotient.  From index H - k on (H >= k), each residue class mod k of the
 result is a polynomial of degree <= e + 1 in its index, so the vector is
 fixed by its first W = H + (e + 1)*k entries (H + 1 when k = 1, where every
 division moves the start of the tail down instead).  `_Window` stores the
 head before the tail and, per class, the Newton forward differences of the
-tail: the last entry, the class sums each division needs (through
-sum_{s<L} C(s, j) = C(L, j + 1)) and the division itself then cost
-O(H + k*e) operations, not O(N).  `times` multiplies by a short polynomial
-inside the window (each tail class becomes a sum of classes moved along by
-whole blocks), so `r_minus` evaluates each polynomial once, at (k, m) =
-(1, 1), and gets the other three vectors with one product and one division
-each.  Membership in 4 Z[chi]/I<K> of any integer combination needs only
-the first W entries and the last one, so the residue rows of the r^-
-search, the lattice oracles and the shape remark are W wide: W grows like
-n, not like N = 2^(2n+2).  They are read off the head and the Newton
-differences as stored, which is a unimodular change of columns from the
-entries (`_residue_images`).  When W >= N (small K, or a numerator that
-wraps) the vector simply holds all N entries.  Only `element_f`,
-`element_f_prime`, `element_f_k` and `evaluate_at_f_squared` step the tail
-out to all N entries per call, because they return a `RingElement`;
-`structure.rho_bracket` reads its N entries off slot rows stepped out once
-per (d, K, k) and shared (see `polynomials.reset_polynomial_tables`).  All
-of this is exact.
+tail: the last entry, the class sums each division needs (through sum_{s<L}
+C(s, j) = C(L, j + 1)) and the division itself then cost O(H + k*e)
+operations, not O(N).  `times` multiplies by a short polynomial inside the
+window (each tail class becomes a sum of classes moved along by whole
+blocks), so `r_minus` evaluates each polynomial once, at (k, m) = (1, 1),
+and gets the other three vectors with one product and one division each.
+Membership in 4 Z[chi]/I<K> of any integer combination needs only the first
+W entries and the last one, so the residue rows of the r^- search, the
+lattice oracles and the shape remark are W wide: W grows like n, not like N
+= 2^(2n+2).  They are read off the head and the Newton differences as
+stored, which is a unimodular change of columns from the entries
+(`_residue_images`).  When W >= N (small K, or a numerator that wraps) the
+vector simply holds all N entries.  Only `element_f`, `element_f_prime`,
+`element_f_k` and `evaluate_at_f_squared` step the tail out to all N entries
+per call, because they return a `RingElement`; `structure.rho_bracket` reads
+its N entries off slot rows stepped out once per (d, K, k) and shared (see
+`polynomials.reset_polynomial_tables`).  All of this is exact.
 
 Every value is immutable after construction and every function is pure, so
 everything here is safe to share across threads without synchronization.
@@ -267,10 +272,17 @@ class RingElement(_IntVector):
             return self._scale(other)
         self._require_same_level(other)
         z = _poly_mul_int(self.nums, other.nums, (1 << self.level, 1))
+        return RingElement._from_cyclic(self.level, z, self.den * other.den)
+
+    @classmethod
+    def _from_cyclic(cls, K: int, z: Sequence[int],
+                     den: int = 1) -> "RingElement":
+        """The canonical element of the N-entry vector z of
+        Q[chi]/(chi^N - 1) over den: the norm is zero in the quotient, so
+        subtracting the last entry clears chi^(N-1)."""
         top = z[-1]
-        return RingElement._from_ints(
-            self.level, [v - top for v in z[:-1]], self.den * other.den
-        )
+        nums = [v - top for v in z[:-1]] if top else z[:-1]
+        return cls._from_ints(K, nums, den)
 
     def __pow__(self, exponent: int) -> "RingElement":
         return _power(self, exponent, make_element(self.level, [1]))
@@ -330,11 +342,7 @@ def make_element(K: int, raw: Iterable[Rational]) -> RingElement:
     """
     n = _validate_level(K)
     nums, den = _lift(raw)
-    acc = [0] * n
-    for j, v in enumerate(nums):
-        acc[j % n] += v
-    top = acc[n - 1]
-    return RingElement._from_ints(K, [v - top for v in acc[:-1]], den)
+    return RingElement._from_cyclic(K, _wrap(nums, n, 1), den)
 
 
 def ring_arith(a: RingElement, b: RingElement, op: str) -> RingElement:
@@ -349,6 +357,26 @@ def ring_arith(a: RingElement, b: RingElement, op: str) -> RingElement:
     if op == "mul":
         return a * b
     raise ValueError(f"unknown operation {op!r}; expected add, sub, or mul")
+
+
+def _wrap(coeffs: Sequence[int], n: int, s: int) -> list[int]:
+    """Reduce sum(c_j * chi^j) by chi^n = s (s = 1 or -1, n a power of two)
+    to n entries: zero-padded when it has at most n; by strided slice sums
+    while the 2n index classes hold 8 entries each (the faster way there,
+    measured for N = 2^5..2^12); else by adding the halves of the list
+    padded to a power of two down to 2n entries, then combining by s."""
+    length = len(coeffs)
+    if length <= n:
+        return [*coeffs, *[0] * (n - length)]
+    if length + 1 >= 16 * n:
+        step = 2 * n
+        return [sum(coeffs[r::step]) + s * sum(coeffs[r + n::step])
+                for r in range(n)]
+    x = [*coeffs, *[0] * ((1 << (length - 1).bit_length()) - length)]
+    while len(x) > 2 * n:
+        h = len(x) >> 1
+        x = list(map(add, x[:h], x[h:]))
+    return list(map(add if s == 1 else sub, x[:n], x[n:]))
 
 
 # schoolbook up to len(a) * len(b) cells: at 8 x 8 both ways take 5-10 us
@@ -510,10 +538,7 @@ class _Window(NamedTuple):
         """
         s = max(len(poly), k)
         if s + divisions * k >= n:
-            folded = [0] * n
-            for j, c in enumerate(poly):
-                folded[j % n] += c
-            return cls(n, k, tuple(folded), (), 1)
+            return cls(n, k, tuple(_wrap(poly, n, 1)), (), 1)
         head = tuple(poly) + (0,) * (s - len(poly))
         return cls(n, k, head, ((0,),) * k, 1)
 
@@ -562,8 +587,7 @@ class _Window(NamedTuple):
         s = len(head)
         if s + lp - 1 + (len(tails[0]) * step if tails else n) > n:
             z = _poly_mul_int(self.entries(n), poly)
-            return _Window(n, step, tuple(sum(z[j::n]) for j in range(n)),
-                           (), den)
+            return _Window(n, step, tuple(_wrap(z, n, 1)), (), den)
         if step != k:
             # new class c is old class c % k moved c // k blocks, then read
             # at every (step // k)-th block; the table is built for the
@@ -686,21 +710,8 @@ def _alternating(k: int) -> list[int]:
     return [(-1) ** j for j in range(k)]
 
 
-def _family_window(num: list[int], net: int, K: int, k: int) -> _Window:
-    """num(chi) * (1 - chi)^net / (1 - chi^k) modulo the norm ideal."""
-    n = 1 << K
-    if net > 0:
-        num = _poly_mul_int(num, _binom_coeffs(net, -1))
-    step = k % n
-    divisions = max(-net, 0)
-    vec = _Window.from_numerator(num, n, step, 1 + divisions).divided(step)
-    return vec.divided(1, divisions) if divisions else vec
-
-
 def _element_from_vec(K: int, vec: _Window) -> RingElement:
-    z = vec.entries(1 << K)
-    top = z[-1]
-    return RingElement._from_ints(K, [v - top for v in z[:-1]], vec.den)
+    return RingElement._from_cyclic(K, vec.entries(1 << K), vec.den)
 
 
 def _vec_is_in_4Z(vec: _Window) -> bool:
@@ -766,27 +777,56 @@ def _residue_images(vecs: Sequence[_Window]):
 def _family_vec(
     K: int,
     k: int,
+    q: Sequence[int] = (1,),
     *,
     f_power: int = 0,
     f2_minus_1: bool = False,
     scale: int = 1,
     times_one_minus_chi: int = 0,
 ) -> _Window:
-    """Internal vector for scale * f'_k * f^f_power * (f^2 - 1 when flagged).
+    """Internal vector for scale * f'_k * f^f_power * (f^2 - 1 when flagged)
+    * q(f^2) * (1 - chi)^times_one_minus_chi: every family window.
 
-    Optionally multiplied by (1 - chi)^times_one_minus_chi.  The sparse
-    factors are multiplied out first; f'_k = (1 - chi + ... + chi^(k-1))
-    (1 - chi) / (1 - chi^k) supplies the one division by 1 - chi^k.
+    The sparse factors are multiplied out first; f'_k = (1 - chi + ... +
+    chi^(k-1)) (1 - chi) / (1 - chi^k) supplies the one division by
+    1 - chi^k, and a negative net power of 1 - chi is that many divisions.
     """
-    _validate_level(K)
+    n = _validate_level(K)
     _validate_odd(k)
-    num = [scale * c for c in _alternating(k)]
+    q = [scale * c for c in q]
+    while q and q[-1] == 0:
+        q.pop()
+    if not q:
+        return _Window.from_numerator((), n, k % n)
+    deg = len(q) - 1
+    # scale * q(f^2) = P(chi) / (1-chi)^(2*deg) with
+    # P = sum_j q_j (1+chi)^(2j) (1-chi)^(2(deg-j)) over the scaled q_j,
+    # built by a Horner sweep from q_deg whose step, times
+    # (1 + chi)^2 = 1 + 2 chi + chi^2, adds shifted copies.
+    p = q[deg:]
+    for j in range(deg - 1, -1, -1):
+        p = [x + 2 * y + z
+             for x, y, z in zip(p + [0, 0], [0, *p, 0], [0, 0, *p])]
+        if q[j]:
+            g = _binom_coeffs(2 * (deg - j), -1)
+            p = [a + q[j] * b for a, b in zip_longest(p, g, fillvalue=0)]
     if f_power:
-        num = _poly_mul_int(num, _binom_coeffs(f_power, 1))
+        # f'_k f = f_k: (1 - chi + ... + chi^(k-1)) (1 + chi) = 1 + chi^k
+        num = _poly_mul_int(p, [1, *[0] * (k - 1), 1])
+        if f_power > 1:
+            num = _poly_mul_int(num, _binom_coeffs(f_power - 1, 1))
+    else:
+        num = _poly_mul_int(p, _alternating(k))
     if f2_minus_1:
         num = [0] + [4 * c for c in num]
-    net = 1 - f_power - (2 if f2_minus_1 else 0) + times_one_minus_chi
-    return _family_window(num, net, K, k)
+    net = (times_one_minus_chi + 1 - f_power - (2 if f2_minus_1 else 0)
+           - 2 * deg)
+    if net > 0:
+        num = _poly_mul_int(num, _binom_coeffs(net, -1))
+    step = k % n
+    divisions = max(-net, 0)
+    vec = _Window.from_numerator(num, n, step, 1 + divisions).divided(step)
+    return vec.divided(1, divisions) if divisions else vec
 
 
 def _int_coeffs(q) -> tuple[int, ...]:
@@ -817,37 +857,15 @@ def _eval_f2_vec(
     times_one_minus_chi: int = 0,
 ) -> _Window:
     """Internal vector for 8 * f'_k * f^m * q(f^2) (odd mode) or
-    8 * f'_k * (f^2 - 1) * q(f^2) (even mode), optionally times (1-chi)^t.
-    """
-    n = _validate_level(K)
-    _validate_odd(k)
-    q = list(qcoeffs)
-    while q and q[-1] == 0:
-        q.pop()
-    if not q:
-        return _Window.from_numerator((), n, k % n)
-    deg = len(q) - 1
-    # q(f^2) = P(chi) / (1-chi)^(2*deg) with
-    # P = sum_j q_j (1+chi)^(2j) (1-chi)^(2(deg-j)), built by a Horner sweep
-    # whose step, times (1 + chi)^2 = 1 + 2 chi + chi^2, adds shifted copies.
-    p: list[int] = []
-    for j in range(deg, -1, -1):
-        if p:
-            p = [x + 2 * y + z
-                 for x, y, z in zip(p + [0, 0], [0, *p, 0], [0, 0, *p])]
-        if q[j]:
-            g = _binom_coeffs(2 * (deg - j), -1)
-            p = [a + q[j] * b for a, b in zip_longest(p, g, fillvalue=0)]
-    num = _poly_mul_int([8 * c for c in p], _alternating(k))
+    8 * f'_k * (f^2 - 1) * q(f^2) (even mode), optionally times (1-chi)^t:
+    `_family_vec` with scale 8."""
     if mode == "odd":
-        num = _poly_mul_int(num, _binom_coeffs(m, 1))
-        net = times_one_minus_chi + 1 - m - 2 * deg
-    elif mode == "even":
-        num = [0] + [4 * c for c in num]
-        net = times_one_minus_chi - 1 - 2 * deg
-    else:
-        raise ValueError(f"mode must be 'odd' or 'even', got {mode!r}")
-    return _family_window(num, net, K, k)
+        return _family_vec(K, k, qcoeffs, f_power=m, scale=8,
+                           times_one_minus_chi=times_one_minus_chi)
+    if mode == "even":
+        return _family_vec(K, k, qcoeffs, f2_minus_1=True, scale=8,
+                           times_one_minus_chi=times_one_minus_chi)
+    raise ValueError(f"mode must be 'odd' or 'even', got {mode!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -861,19 +879,12 @@ def element_f(K: int) -> RingElement:
 
 def element_f_prime(K: int, k: int) -> RingElement:
     """The element f'_k, which has integer canonical coefficients."""
-    _validate_odd(k)
     return _element_from_vec(K, _family_vec(K, k))
 
 
 def element_f_k(K: int, k: int) -> RingElement:
-    """The element f_k = (1 + chi^k)/(1 - chi^k), computed directly."""
-    n = _validate_level(K)
-    _validate_odd(k)
-    num = [1] + [0] * (k - 1) + [1]
-    step = k % n
-    return _element_from_vec(
-        K, _Window.from_numerator(num, n, step).divided(step)
-    )
+    """The element f_k = (1 + chi^k)/(1 - chi^k) = f'_k * f."""
+    return _element_from_vec(K, _family_vec(K, k, f_power=1))
 
 
 # ---------------------------------------------------------------------------
@@ -883,9 +894,8 @@ def element_f_k(K: int, k: int) -> RingElement:
 def conjugate(a: RingElement) -> RingElement:
     """Substitute chi -> chi^(N-1) and reduce to canonical form."""
     # chi^j goes to chi^(N - j); with no chi^(N - 1) term entry 1 is zero
-    z = [a.nums[0], 0, *a.nums[:0:-1]]
-    top = z[-1]
-    return RingElement._from_ints(a.level, [v - top for v in z[:-1]], a.den)
+    return RingElement._from_cyclic(
+        a.level, [a.nums[0], 0, *a.nums[:0:-1]], a.den)
 
 
 def eigenspace_test(a: RingElement, sign: str) -> bool:
@@ -920,24 +930,6 @@ def is_in_4Z(a: RingElement) -> bool:
 # the level tower: projection, reconstruction, inversion
 # ---------------------------------------------------------------------------
 
-def _fold(coeffs: Sequence[int], l: int) -> list[int]:
-    """Reduce sum(c_j * chi^j) modulo 1 + chi^(2^l): chi^(2^l) = -1, by
-    strided slice sums while the 2^(l+1) index classes hold 8 entries each
-    (the faster way there, measured for N = 2^5..2^12), else by adding the
-    halves of the list padded to a power of two, then subtracting."""
-    m = 1 << l
-    if len(coeffs) + 1 >= 16 * m:
-        step = 2 * m
-        return [sum(coeffs[r::step]) - sum(coeffs[r + m::step])
-                for r in range(m)]
-    x = list(coeffs)
-    x += [0] * (max(2 * m, 1 << (len(x) - 1).bit_length()) - len(x))
-    while len(x) > 2 * m:
-        h = len(x) >> 1
-        x = list(map(add, x[:h], x[h:]))
-    return list(map(sub, x[:m], x[m:]))
-
-
 def _tower(nums: Sequence[int]) -> list[list[int]]:
     """The folds of one numerator of length N - 1 at every level l < K, in
     order of l, from one descent: about 2N additions, not K * N."""
@@ -967,7 +959,7 @@ def _validate_projection_level(K: int, l: int) -> None:
 def project(a: RingElement, l: int) -> LevelProjection:
     """Project onto Q[chi]/<1 + chi^(2^l)> for 0 <= l <= K-1."""
     _validate_projection_level(a.level, l)
-    return LevelProjection._from_ints(l, _fold(a.nums, l), a.den)
+    return LevelProjection._from_ints(l, _wrap(a.nums, 1 << l, -1), a.den)
 
 
 def crt_reconstruct(parts: Sequence[LevelProjection]) -> RingElement:
@@ -995,8 +987,7 @@ def crt_reconstruct(parts: Sequence[LevelProjection]) -> RingElement:
         scale = (den // p.den) << l
         ds = [v * scale for v in p.nums]
         s = [*map(add, s, ds), *map(sub, s, ds)]
-    top = s[-1]
-    return RingElement._from_ints(K, [x - top for x in s[:-1]], den << K)
+    return RingElement._from_cyclic(K, s, den << K)
 
 
 def _invert_level(p: LevelProjection) -> LevelProjection:

@@ -123,13 +123,13 @@ def _slot_rows(d: int, K: int, k: int):
     """(rows, den): the canonical numerators of the c unit slot windows,
     all N - 1 of them, over one common denominator."""
     def build():
-        vecs = _slot_windows(d, K, k)
-        den = lcm(*(v.den for v in vecs))
+        slots = [ring._element_from_vec(K, v)
+                 for v in _slot_windows(d, K, k)]
+        den = lcm(*(e.den for e in slots))
         rows = []
-        for v in vecs:
-            z = v.entries(1 << K)
-            s = den // v.den
-            rows.append(tuple((x - z[-1]) * s for x in z[:-1]))
+        for e in slots:
+            s = den // e.den
+            rows.append(tuple(x * s for x in e.nums))
         return tuple(rows), den
     return _cached(("slot rows", d, K, k), build)
 

@@ -45,7 +45,7 @@ from functools import cache
 from typing import Sequence
 
 from .polynomials import IntPolynomial, ONE, X, _v2
-from .ring import LevelProjection, RingElement, _fold, _tower, project
+from .ring import LevelProjection, RingElement, _tower, _wrap, project
 
 __all__ = [
     "Valuation",
@@ -234,8 +234,9 @@ def normal_form(p: LevelProjection) -> NormalForm:
 def normal_form_reconstruct(nf: NormalForm, level: int) -> LevelProjection:
     """Rebuild the projection certified by a normal form."""
     base = ((ONE - X) ** nf.b) * nf.v1 + 2 * nf.v2
-    return LevelProjection._from_ints(level, _fold(base.coeffs, level)) \
-        * (Fraction(2) ** nf.a / nf.u)
+    nums = _wrap(base.coeffs, 1 << level, -1)
+    scale = Fraction(2) ** nf.a / nf.u
+    return LevelProjection._from_ints(level, nums) * scale
 
 
 @cache

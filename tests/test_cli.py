@@ -168,6 +168,21 @@ def test_wl_usage_errors(capsys, args, err):
     assert (captured.out, captured.err) == ("", f"error: {err}\n")
 
 
+def test_wl_expression_with_a_leading_minus(capsys):
+    # argparse reads "-f" after --expr as a flag: a usage error
+    assert main(["wl", "--expr", "-f", "--K", "3", "--l", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --expr: expected one argument" in captured.err
+    # written --expr=-f it is read, and a sign leaves w unchanged
+    w = {}
+    for expr in ("--expr=-f", "--expr=f"):
+        code, out = run_cli(capsys, "wl", expr, "--K", "3", "--l", "1")
+        assert code == 0
+        (w[expr],) = [x for x in out.splitlines() if x.startswith("w ")]
+    assert w["--expr=-f"] == w["--expr=f"] == "w = 0+0/2^1"
+
+
 def test_best_poly(capsys):
     code, out = run_cli(capsys, "best-poly", "--n", "2", "--sign", "-")
     assert code == 0
@@ -359,7 +374,7 @@ def test_every_subcommand_argument_reaches_the_run_config():
     parser = cli.build_parser()
     (subparsers,) = [a for a in parser._actions
                      if isinstance(a, argparse._SubParsersAction)]
-    assert set(subparsers.choices) == set(cli._COMMANDS)
+    assert list(subparsers.choices) == list(cli._SUBCOMMANDS)
     common = {"help", "format", "out", "budget", "seed"}
     for name, sub in subparsers.choices.items():
         own = [a for a in sub._actions if a.dest not in common]

@@ -61,8 +61,8 @@ def _finish(z, net, k, n):
     return z, den
 
 
-def oracle_eval_f2(q, K, k, mode, m, times):
-    n = 1 << K
+def _oracle_numerator(q, n):
+    """P with q(f^2) = P(chi) / (1 - chi)^(2 deg q), all n entries."""
     deg = len(q) - 1
     p = [0] * n
     g = [0] * n
@@ -72,6 +72,13 @@ def oracle_eval_f2(q, K, k, mode, m, times):
             p = _mul_sparse(p, [(1, 0), (2, 1), (1, 2)])
             g = _mul_sparse(g, [(1, 0), (-2, 1), (1, 2)])
         p = [a + q[j] * b for a, b in zip(p, g)]
+    return p
+
+
+def oracle_eval_f2(q, K, k, mode, m, times):
+    n = 1 << K
+    deg = len(q) - 1
+    p = _oracle_numerator(q, n)
     z = _mul_sparse([8 * v for v in p], [((-1) ** j, j) for j in range(k)])
     if mode == "odd":
         z = _mul_sparse(z, _binom_terms(m, 1))
@@ -82,15 +89,14 @@ def oracle_eval_f2(q, K, k, mode, m, times):
     return _finish(z, net, k, n)
 
 
-def oracle_family_vec(K, k, f_power, f2_minus_1, scale):
+def oracle_family_vec(K, k, f_power, f2_minus_1, scale, q=(1,)):
     n = 1 << K
-    z = [0] * n
-    z[0] = scale
+    z = [scale * v for v in _oracle_numerator(q, n)]
     z = _mul_sparse(z, [((-1) ** j, j) for j in range(k)])
     z = _mul_sparse(z, _binom_terms(f_power, 1))
     if f2_minus_1:
         z = _mul_sparse(z, [(4, 1)])
-    return _finish(z, 1 - f_power - 2 * f2_minus_1, k, n)
+    return _finish(z, 1 - f_power - 2 * f2_minus_1 - 2 * (len(q) - 1), k, n)
 
 
 def assert_window_matches(vec, z, den):
@@ -204,14 +210,16 @@ def test_family_vec_window_matches_n_length_oracle():
             oracles = []
             for f_power in range(5):
                 for flagged in (False, True):
-                    scale = 8 * (f_power + 3 * flagged + 1)
-                    vec = ring._family_vec(
-                        K, k, f_power=f_power, f2_minus_1=flagged, scale=scale
-                    )
-                    z, den = oracle_family_vec(K, k, f_power, flagged, scale)
-                    assert_window_matches(vec, z, den)
-                    vecs.append(vec)
-                    oracles.append((z, den))
+                    for q in ((1,), (5, -3, 0, 2)):
+                        scale = 8 * (f_power + 3 * flagged + 1)
+                        vec = ring._family_vec(K, k, q, f_power=f_power,
+                                               f2_minus_1=flagged,
+                                               scale=scale)
+                        z, den = oracle_family_vec(K, k, f_power, flagged,
+                                                   scale, q)
+                        assert_window_matches(vec, z, den)
+                        vecs.append(vec)
+                        oracles.append((z, den))
             # the sum, as rho_bracket forms it, on the common window
             den = math.lcm(*(d for _, d in oracles))
             total = [sum(z[j] * (den // d) for z, d in oracles)

@@ -25,7 +25,7 @@ from lensring import (
     project,
     ring_arith,
 )
-from lensring.ring import _fold, _poly_mul_int, _power, _tower
+from lensring.ring import _eval_f2_vec, _poly_mul_int, _power, _tower, _wrap
 
 
 def one(K):
@@ -437,6 +437,7 @@ def strided_fold(coeffs, l):
 
 
 def test_fold_matches_strided_oracle():
+    # the fold by chi^(2^l) = -1 that `project` takes
     rng = random.Random(22)
     for K in range(1, 11):
         n = 1 << K
@@ -449,8 +450,64 @@ def test_fold_matches_strided_oracle():
             for length in sorted(lengths):
                 for bits in (4, 200):
                     coeffs = tuple(signed_draw(rng, length, bits))
-                    assert _fold(coeffs, l) == strided_fold(coeffs, l)
-                    assert _fold(list(coeffs), l) == strided_fold(coeffs, l)
+                    want = strided_fold(coeffs, l)
+                    assert _wrap(coeffs, m, -1) == want
+                    assert _wrap(list(coeffs), m, -1) == want
+
+
+def entrywise_wrap(coeffs, n, s):
+    """The reference reduction by chi^n = s, one entry at a time: c_j goes
+    to entry j mod n times s^(j div n)."""
+    out = [0] * n
+    for j, c in enumerate(coeffs):
+        out[j % n] += s ** (j // n) * c
+    return out
+
+
+def test_wrap_matches_entrywise_oracle():
+    rng = random.Random(24)
+    for e in range(11):
+        n = 1 << e
+        # every route: zero-padding, halving and strided sums
+        lengths = {0, 1, n - 1, n, n + 1, 2 * n - 1, 2 * n + 1, 3 * n + 1,
+                   16 * n}
+        for length in sorted(lengths):
+            for bits in (4, 200):
+                coeffs = tuple(signed_draw(rng, length, bits))
+                for s in (1, -1):
+                    want = entrywise_wrap(coeffs, n, s)
+                    assert _wrap(coeffs, n, s) == want
+                    assert _wrap(list(coeffs), n, s) == want
+
+
+def old_make_element(K, nums, den):
+    """The reduction loop make_element ran on its integer numerators, kept
+    as the oracle of `RingElement._from_cyclic` and `_wrap`."""
+    n = 1 << K
+    acc = [0] * n
+    for j, v in enumerate(nums):
+        acc[j % n] += v
+    top = acc[n - 1]
+    return RingElement._from_ints(K, [v - top for v in acc[:-1]], den)
+
+
+def test_from_cyclic_matches_the_old_make_element_loop():
+    rng = random.Random(25)
+    for K in range(1, 10):
+        n = 1 << K
+        for bits in (4, 200):
+            for den in (1, 3, 1 << K, 12):
+                z = signed_draw(rng, n, bits, zeros=bool(den % 2))
+                got = RingElement._from_cyclic(K, z, den)
+                want = old_make_element(K, z, den)
+                assert (got.level, got.den, got.nums) \
+                    == (want.level, want.den, want.nums)
+                # any length through make_element's wrap
+                raw = signed_draw(rng, rng.randrange(3 * n), bits)
+                got = make_element(K, [Fraction(v, den) for v in raw])
+                want = old_make_element(K, raw, den)
+                assert (got.level, got.den, got.nums) \
+                    == (want.level, want.den, want.nums)
 
 
 def test_tower_equals_the_per_level_folds():
@@ -513,6 +570,9 @@ def test_evaluate_at_f_squared_validates_arguments():
         evaluate_at_f_squared([1], 3, 1, "even", 1)
     with pytest.raises(ValueError):
         evaluate_at_f_squared([1], 3, 1, "cyclic")
+    # the internal builder checks the mode first, even for q = 0
+    with pytest.raises(ValueError, match="mode must be"):
+        _eval_f2_vec((0,), 3, 1, "cyclic")
     with pytest.raises(ValueError):
         evaluate_at_f_squared([1], 3, 1, "odd", 1, times_one_minus_chi=-1)
     with pytest.raises(ValueError):
