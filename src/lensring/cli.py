@@ -62,9 +62,9 @@ from .ring import (
     LevelProjection,
     RingElement,
     _eval_f2_vec,
+    _residue_images,
     _validate_level,
     _validate_projection_level,
-    _vec_is_in_4Z,
     conjugate,
     crt_reconstruct,
     element_f,
@@ -424,7 +424,8 @@ Check = tuple[str, bool]
 
 
 def _ladder_member(q, K: int, k: int, m: int, times: int = 0) -> bool:
-    return _vec_is_in_4Z(_eval_f2_vec(q.coeffs, K, k, "odd", m, times))
+    vec = _eval_f2_vec(q.coeffs, K, k, "odd", m, times)
+    return not any(_residue_images([vec])[0][0])
 
 
 def _random_element(rng: random.Random, K: int) -> RingElement:

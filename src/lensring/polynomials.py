@@ -34,7 +34,7 @@ oracles raise BudgetExceededError when (2^K)^c exceeds the budget.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 from itertools import zip_longest
 from operator import mul
 from typing import Callable, Sequence
@@ -435,25 +435,34 @@ def r_plus(n: int) -> IntPolynomial:
 # the lattices A and B
 # ---------------------------------------------------------------------------
 
-def _lattice_shape(d: int) -> tuple[int, str]:
-    """(c, mode) for the degree-d lattice; validates d >= 3."""
-    if not isinstance(d, int) or isinstance(d, bool) or d < 3:
-        raise ValueError(f"d must be an integer >= 3, got {d!r}")
-    return (d - 1) // 2, "odd" if d % 2 else "even"
+def _validate_d(d: int, minimum: int = 3) -> int:
+    """c = (d - 1) // 2 for a dimension d >= minimum."""
+    if not isinstance(d, int) or isinstance(d, bool) or d < minimum:
+        raise ValueError(f"d must be an integer >= {minimum}, got {d!r}")
+    return (d - 1) // 2
 
 
-def _monomial_rows(K: int, k: int, mode: str, m: int, c: int):
-    """(rows, M): the residue images (`ring._residue_images`) of the family
-    vectors of x^0, ..., x^(c-1) as tuples, each monomial's window built
-    once."""
-    def window(j):
-        return _cached(("x^j", j, K, k, mode, m), lambda: ring._eval_f2_vec(
-            (0,) * j + (1,), K, k, mode, m))
+def _unit_windows(key: tuple, count: int, unit: Callable[[int], object]):
+    """[unit(0), ..., unit(count - 1)], each built once under (*key, j)."""
+    return [_cached((*key, j), partial(unit, j)) for j in range(count)]
 
+
+def _unit_rows(key: tuple, count: int, unit: Callable[[int], object]):
+    """(rows, M): the residue images (`ring._residue_images`) of the unit
+    windows (`_unit_windows`) as tuples, built once under ("rows", *key,
+    count); the lattice and kernel oracles read their rows here."""
     def build():
-        rows, modulus = ring._residue_images([window(j) for j in range(c)])
+        rows, modulus = ring._residue_images(_unit_windows(key, count, unit))
         return tuple(map(tuple, rows)), modulus
-    return _cached(("rows", K, k, mode, m, c), build)
+    return _cached(("rows", *key, count), build)
+
+
+def _monomial_rows(K: int, k: int, d: int, m: int):
+    """(rows, M) of the family vectors of x^0, ..., x^(c-1) for the
+    degree-d lattice (`_unit_rows`)."""
+    mode = "odd" if d % 2 else "even"
+    return _unit_rows(("x^j", K, k, mode, m), (d - 1) // 2, lambda j:
+                      ring._eval_f2_vec((0,) * j + (1,), K, k, mode, m))
 
 
 def membership_A(q, K: int, k: int, d: int, m: int | None = None) -> bool:
@@ -464,25 +473,17 @@ def membership_A(q, K: int, k: int, d: int, m: int | None = None) -> bool:
     map is Z-linear, so the test is sum_j q_j rows[j] = 0 mod M on the
     monomial residue rows (`_monomial_rows`).
     """
-    c, mode = _lattice_shape(d)
+    c = _validate_d(d)
     coeffs = ring._int_coeffs(q)
     if len(coeffs) > c:
         raise ValueError(
             f"degree overflow: deg q = {len(coeffs) - 1} but the degree-{d}"
             f" lattice holds polynomials of degree <= {c - 1}"
         )
-    if mode == "odd":
-        mm = 1 if m is None else m
-        if (not isinstance(mm, int) or isinstance(mm, bool)
-                or mm not in (1, 2)):
-            raise ValueError(f"m must be 1 or 2 for odd d, got {m!r}")
-    else:
-        if m is not None:
-            raise ValueError("even d does not take an exponent m")
-        mm = 1
+    m = ring._validate_m("odd" if d % 2 else "even", m)
     ring._validate_level(K)
     ring._validate_odd(k)
-    rows, modulus = _monomial_rows(K, k, mode, mm, c)
+    rows, modulus = _monomial_rows(K, k, d, m)
     return all(sum(map(mul, coeffs, col)) % modulus == 0
                for col in zip(*rows))
 
@@ -518,11 +519,7 @@ class LatticeDescriptor:
 def b_basis(K: int, d: int) -> LatticeDescriptor:
     """The claimed basis: 2^max(K-2n-2, 0) r^-_n (odd d) or r^+_n (even d)."""
     ring._validate_level(K)
-    if not isinstance(d, int) or isinstance(d, bool) or d < 5:
-        raise ValueError(
-            f"the basis description needs d >= 5, got {d!r}"
-        )
-    c = (d - 1) // 2
+    c = _validate_d(d, 5)
     use_plus = d % 2 == 0
     exps = tuple(max(K - 2 * n - 2, 0) for n in range(c))
     polys = tuple(
@@ -628,28 +625,41 @@ def _residue_kernel(mats: Sequence[Sequence[int]], modulus: int,
     return _hermite_form([row[width:] for row in rows], K)
 
 
+def _residue_lattice(mats: Sequence[Sequence[int]], modulus: int,
+                     K: int) -> tuple[dict[int, list[int]], list[int]]:
+    """(hermite, image_exps): the kernel of t |-> sum_j t_j mats[j] mod 2^mu
+    on (Z_{2^K})^c in Hermite form (`_residue_kernel`) and the ascending
+    exponents of the image's cyclic factors (`_smith_normal_form`).  The
+    two eliminations certify each other: ArithmeticError unless the
+    kernel's index is the image's order."""
+    hermite = _residue_kernel(mats, modulus, K)
+    image_exps = _smith_normal_form(mats, modulus.bit_length() - 1)
+    index = (sum(_v2(row[lead]) for lead, row in hermite.items())
+             + K * (len(mats) - len(hermite)))
+    if index != sum(image_exps):
+        raise ArithmeticError(
+            f"kernel index 2^{index} is not the residue image order"
+            f" 2^{sum(image_exps)}")
+    return hermite, image_exps
+
+
 def brute_force_A(K: int, k: int, d: int,
                   budget: int | None = None) -> LatticeDescriptor:
     """The lattice A from its definition, in Hermite form.
 
     A is the kernel of the linearized membership test (one residue image per
-    monomial x^j), read off a 2-adic elimination.  Nothing is enumerated,
-    but BudgetExceededError is raised when (2^K)^c exceeds the budget.
+    monomial x^j), read off a certified elimination (`_residue_lattice`).
+    Nothing is enumerated, but BudgetExceededError is raised when (2^K)^c
+    exceeds the budget.
     """
-    c, mode = _lattice_shape(d)
+    c = _validate_d(d)
     ring._validate_level(K)
     ring._validate_odd(k)
     _check_budget(K, c, budget, "A")
-    mats, modulus = _monomial_rows(K, k, mode, 1, c)
-    rows = _residue_kernel(mats, modulus, K)
+    rows, image_exps = _residue_lattice(*_monomial_rows(K, k, d, 1), K)
     exps = tuple(_v2(row[lead]) for lead, row in rows.items())
-    index_exponent = K * c - sum(K - e for e in exps)
-    mu = modulus.bit_length() - 1
-    if index_exponent != sum(_smith_normal_form(mats, mu)):
-        raise ArithmeticError(
-            f"index 2^{index_exponent} of A is not the residue image order")
     basis = tuple(IntPolynomial(tuple(row)) for row in rows.values())
-    return LatticeDescriptor(c, basis, exps, index_exponent)
+    return LatticeDescriptor(c, basis, exps, sum(image_exps))
 
 
 @dataclass(frozen=True)
@@ -789,7 +799,7 @@ def shape_remark_report(n: int, k: int = 1) -> ShapeRemarkReport:
         r_minus(l).polynomial * (1 << (2 * (n - l) + 1)) for l in range(n + 1)
     ]
     gen_ok = tuple(membership_A(g, K, k, d) for g in gens)
-    mats, modulus = _monomial_rows(K, k, "odd", 1, n + 1)
+    mats, modulus = _monomial_rows(K, k, d, 1)
     if modulus & (modulus - 1):
         raise ArithmeticError("residue modulus is not a power of two")
     mu = modulus.bit_length() - 1

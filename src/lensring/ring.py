@@ -714,17 +714,6 @@ def _element_from_vec(K: int, vec: _Window) -> RingElement:
     return RingElement._from_cyclic(K, vec.entries(1 << K), vec.den)
 
 
-def _vec_is_in_4Z(vec: _Window) -> bool:
-    """Every entry congruent to the last one modulo 4*den: the head entries,
-    and per tail class its value at b = 0 and its higher differences."""
-    top = vec.entry(vec.n - 1)
-    m = 4 * vec.den
-    return (all((v - top) % m == 0 for v in vec.head)
-            and all((diffs[0] - top) % m == 0
-                    and all(d % m == 0 for d in diffs[1:])
-                    for diffs in vec.tails))
-
-
 def _residue_images(vecs: Sequence[_Window]):
     """Canonical difference vectors modulo 4*den, on one common denominator.
 
@@ -1033,6 +1022,22 @@ def invert(a: RingElement) -> RingElement:
 # evaluation of the distinguished families at f^2
 # ---------------------------------------------------------------------------
 
+def _validate_m(mode: str, m: int | None) -> int:
+    """The exponent of f in the family of mode: m in {1, 2} (default 1) in
+    odd mode, and none given in even mode, where 1 is returned."""
+    if mode == "odd":
+        mm = 1 if m is None else m
+        if (not isinstance(mm, int) or isinstance(mm, bool)
+                or mm not in (1, 2)):
+            raise ValueError(f"m must be 1 or 2 in odd mode, got {m!r}")
+        return mm
+    if mode == "even":
+        if m is not None:
+            raise ValueError("even mode does not take an exponent m")
+        return 1
+    raise ValueError(f"mode must be 'odd' or 'even', got {mode!r}")
+
+
 def evaluate_at_f_squared(
     q,
     K: int,
@@ -1048,17 +1053,7 @@ def evaluate_at_f_squared(
     (1 - chi); it exists so that the divisibility ladders can be evaluated
     without a dense product at high levels.
     """
-    if mode == "odd":
-        mm = 1 if m is None else m
-        if (not isinstance(mm, int) or isinstance(mm, bool)
-                or mm not in (1, 2)):
-            raise ValueError(f"m must be 1 or 2 in odd mode, got {m!r}")
-    elif mode == "even":
-        if m is not None:
-            raise ValueError("even mode does not take an exponent m")
-        mm = 1
-    else:
-        raise ValueError(f"mode must be 'odd' or 'even', got {mode!r}")
+    mm = _validate_m(mode, m)
     t = times_one_minus_chi
     if not isinstance(t, int) or isinstance(t, bool) or t < 0:
         raise ValueError("times_one_minus_chi must be a non-negative integer")

@@ -12,8 +12,8 @@ Only the t_{4i} enter the obstruction
 an element of Q[chi]/I<K>; the vector is normally cobordant to the standard
 structure exactly when rho[t] lies in 4 Z[chi]/I<K>.  The kernel of t |->
 [rho[t] passes] is a subgroup of (Z_{2^K})^c which kernel_oracle reads off
-a 2-adic elimination; its elementary divisors come from a 2-adic
-elimination of its generators over Z/2^K.
+a 2-adic elimination; its elementary divisors come from the Smith form of
+the residue image, whose order certifies the kernel's index.
 
 The classification output is a descriptor with a free part of rank N/2 - 1
 (odd d) or N/2 (even d) and, for d >= 5, the torsion summands
@@ -28,6 +28,7 @@ it mod 2^K against the scaled best-polynomial basis (polynomials._reduce).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from math import lcm, prod
 from typing import NamedTuple
 
@@ -37,9 +38,10 @@ from .polynomials import (
     _cached,
     _check_budget,
     _reduce,
-    _residue_kernel,
-    _smith_normal_form,
-    _v2,
+    _residue_lattice,
+    _unit_rows,
+    _unit_windows,
+    _validate_d,
     b_basis,
 )
 from .ring import RingElement, is_in_4Z
@@ -62,12 +64,6 @@ __all__ = [
 class TorsionSummand(NamedTuple):
     label: str
     order: int
-
-
-def _validate_d(d: int, minimum: int = 3) -> int:
-    if not isinstance(d, int) or isinstance(d, bool) or d < minimum:
-        raise ValueError(f"d must be an integer >= {minimum}, got {d!r}")
-    return (d - 1) // 2
 
 
 @dataclass(frozen=True)
@@ -99,7 +95,7 @@ class NormalInvariantVector:
         object.__setattr__(self, "t2", t2)
 
 
-def _rho_slot_vec(d: int, K: int, k: int, slot: int, scale: int):
+def _rho_slot_vec(d: int, K: int, k: int, slot: int, scale: int = 8):
     """Internal vector of the rho summand attached to t4[slot]."""
     c = (d - 1) // 2
     if d % 2 and slot == c - 1:
@@ -110,13 +106,10 @@ def _rho_slot_vec(d: int, K: int, k: int, slot: int, scale: int):
     )
 
 
-def _slot_windows(d: int, K: int, k: int) -> list:
-    """The c unit slot windows _rho_slot_vec(d, K, k, slot, 8), each built
-    once (`polynomials._unit_cache`)."""
-    def window(slot):
-        return _cached(("slot", d, K, k, slot),
-                       lambda: _rho_slot_vec(d, K, k, slot, 8))
-    return [window(slot) for slot in range((d - 1) // 2)]
+def _slot_units(d: int, K: int, k: int):
+    """(key, count, unit) of the c unit slot windows _rho_slot_vec(d, K, k,
+    slot), for `polynomials._unit_windows` and `polynomials._unit_rows`."""
+    return ("slot", d, K, k), (d - 1) // 2, partial(_rho_slot_vec, d, K, k)
 
 
 def _slot_rows(d: int, K: int, k: int):
@@ -124,7 +117,7 @@ def _slot_rows(d: int, K: int, k: int):
     all N - 1 of them, over one common denominator."""
     def build():
         slots = [ring._element_from_vec(K, v)
-                 for v in _slot_windows(d, K, k)]
+                 for v in _unit_windows(*_slot_units(d, K, k))]
         den = lcm(*(e.den for e in slots))
         rows = []
         for e in slots:
@@ -172,7 +165,8 @@ def t_to_polynomial(t: NormalInvariantVector) -> IntPolynomial:
 @dataclass(frozen=True)
 class KernelSubgroup:
     """The kernel of the obstruction map inside (Z_{2^K})^c; generators is
-    its Hermite form (polynomials._hermite_form), by ascending pivot."""
+    its Hermite form (polynomials._hermite_form), by ascending pivot, and
+    elementary_divisors the orders of its cyclic factors, ascending."""
 
     ambient_rank: int
     modulus_exponent: int
@@ -186,8 +180,9 @@ def kernel_oracle(d: int, K: int, k: int = 1,
     """Compute {t4 : rho[t] in 4 Z[chi]/I<K>} and report its structure.
 
     Works from the definition alone: one linearized residue image per t4
-    slot, its kernel read off a 2-adic elimination over Z/2^mu, and a second
-    elimination over Z/2^K for the elementary divisors.  Nothing is
+    slot, its kernel and the image's cyclic factors read off two 2-adic
+    eliminations that certify each other (`polynomials._residue_lattice`).
+    Each image factor Z/2^e leaves a kernel factor Z/2^(K-e).  Nothing is
     enumerated, but BudgetExceededError is raised when (2^K)^c exceeds the
     budget.
     """
@@ -195,17 +190,15 @@ def kernel_oracle(d: int, K: int, k: int = 1,
     ring._validate_level(K)
     ring._validate_odd(k)
     _check_budget(K, c, budget, "the kernel")
-    mats, modulus = ring._residue_images(_slot_windows(d, K, k))
-    rows = _residue_kernel(mats, modulus, K)
+    rows, image_exps = _residue_lattice(
+        *_unit_rows(*_slot_units(d, K, k)), K)
+    # each of the c - len(image_exps) missing image factors leaves a Z/2^K;
+    # factors of order 1 drop out
+    exps = ([K - e for e in reversed(image_exps) if e < K]
+            + [K] * (c - len(image_exps)))
+    orders = tuple(1 << e for e in exps)
     generators = tuple(tuple(row) for row in rows.values())
-    count = 1 << sum(K - _v2(row[lead]) for lead, row in rows.items())
-    orders = tuple(1 << e for e in _smith_normal_form(generators, K))
-    if prod(orders) != count:
-        raise ArithmeticError(
-            f"divisor product {prod(orders)} disagrees with the kernel order"
-            f" {count}"
-        )
-    return KernelSubgroup(c, K, count, generators, orders)
+    return KernelSubgroup(c, K, prod(orders), generators, orders)
 
 
 # ---------------------------------------------------------------------------

@@ -115,7 +115,7 @@ def assert_window_matches(vec, z, den):
         for width in range(len(vec.head), n + 2):
             assert vec.entries(width) == want[:width]
     in_4z = all((v - z[-1]) % (4 * den) == 0 for v in z)
-    assert ring._vec_is_in_4Z(vec) == in_4z
+    assert (not any(ring._residue_images([vec])[0][0])) == in_4z
     return in_4z
 
 
@@ -439,8 +439,8 @@ def test_membership_A_matches_direct_evaluation():
                     for shift in (0, rng.randrange(1, K + 1)):
                         # scaling by 2^shift makes members of most q
                         scaled = tuple(x << shift for x in q)
-                        want = ring._vec_is_in_4Z(ring._eval_f2_vec(
-                            scaled, K, k, mode, m or 1))
+                        vec = ring._eval_f2_vec(scaled, K, k, mode, m or 1)
+                        want = not any(ring._residue_images([vec])[0][0])
                         got = polynomials.membership_A(scaled, K, k, d, m)
                         assert got == want, (scaled, K, k, d, m)
                         verdicts.add(got)
@@ -505,15 +505,27 @@ def test_unit_windows_are_shared_unchanged_and_reset():
     warm = _exercise_unit_windows()
     assert warm == cold
     assert cache == snapshot
-    # ... and equal to freshly built windows
+    # ... and equal to freshly built windows and rows; the lattice and the
+    # kernel oracle both read their rows from the cache
     from lensring.structure import _rho_slot_vec
+
+    def fresh(kind, params, j):
+        if kind == "x^j":
+            K, k, mode, m = params
+            return ring._eval_f2_vec((0,) * j + (1,), K, k, mode, m)
+        d, K, k = params
+        return _rho_slot_vec(d, K, k, j, 8)
+    row_kinds = set()
     for key, value in cache.items():
-        if key[0] == "x^j":
-            j, K, k, mode, m = key[1:]
-            assert value == ring._eval_f2_vec((0,) * j + (1,), K, k, mode, m)
-        elif key[0] == "slot":
-            d, K, k, slot = key[1:]
-            assert value == _rho_slot_vec(d, K, k, slot, 8)
+        if key[0] in ("x^j", "slot"):
+            assert value == fresh(key[0], key[1:-1], key[-1])
+        elif key[0] == "rows":
+            kind, params, count = key[1], key[2:-1], key[-1]
+            rows, modulus = ring._residue_images(
+                [fresh(kind, params, j) for j in range(count)])
+            assert value == (tuple(map(tuple, rows)), modulus)
+            row_kinds.add(kind)
+    assert row_kinds == {"x^j", "slot"}
     polynomials.reset_polynomial_tables()
     assert polynomials._unit_cache == {}
     assert _exercise_unit_windows() == cold

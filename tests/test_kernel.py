@@ -4,18 +4,23 @@ The oracle below walks every t in (Z_{2^K})^c, keeps those with
 sum_j t_j mats[j] = 0 mod 2^mu, and inserts each member into an echelon
 basis.  The package reads the same kernel off an elimination of the rows
 [mats[j] | e_j] and returns it in Hermite form; the two must have the same
-number of members and span the same subgroup.
+number of members and span the same subgroup.  The kernel's elementary
+divisors, read off the Smith form of the image, are checked against a
+Smith form of the kernel's own generators.
 """
 
 import random
 from itertools import product
+from math import prod
 
 import pytest
 
 from lensring import brute_force_A, kernel_oracle, membership_A, ring
+from lensring import polynomials
 from lensring.polynomials import (
     _hermite_form,
     _residue_kernel,
+    _smith_normal_form,
     _v2,
 )
 from lensring.structure import NormalInvariantVector, _rho_slot_vec, rho_bracket
@@ -193,3 +198,38 @@ def test_pinned_kernel_generators():
     basis = brute_force_A(4, 1, 9).basis
     assert [str(p) for p in basis] == ["4", "x + 1", "x^2 + 3", "x^3 + 1"]
     assert all(membership_A(p, 4, 1, 9) for p in basis)
+
+
+def _by_lead(generators):
+    """Hermite rows keyed by their highest nonzero index."""
+    return {max(i for i, x in enumerate(g) if x): list(g) for g in generators}
+
+
+def test_kernel_divisors_match_smith_form_of_generators():
+    # the divisors used to be a Smith form of the kernel's generators over
+    # Z/2^K; that route stays here as the oracle of the image-derived ones
+    for d in range(5, 26):
+        for K in range(1, 11):
+            for k in (1, 3, 5):
+                sub = kernel_oracle(d, K, k, budget=1 << 4000)
+                want = tuple(1 << e
+                             for e in _smith_normal_form(sub.generators, K))
+                assert sub.elementary_divisors == want, (d, K, k)
+                assert sub.order == prod(want)
+                assert sub.order == _order(_by_lead(sub.generators), K)
+                a = brute_force_A(K, k, d, budget=1 << 4000)
+                assert a.index_exponent == sum(a.scaling_exponents)
+
+
+def test_certificate_catches_a_dropped_kernel_row(monkeypatch):
+    real = polynomials._residue_kernel
+
+    def corrupted(mats, modulus, K):
+        rows = real(mats, modulus, K)
+        del rows[max(rows)]
+        return rows
+    monkeypatch.setattr(polynomials, "_residue_kernel", corrupted)
+    with pytest.raises(ArithmeticError, match="residue image order"):
+        kernel_oracle(9, 4, 1)
+    with pytest.raises(ArithmeticError, match="residue image order"):
+        brute_force_A(4, 1, 9)
