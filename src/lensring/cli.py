@@ -26,8 +26,9 @@ Expressions use a tiny language: integer literals, chi, f, fk(k), fpk(k),
 binary + - *, powers ^ with a non-negative integer exponent, unary minus,
 and parentheses.  The unicode minus and middle dot are accepted as aliases
 for - and *.  `wl` evaluates an expression in the level-l field
-Q[chi]/<1 + chi^(2^l)>, with atoms built at level l + 1 and projected, so
-its cost follows l and not K; `parse_expression` evaluates at level K.
+Q[chi]/<1 + chi^(2^l)> from atoms built there (f, fk(k) and fpk(k) folded
+from their level-(l + 1) family windows), so its cost follows l and not K;
+`parse_expression` evaluates at level K.
 """
 
 from __future__ import annotations
@@ -37,9 +38,11 @@ import hashlib
 import json
 import os
 import random
+import shutil
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Sequence
 
 from .polynomials import (
@@ -61,14 +64,17 @@ from .polynomials import (
 from .ring import (
     LevelProjection,
     RingElement,
+    _element_from_vec,
     _eval_f2_vec,
+    _family_vec,
+    _project_window,
     _residue_images,
     _validate_level,
     _validate_projection_level,
+    _wrap,
     conjugate,
     crt_reconstruct,
     element_f,
-    element_f_k,
     element_f_prime,
     is_in_4Z,
     make_element,
@@ -159,16 +165,16 @@ _Value = RingElement | LevelProjection
 
 
 class _ExpressionParser:
-    """Recursive descent over the expression language.  Each atom is built
-    in Q[chi]/I<level> and passed through `atom_map`, a ring map out of it
-    (the identity by default); + - * ^ then act on the images."""
+    """Recursive descent over the expression language, in the ring its atoms
+    are built in: Q[chi]/I<level> (`RingElement`s), or with `projected` the
+    field Q[chi]/<1 + chi^(2^level)> (`LevelProjection`s); + - * ^ then act
+    in that ring."""
 
-    def __init__(self, text: str, level: int,
-                 atom_map: Callable[[RingElement], _Value] = lambda g: g):
+    def __init__(self, text: str, level: int, projected: bool = False):
         self.tokens = _tokenize(text)
         self.pos = 0
         self.level = level
-        self.atom_map = atom_map
+        self.projected = projected
 
     def _peek(self) -> str:
         return self.tokens[self.pos][0]
@@ -225,24 +231,34 @@ class _ExpressionParser:
             inner = self._sum()
             self._expect(")")
             return inner
-        return self.atom_map(self._element(kind, value))
-
-    def _element(self, kind: str, value: object) -> RingElement:
-        K = self.level
         if kind == "int":
-            return make_element(K, [value])
-        if kind == "name":
-            if value == "chi":
-                return make_element(K, [0, 1])
-            if value == "f":
-                return element_f(K)
-            self._expect("(")
-            k = self._expect("int")
-            self._expect(")")
-            if value == "fk":
-                return element_f_k(K, k)
-            return element_f_prime(K, k)
-        raise ValueError(f"unexpected token {kind!r} in expression")
+            return self._polynomial([value])
+        if kind != "name":
+            raise ValueError(f"unexpected token {kind!r} in expression")
+        if value == "chi":
+            return self._polynomial([0, 1])
+        if value == "f":
+            return self._family(1, f_power=1)
+        self._expect("(")
+        k = self._expect("int")
+        self._expect(")")
+        return self._family(k, f_power=1 if value == "fk" else 0)
+
+    def _polynomial(self, coeffs: list[int]) -> _Value:
+        """The integer polynomial coeffs(chi) in the parser's ring."""
+        if self.projected:
+            return LevelProjection._from_ints(
+                self.level, _wrap(coeffs, 1 << self.level, -1))
+        return make_element(self.level, coeffs)
+
+    def _family(self, k: int, f_power: int) -> _Value:
+        """f'_k f^f_power in the parser's ring: fpk(k), fk(k) = f'_k f, or
+        f = f'_1 f; a projection is folded from the level-(l + 1) window."""
+        if self.projected:
+            return _project_window(
+                _family_vec(self.level + 1, k, f_power=f_power), self.level)
+        return _element_from_vec(
+            self.level, _family_vec(self.level, k, f_power=f_power))
 
 
 def parse_expression(text: str, K: int) -> RingElement:
@@ -387,9 +403,9 @@ def _run_wl(config: RunConfig) -> tuple[list[Field], int]:
     l = config.param("l")
     _validate_level(K)
     _validate_projection_level(K, l)
-    # pr_l factors through Q[chi]/I<l+1>: each atom is built there and
-    # projected once, and the expression is evaluated in the level-l field
-    p = _ExpressionParser(expr, l + 1, lambda g: project(g, l)).parse()
+    # pr_l is a ring map, so the expression is evaluated in the level-l
+    # field, where every atom is built
+    p = _ExpressionParser(expr, l, projected=True).parse()
     w = _valuation(p.nums, p.den, l)
     return _header("valuation") + [
         _field("expr", expr),
@@ -862,19 +878,32 @@ class _SubcommandParser:
         return getattr(self._parser, name)
 
 
+def _formatter_class() -> Callable[..., argparse.HelpFormatter]:
+    """argparse's help formatter at its own default width, the terminal's
+    columns less 2, probed here once: the default formatter probes the
+    terminal each time one is built, and argparse builds one per
+    add_argument and per parse."""
+    return partial(argparse.HelpFormatter,
+                   width=shutil.get_terminal_size().columns - 2)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """A fresh parser for the whole command line; `main` builds one per
     call.  Its subcommand parsers are built on first use, so parsing one
-    command line makes two ArgumentParsers rather than seven."""
+    command line makes two ArgumentParsers rather than seven, and it probes
+    the terminal size once."""
+    formatter_class = _formatter_class()
     parser = argparse.ArgumentParser(
         prog="lensring",
         description="Structure sets of fake lens spaces via exact"
                     " ring arithmetic",
+        formatter_class=formatter_class,
     )
     sub = parser.add_subparsers(dest="subcommand", required=True,
                                 parser_class=_SubcommandParser)
     for name, (help_text, add_arguments, _) in _SUBCOMMANDS.items():
-        sub.add_parser(name, help=help_text, add_arguments=add_arguments)
+        sub.add_parser(name, help=help_text, add_arguments=add_arguments,
+                       formatter_class=formatter_class)
     return parser
 
 

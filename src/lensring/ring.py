@@ -39,7 +39,8 @@ multiply, and for ring products (chi^N = 1) and level products
 (chi^(2^l) = -1) a wrap split at digit n by shifts and masks.  Any other
 coefficient list is reduced by chi^n = +-1 in one place, `_wrap`:
 `make_element` and the family windows by chi^N = 1, `project` by
-chi^(2^l) = -1 to fold one level.  An N-entry vector read in
+chi^(2^l) = -1 to fold one level, and `_project_window` the same way from
+a level-(l+1) family window straight to level l.  An N-entry vector read in
 Q[chi]/(chi^N - 1) becomes canonical in one place too,
 `RingElement._from_cyclic`, by subtracting its last entry.  The tower is
 walked with whole-list `map`s: `_tower` reads all K levels off one descent
@@ -74,9 +75,11 @@ stored, which is a unimodular change of columns from the entries
 (`_residue_images`).  When W >= N (small K, or a numerator that wraps) the
 vector simply holds all N entries.  Only `element_f`, `element_f_prime`,
 `element_f_k` and `evaluate_at_f_squared` step the tail out to all N entries
-per call, because they return a `RingElement`; `structure.rho_bracket` reads
-its N entries off slot rows stepped out once per (d, K, k) and shared (see
-`polynomials.reset_polynomial_tables`).  All of this is exact.
+per call, because they return a `RingElement` (`cli`'s `wl` steps a
+level-(l+1) window out to its 2^(l+1) entries and folds them to level l);
+`structure.rho_bracket` reads its N entries off slot rows stepped out once
+per (d, K, k) and shared (see `polynomials.reset_polynomial_tables`).  All
+of this is exact.
 
 Every value is immutable after construction and every function is pure, so
 everything here is safe to share across threads without synchronization.
@@ -122,13 +125,17 @@ def _validate_level(K: int) -> int:
     return 1 << K
 
 
+def _validate_exponent(exponent: int) -> None:
+    if (not isinstance(exponent, int) or isinstance(exponent, bool)
+            or exponent < 0):
+        raise ValueError("exponent must be a non-negative integer")
+
+
 def _power(base, exponent: int, one):
     """base ** exponent by square-and-multiply, for any product with unit
     `one`, started at the lowest set bit (2^j costs j products); a bool,
     negative or non-integer exponent raises ValueError."""
-    if (not isinstance(exponent, int) or isinstance(exponent, bool)
-            or exponent < 0):
-        raise ValueError("exponent must be a non-negative integer")
+    _validate_exponent(exponent)
     if not exponent:
         return one
     while not exponent & 1:
@@ -324,9 +331,22 @@ class LevelProjection(_IntVector):
         return self._scale(other)
 
     def __pow__(self, exponent: int) -> "LevelProjection":
-        one = [1] + [0] * ((1 << self.level) - 1)
-        return _power(self, exponent,
-                      LevelProjection._from_ints(self.level, one))
+        """A monomial c chi^j / den in closed form, as chi^(2^l) = -1:
+        (-1)^(je >> l) c^e chi^(je mod 2^l) / den^e; any other base by
+        square-and-multiply (`_power`)."""
+        n = 1 << self.level
+        nums = self.nums
+        if nums.count(0) != n - 1:
+            return _power(self, exponent, LevelProjection._from_ints(
+                self.level, [1] + [0] * (n - 1)))
+        _validate_exponent(exponent)
+        c = sum(nums)
+        wraps, j = divmod(nums.index(c) * exponent, n)
+        power = c ** exponent
+        out = [0] * n
+        out[j] = -power if wraps & 1 else power
+        return LevelProjection._from_ints(self.level, out,
+                                          self.den ** exponent)
 
 
 # ---------------------------------------------------------------------------
@@ -712,6 +732,15 @@ def _alternating(k: int) -> list[int]:
 
 def _element_from_vec(K: int, vec: _Window) -> RingElement:
     return RingElement._from_cyclic(K, vec.entries(1 << K), vec.den)
+
+
+def _project_window(vec: _Window, l: int) -> LevelProjection:
+    """pr_l of a level-(l+1) family vector: its 2^(l+1) entries e folded by
+    chi^(2^l) = -1, p_j = e_j - e_(j+2^l), over vec.den.  The canonical
+    shift by the last entry cancels in each difference, so no level-(l+1)
+    element is built."""
+    return LevelProjection._from_ints(
+        l, _wrap(vec.entries(2 << l), 1 << l, -1), vec.den)
 
 
 def _residue_images(vecs: Sequence[_Window]):

@@ -138,7 +138,7 @@ def test_wl_matches_the_level_K_evaluation(capsys):
 
 
 def test_wl_cost_follows_l_not_K(capsys):
-    # atoms are built at level l + 1, so K = 40 costs what K = 4 does
+    # atoms are built in the level-l field, so K = 40 costs what K = 4 does
     lines = {}
     for K in ("4", "40"):
         code, out = run_cli(capsys, "wl", "--expr", "f^2-1", "--K", K,
@@ -390,6 +390,57 @@ def test_every_subcommand_argument_reaches_the_run_config():
         assert config.params == tuple(
             (a.dest, getattr(args, a.dest)) for a in own)
         assert (config.seed, config.output_format) == (5, "structured")
+
+
+def test_terminal_probed_once_per_command_line(capsys, monkeypatch):
+    # argparse builds a help formatter per add_argument and per parse, and
+    # its default one probes the terminal each time; build_parser's probes
+    # it once per command line, whether it parses, prints help or fails
+    import shutil
+
+    probes = []
+    probe = shutil.get_terminal_size
+
+    def spy(*args, **kwargs):
+        probes.append(args)
+        return probe(*args, **kwargs)
+
+    monkeypatch.setattr(shutil, "get_terminal_size", spy)
+    for argv, code in (
+            (["wl", "--expr", "fk(3)*chi^9-2", "--K", "5", "--l", "3"], 0),
+            (["verify", "--suite", "p-identities"], 0),
+            (["--help"], 0),
+            (["wl", "--K", "3"], 2)):
+        probes.clear()
+        assert main(argv) == code, argv
+        assert len(probes) == 1, argv
+    capsys.readouterr()
+
+
+def test_help_and_usage_match_the_default_formatter(monkeypatch):
+    # the formatter built once per command line prints what argparse's own
+    # HelpFormatter, which probes the terminal each time, prints, at a
+    # narrow and a wide terminal
+    import argparse
+
+    from lensring import cli
+
+    def helps(parser):
+        (subparsers,) = [a for a in parser._actions
+                         if isinstance(a, argparse._SubParsersAction)]
+        return [(p.format_help(), p.format_usage())
+                for p in (parser, *subparsers.choices.values())]
+
+    seen = {}
+    for columns in ("60", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        with monkeypatch.context() as patch:
+            seen[columns] = helps(cli.build_parser())
+            patch.setattr(cli, "_formatter_class",
+                          lambda: argparse.HelpFormatter)
+            assert helps(cli.build_parser()) == seen[columns], columns
+        assert len(seen[columns]) == 1 + len(cli._SUBCOMMANDS)
+    assert seen["60"] != seen["200"]
 
 
 def old_random_element(rng, K):

@@ -25,7 +25,17 @@ from lensring import (
     project,
     ring_arith,
 )
-from lensring.ring import _eval_f2_vec, _poly_mul_int, _power, _tower, _wrap
+from lensring import ring
+from lensring.ring import (
+    _element_from_vec,
+    _eval_f2_vec,
+    _family_vec,
+    _poly_mul_int,
+    _power,
+    _project_window,
+    _tower,
+    _wrap,
+)
 
 
 def one(K):
@@ -327,6 +337,77 @@ def test_atoms_project_through_level_l_plus_one():
             for l in range(K):
                 assert project(power, l) == low[l] ** e
             power = power * chi(K)
+
+
+def test_project_window_matches_project():
+    # p_j = e_j - e_(j+2^l) over den equals pr_l of the level-(l+1) element,
+    # for the windows of f, fk(k) and fpk(k), windows over den > 1, and
+    # vectors held whole whose last entry is not zero
+    rng = random.Random(12)
+    dens = set()
+    for l in range(11):
+        for den in (1, 6, 1 << 9):
+            entries = tuple(rng.randrange(-50, 51) for _ in range(2 << l))
+            vec = ring._Window(2 << l, 1, entries[:-1] + (7,), (), den)
+            assert _project_window(vec, l) == project(
+                _element_from_vec(l + 1, vec), l)
+        for k in range(1, 15, 2):
+            windows = [
+                lambda K, k=k: _family_vec(K, k),
+                lambda K, k=k: _family_vec(K, k, f_power=1),
+                lambda K, k=k: _family_vec(K, k, f_power=2),
+                lambda K, k=k: _family_vec(K, k, (3, 0, -5), f_power=3),
+                lambda K, k=k: _family_vec(K, k, (1, 2), f2_minus_1=True,
+                                           times_one_minus_chi=2),
+            ]
+            for window in windows:
+                vec = window(l + 1)
+                dens.add(vec.den)
+                got = _project_window(vec, l)
+                assert got == project(_element_from_vec(l + 1, vec), l)
+                assert (got.level, len(got.nums)) == (l, 1 << l)
+    assert 1 in dens and max(dens) > 1
+
+
+def test_monomial_powers_match_square_and_multiply(monkeypatch):
+    # c chi^j / den to the e in closed form against ring._power; below
+    # eight entries every (c, den) meets every j, above that they take
+    # turns along j
+    combos = [(c, den) for c in (1, -1, 2, -3) for den in (1, 4)]
+    for l in range(9):
+        n = 1 << l
+        unit = LevelProjection._from_ints(l, [1] + [0] * (n - 1))
+        exponents = (0, 1, 2, 3, n - 1, n, n + 1, 2 * n + 3)
+        for j in range(n):
+            for c, den in combos if n < 8 else [combos[j % 8]]:
+                nums = [0] * n
+                nums[j] = c
+                base = LevelProjection._from_ints(l, nums, den)
+                for e in exponents:
+                    assert base ** e == _power(base, e, unit), (l, j, c, e)
+    # zero and two-term bases still go through square-and-multiply, and
+    # every base rejects the same exponents
+    calls = []
+
+    def spy(base, exponent, one):
+        calls.append(exponent)
+        return _power(base, exponent, one)
+
+    monkeypatch.setattr(ring, "_power", spy)
+    chi3 = LevelProjection(3, [0, 0, 0, 1, 0, 0, 0, 0])
+    zero = LevelProjection(3, [0] * 8)
+    two_terms = LevelProjection(3, [1, 0, 0, 0, 0, Fraction(-1, 2), 0, 0])
+    assert chi3 ** 5 == LevelProjection(3, [0, 0, 0, 0, 0, 0, 0, -1])
+    assert calls == []
+    assert zero ** 0 == LevelProjection(3, [1] + [0] * 7)
+    assert zero ** 3 == zero
+    assert two_terms ** 3 == two_terms * two_terms * two_terms
+    assert calls == [0, 3, 3]
+    for p in (chi3, zero, two_terms):
+        for bad in (True, False, -1, 2.0):
+            with pytest.raises(ValueError,
+                               match="exponent must be a non-negative"):
+                p ** bad
 
 
 def test_level_projection_power():
