@@ -23,12 +23,13 @@ failing verify check also writes a one-line reproducer (suite and seed,
 with the check name) to stderr.
 
 Expressions use a tiny language: integer literals, chi, f, fk(k), fpk(k),
-binary + - *, powers ^ with a non-negative integer exponent, unary minus,
-and parentheses.  The unicode minus and middle dot are accepted as aliases
-for - and *.  `wl` evaluates an expression in the level-l field
-Q[chi]/<1 + chi^(2^l)> from atoms built there (f, fk(k) and fpk(k) folded
-from their level-(l + 1) family windows), so its cost follows l and not K;
-`parse_expression` evaluates at level K.
+binary + - *, powers ^ with a non-negative integer exponent, unary minus
+(a chain of signs too), and parentheses nested at most 100 deep.  The
+unicode minus and middle dot are accepted as aliases for - and *.  `wl`
+evaluates an expression in the level-l field Q[chi]/<1 + chi^(2^l)> from
+atoms built there (f, fk(k) and fpk(k) folded from their level-(l + 1)
+family windows), so its cost follows l and not K; `parse_expression`
+evaluates at level K.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from itertools import accumulate
 from typing import Callable, Sequence
 
 from .polynomials import (
@@ -163,6 +165,9 @@ def _tokenize(text: str) -> list[tuple[str, object]]:
 # an expression's value: a ring element, or its image under a ring map
 _Value = RingElement | LevelProjection
 
+# five stack frames per open parenthesis: well inside the recursion limit
+_MAX_NESTING = 100
+
 
 class _ExpressionParser:
     """Recursive descent over the expression language, in the ring its atoms
@@ -191,6 +196,9 @@ class _ExpressionParser:
         return value
 
     def parse(self) -> _Value:
+        opened = accumulate((t == "(") - (t == ")") for t, _ in self.tokens)
+        if max(opened) > _MAX_NESTING:
+            raise ValueError(f"parentheses nested deeper than {_MAX_NESTING}")
         value = self._sum()
         if self._peek() != "end":
             raise ValueError("trailing input after expression")
@@ -212,10 +220,11 @@ class _ExpressionParser:
         return acc
 
     def _unary(self) -> _Value:
-        if self._peek() == "-":
+        signs = 0
+        while self._peek() == "-":
             self._next()
-            return -self._unary()
-        return self._power()
+            signs += 1
+        return -self._power() if signs % 2 else self._power()
 
     def _power(self) -> _Value:
         base = self._atom()

@@ -2,10 +2,10 @@
 
 Three integer polynomial families are built here:
 
-  * p_k, defined by p_1 = x + 1 and the exact rational-function recursion
-    p_{k+1}(x) = p_k((x+1)^2 / 4x) * (4x)^(2^(k-1)).  Each p_k is monic of
-    degree 2^(k-1) and satisfies p_k(f^2) (1-chi)^(2^k) = 2^(2^k - 1)
-    (1 + chi^(2^k)) in Z[chi]/I<K> for every K > k.
+  * p_k(x) = sum_j C(2^k, 2j) x^j, monic of degree 2^(k-1).  It satisfies
+    p_k(f^2) (1-chi)^(2^k) = 2^(2^k - 1) (1 + chi^(2^k)) in Z[chi]/I<K> for
+    every K > k, and the paper's recursion p_1 = x + 1, p_{k+1}(x) =
+    p_k((x+1)^2 / 4x) (4x)^(2^(k-1)); the tests check both properties.
 
   * q_n = p_1 p_2 ... p_a (x-1)^b where n + 1 = 2^a + b with 0 <= b < 2^a.
     These are monic of degree n and realize the best possible divisibility
@@ -196,26 +196,18 @@ ONE = IntPolynomial((1,))
 
 @cache
 def p_k(k: int) -> IntPolynomial:
-    """The k-th base polynomial, monic of degree 2^(k-1).
+    """The k-th base polynomial, sum_j C(2^k, 2j) x^j, by a running product.
 
-    Computed by evaluating p_{k-1} at the rational function (x+1)^2 / 4x and
-    clearing (4x)^d, d = 2^(k-2): a Horner sweep over the coefficients c_j
-    of p_{k-1} sums c_j (x+1)^(2j) (4x)^(d-j).
+    With M = 2^k, 1 + f = 2/(1 - chi) and 1 - f = -2 chi/(1 - chi), so
+    p_k(f^2) = ((1 + f)^M + (1 - f)^M)/2 = 2^(M-1) (1 + chi^M)/(1 - chi)^M.
     """
     if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise ValueError(f"k must be a positive integer, got {k!r}")
-    if k == 1:
-        return IntPolynomial((1, 1))
-    c = p_k(k - 1).coeffs
-    d = len(c) - 1
-    num = [c[d]]
-    for j in range(d - 1, -1, -1):
-        num = ring._poly_mul_int(num, (1, 2, 1))
-        num[d - j] += c[j] << 2 * (d - j)
-    result = IntPolynomial(tuple(num))
-    if result.degree != 1 << (k - 1) or not result.is_monic():
-        raise ArithmeticError(f"p_{k}: expected monic of degree {1 << (k - 1)}")
-    return result
+    M = 1 << k
+    row = [1]
+    for i in range(M):
+        row.append(row[-1] * (M - i) // (i + 1))
+    return IntPolynomial(tuple(row[::2]))
 
 
 def split_n(n: int) -> tuple[int, int]:

@@ -755,7 +755,7 @@ def _residue_images(vecs: Sequence[_Window]):
     minus the last entry, then per tail class its value at b = 0 minus the
     last entry followed by its higher Newton differences, zero-padded to
     the longest tail.  A shorter head is first aligned to the longest one
-    by moving its classes along whole blocks (`_Window.times`).  Against
+    by moving its classes along whole blocks (`_moved`).  Against
     the entries of the common window this is a unimodular change of
     columns, the same for every vector (Pascal's matrix per class), so
     kernels, Smith exponents and 4Z verdicts are those of the entries.

@@ -28,10 +28,12 @@ pr_l(g) lies in 4 * Z[chi]/<1 + chi^(2^l)>; under it,
     l != l_star and < at l_star proves non-membership.
 
 The criteria return three-valued verdicts and never guess: failing to prove
-is reported as inconclusive, not as the opposite claim.  They, and
-`_valuations`, read the raw integer part of every level, numerators over
-the element's denominator, off one descent of the tower (`ring._tower`),
-without building a `LevelProjection`.
+is reported as inconclusive, not as the opposite claim.  Both non-membership
+criteria ask which levels are deficient (`_deficiency`); the search takes
+w_l((1 - chi)^j) = j / 2^l from the product rule.  They, and `_valuations`,
+read the raw integer part of every level, numerators over the element's
+denominator, off one descent of the tower (`ring._tower`), without
+building a `LevelProjection`.
 """
 
 from __future__ import annotations
@@ -330,14 +332,22 @@ def criterion_sufficient(g: RingElement) -> CriterionVerdict:
     return CriterionVerdict.PROVES_MEMBERSHIP
 
 
+def _deficiency(g: RingElement):
+    """The map from a witness's valuations w_l(h) to the levels where
+    w_l(g) + w_l(h) falls below the bound; None if g fails the hypothesis."""
+    parts = _hypothesis_parts(g)
+    if parts is None:
+        return None
+    floors = [(_valuation(p, g.den, l), membership_bound(g.level, l))
+              for l, p in enumerate(parts)]
+    return lambda wh: [l for l, ((wg, bound), w) in enumerate(zip(floors, wh))
+                       if (wg + w).below(bound)]
+
+
 def criterion_necessary(g: RingElement, h: RingElement,
                         l_star: int) -> CriterionVerdict:
-    """Prove non-membership using a one-level deficiency witness h.
-
-    h must be integral and at the same level as g.  The verdict is
-    proves-non-membership when w_l(g) + w_l(h) clears the bound at every
-    l != l_star and falls strictly below it at l_star.
-    """
+    """Prove non-membership with a witness h, integral and at g's level:
+    proves-non-membership when l_star is the one deficient level."""
     if g.level != h.level:
         raise ValueError(f"level mismatch: {g.level} vs {h.level}")
     if not h.is_integral():
@@ -346,49 +356,37 @@ def criterion_necessary(g: RingElement, h: RingElement,
     if not isinstance(l_star, int) or isinstance(l_star, bool) \
             or not 0 <= l_star < K:
         raise ValueError(f"l_star must satisfy 0 <= l_star < {K}")
-    parts = _hypothesis_parts(g)
-    if parts is None:
+    deficient = _deficiency(g)
+    if deficient is None or deficient(_valuations(h)) != [l_star]:
         return CriterionVerdict.INCONCLUSIVE
-    for l, (p, wh) in enumerate(zip(parts, _valuations(h))):
-        s = _valuation(p, g.den, l) + wh
-        bound = membership_bound(K, l)
-        if l == l_star:
-            if not s.below(bound):
-                return CriterionVerdict.INCONCLUSIVE
-        else:
-            if not s.at_least(bound):
-                return CriterionVerdict.INCONCLUSIVE
     return CriterionVerdict.PROVES_NON_MEMBERSHIP
 
 
 @cache
 def _one_minus_chi_valuations(K: int, j: int) -> tuple[Valuation, ...]:
-    from .ring import make_element
-
-    return tuple(_valuations(make_element(K, [1, -1]) ** j))
+    """w_l((1 - chi)^j) = j / 2^l for l < K, by the product rule."""
+    return tuple(Valuation._unchecked(j >> l, j % (1 << l), l)
+                 for l in range(K))
 
 
 def criterion_necessary_search(g: RingElement, max_power: int | None = None):
-    """Scan the witness catalogue h = (1 - chi)^j, j = 0..max_power.
-
-    max_power defaults to 2^K.  Returns (verdict, j, l_star) for the first
-    witness with exactly one deficient level, or (inconclusive, None, None).
-    """
+    """Scan the witnesses h = (1 - chi)^j, j = 0..max_power (an int >= 0,
+    2^K by default), with w_l(h) = j / 2^l: no power is built.  Returns
+    (verdict, j, l_star) for the first witness with exactly one deficient
+    level, or (inconclusive, None, None)."""
     K = g.level
     if max_power is None:
         max_power = 1 << K
-    parts = _hypothesis_parts(g)
-    if parts is None:
-        return CriterionVerdict.INCONCLUSIVE, None, None
-    wg = [_valuation(p, g.den, l) for l, p in enumerate(parts)]
-    bounds = [membership_bound(K, l) for l in range(K)]
-    for j in range(max_power + 1):
-        wh = _one_minus_chi_valuations(K, j)
-        deficient = [
-            l for l in range(K) if (wg[l] + wh[l]).below(bounds[l])
-        ]
-        if len(deficient) == 1:
-            return CriterionVerdict.PROVES_NON_MEMBERSHIP, j, deficient[0]
+    elif not isinstance(max_power, int) or isinstance(max_power, bool) \
+            or max_power < 0:
+        raise ValueError(
+            f"max_power must be a non-negative integer, got {max_power!r}")
+    deficient = _deficiency(g)
+    if deficient is not None:
+        for j in range(max_power + 1):
+            levels = deficient(_one_minus_chi_valuations(K, j))
+            if len(levels) == 1:
+                return CriterionVerdict.PROVES_NON_MEMBERSHIP, j, levels[0]
     return CriterionVerdict.INCONCLUSIVE, None, None
 
 

@@ -183,6 +183,37 @@ def test_wl_expression_with_a_leading_minus(capsys):
     assert w["--expr=-f"] == w["--expr=f"] == "w = 0+0/2^1"
 
 
+def test_wl_chain_of_signs_is_plus_or_minus_f(capsys):
+    # a long chain of signs is read without recursion: an even count is f,
+    # an odd one -f
+    K = 3
+    f = element_f(K)
+    for count in (1100, 1101):
+        expr = "-" * count + "f"
+        assert parse_expression(expr, K) == (-f if count % 2 else f)
+        code, out = run_cli(capsys, "wl", f"--expr={expr}", "--K", str(K),
+                            "--l", "1")
+        assert code == 0
+        assert "w = 0+0/2^1" in out.splitlines()
+
+
+def test_wl_nesting_past_the_cap_is_a_usage_error(capsys):
+    K = 3
+    inside = "(" * 100 + "f" + ")" * 100
+    assert parse_expression(inside, K) == element_f(K)
+    code, out = run_cli(capsys, "wl", "--expr", inside, "--K", "3",
+                        "--l", "1")
+    assert code == 0 and "w = 0+0/2^1" in out.splitlines()
+    for depth in (101, 250, 5000):
+        expr = "(" * depth + "f" + ")" * depth
+        with pytest.raises(ValueError, match="nested deeper than 100"):
+            parse_expression(expr, K)
+        assert main(["wl", "--expr", expr, "--K", "3", "--l", "1"]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", "error: parentheses nested deeper than 100\n")
+
+
 def test_best_poly(capsys):
     code, out = run_cli(capsys, "best-poly", "--n", "2", "--sign", "-")
     assert code == 0

@@ -80,21 +80,31 @@ def test_int_polynomial_power():
             X ** bad
 
 
-def test_p_polynomials_match_binomial_oracle():
-    # independent route: the degree 2^(k-1) polynomial with even binomial
-    # coefficients of 2^k as its entries
-    for k in range(1, 6):
-        n = 1 << k
-        want = tuple(math.comb(n, 2 * j) for j in range(n // 2 + 1))
-        assert p_k(k).coeffs == want
+def test_p_polynomials_match_the_recursion():
+    # independent route: the paper's recursion p_1 = x + 1,
+    # p_{k+1}(x) = p_k((x+1)^2 / 4x) (4x)^d with d = 2^(k-1), that is
+    # sum_j c_j (x+1)^(2j) (4x)^(d-j), by Horner in (x+1)^2
+    want = [1, 1]
+    for k in range(1, 11):
+        p = p_k(k)
+        assert p.coeffs == tuple(want)
+        assert p.degree == 1 << (k - 1) and p.is_monic()
+        d = len(want) - 1
+        acc = [want[d]]
+        for j in range(d - 1, -1, -1):
+            acc = [a + 2 * b + c for a, b, c in
+                   zip(acc + [0, 0], [0] + acc + [0], [0, 0] + acc)]
+            acc[d - j] += want[j] << 2 * (d - j)
+        want = acc
 
 
 def test_p_polynomials_frozen_values():
     assert p_k(1).coeffs == (1, 1)
     assert p_k(2).coeffs == (1, 6, 1)
     assert p_k(3).coeffs == (1, 28, 70, 28, 1)
-    with pytest.raises(ValueError):
-        p_k(0)
+    for bad in (0, -1, True, 2.0):
+        with pytest.raises(ValueError):
+            p_k(bad)
 
 
 def test_p_polynomial_symbolic_identity():

@@ -24,6 +24,7 @@ from lensring import (
     normal_form,
     normal_form_reconstruct,
     project,
+    q_n,
     valuation_from_text,
     valuation_to_text,
     w_l,
@@ -31,7 +32,7 @@ from lensring import (
 )
 
 
-from lensring.valuation import _valuations
+from lensring.valuation import _one_minus_chi_valuations, _valuations
 
 
 def random_element(rng, K, span=9):
@@ -336,6 +337,67 @@ def test_criterion_necessary_validates_inputs():
         criterion_necessary(g, Fraction(1, 2) * h, 0)
     with pytest.raises(ValueError):
         criterion_necessary(g, h, 3)
+
+
+def test_criterion_necessary_search_validates_max_power():
+    g = evaluate_at_f_squared([1], 3, 1)
+    for bad in (True, False, -1, 2.0, "3"):
+        with pytest.raises(ValueError):
+            criterion_necessary_search(g, bad)
+    assert criterion_necessary_search(g, 0) \
+        == (CriterionVerdict.PROVES_NON_MEMBERSHIP, 0, 1)
+
+
+def test_witness_valuations_match_the_ring_powers():
+    # w_l((1 - chi)^j) = j / 2^l against the dense powers
+    for K in range(1, 8):
+        one_minus_chi = make_element(K, [1, -1])
+        h = make_element(K, [1])
+        for j in range((1 << K) + 4):
+            assert _one_minus_chi_valuations(K, j) == tuple(_valuations(h))
+            h = h * one_minus_chi
+
+
+def ring_witness_scan(g):
+    """The search's verdict read off ring-built witnesses (1 - chi)^j,
+    j <= 2^K, and the deficiency rule written out."""
+    K = g.level
+    if oracle_parts(g) is not None:
+        wg = _valuations(g)
+        h, one_minus_chi = make_element(K, [1]), make_element(K, [1, -1])
+        for j in range((1 << K) + 1):
+            wh = _valuations(h)
+            deficient = [l for l in range(K) if (wg[l] + wh[l])
+                         .below(membership_bound(K, l))]
+            if len(deficient) == 1:
+                return CriterionVerdict.PROVES_NON_MEMBERSHIP, j, deficient[0]
+            h = h * one_minus_chi
+    return CriterionVerdict.INCONCLUSIVE, None, None
+
+
+def test_witness_search_matches_a_scan_of_ring_powers():
+    seen = set()
+    for K in range(1, 9):
+        for n in range(6):
+            g = evaluate_at_f_squared(q_n(n), K, 1)
+            found = criterion_necessary_search(g)
+            assert found == ring_witness_scan(g)
+            seen.add(found[1])
+    assert {None, 0, 1} <= seen
+
+
+def test_witness_search_verdicts_hold_with_ring_powers_at_K_10():
+    K = 10
+    proved = 0
+    for n in range(6):
+        g = evaluate_at_f_squared(q_n(n), K, 1)
+        verdict, j, l_star = criterion_necessary_search(g)
+        if verdict == CriterionVerdict.PROVES_NON_MEMBERSHIP:
+            h = make_element(K, [1, -1]) ** j
+            assert criterion_necessary(g, h, l_star) == verdict
+            assert not is_in_4Z(g)
+            proved += 1
+    assert proved
 
 
 def test_criteria_never_contradict_the_oracle():
