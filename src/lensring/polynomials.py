@@ -371,7 +371,7 @@ def r_minus(n: int) -> RMinusRecord:
         )
     held = {1: vecs, 3: [v.times((1,), 3) for v in vecs]}
     for num, step in _DERIVED.values():
-        derived = [v.times(num, step).divided(step) for v in held[step]]
+        derived = [v.times(num, step).divided() for v in held[step]]
         if _search_winners(derived[0], derived[1:]) != winners:
             raise ArithmeticError(
                 f"r^-_{n}: winning correction depends on (k, m), which"

@@ -52,34 +52,40 @@ numerators over the element's denominator.
 The families scale * f'_k f^p (f^2 - 1)^[flag] q(f^2) (1 - chi)^t, f_k and
 the 8 f'_k f^m q(f^2) of the r^- search among them, are all built by
 `_family_vec`, and never with all N entries unless a public function returns
-them.  Their sparse factors are multiplied out first into a numerator of H
-terms, which is then divided once by 1 - chi^k and e times by 1 - chi; each
-division is a running sum after adding the multiple of the norm element that
-makes the entry sum vanish, which is legitimate because the norm is zero in
-the quotient.  From index H - k on (H >= k), each residue class mod k of the
-result is a polynomial of degree <= e + 1 in its index, so the vector is
-fixed by its first W = H + (e + 1)*k entries (H + 1 when k = 1, where every
-division moves the start of the tail down instead).  `_Window` stores the
-head before the tail and, per class, the Newton forward differences of the
-tail: the last entry, the class sums each division needs (through sum_{s<L}
-C(s, j) = C(L, j + 1)) and the division itself then cost O(H + k*e)
-operations, not O(N).  `times` multiplies by a short polynomial inside the
-window (each tail class becomes a sum of classes moved along by whole
-blocks), so `r_minus` evaluates each polynomial once, at (k, m) = (1, 1),
-and gets the other three vectors with one product and one division each.
-Membership in 4 Z[chi]/I<K> of any integer combination needs only the first
-W entries and the last one, so the residue rows of the r^- search, the
-lattice oracles and the shape remark are W wide: W grows like n, not like N
-= 2^(2n+2).  They are read off the head and the Newton differences as
-stored, which is a unimodular change of columns from the entries
-(`_residue_images`).  When W >= N (small K, or a numerator that wraps) the
-vector simply holds all N entries.  Only `element_f`, `element_f_prime`,
-`element_f_k` and `evaluate_at_f_squared` step the tail out to all N entries
-per call, because they return a `RingElement` (`cli`'s `wl` steps a
-level-(l+1) window out to its 2^(l+1) entries and folds them to level l);
-`structure.rho_bracket` reads its N entries off slot rows stepped out once
-per (d, K, k) and shared (see `polynomials.reset_polynomial_tables`).  All
-of this is exact.
+them.  Their sparse factors, folded by chi^N = 1 when k >= N, are
+multiplied out first into a numerator of H terms.  A window is only ever
+divided by 1 - chi^(its own class step): a numerator with e = -net >= 1
+divisions by 1 - chi is held at class step 1 and divided e times, then
+held at class step k (`_Window.times((1,), k)`, which reads the new
+classes off the stored differences) and divided once by 1 - chi^k; with
+e = 0 it is held at class step k from the start.  Each division is a
+running sum along the classes after adding the multiple of the norm
+element that makes the entry sum vanish, which is legitimate because the
+norm is zero in the quotient, and it moves k head entries into the tail
+classes, each now a polynomial of one degree more in its index.  So the
+vector is fixed by its first W = H + k + e*(k - 1) entries (H + 1 when
+k = 1; the head is padded to e + k entries when H is shorter), and with
+net <= 0 and t = 0 its head keeps at most one entry.  `_Window` stores
+the head before the tail and, per class, the Newton forward differences
+of the tail: the last entry, the class sums each division needs (through
+sum_{s<L} C(s, j) = C(L, j + 1)) and the division itself then cost
+O(H + k*e) operations, not O(N).  `times` multiplies by a short polynomial
+inside the window (each tail class becomes a sum of classes moved along
+by whole blocks), so `r_minus` evaluates each polynomial once, at (k, m) =
+(1, 1), and gets the other three vectors with one product and one division
+each.  Membership in 4 Z[chi]/I<K> of any integer combination needs only
+the first W entries and the last one, so the residue rows of the r^-
+search, the lattice oracles and the shape remark are W wide: W grows like
+n, not like N = 2^(2n+2).  They are read off the head and the Newton
+differences as stored, which is a unimodular change of columns from the
+entries (`_residue_images`).  When W >= N (small K, or a numerator that
+wraps) the vector simply holds all N entries.  Only `element_f`,
+`element_f_prime`, `element_f_k` and `evaluate_at_f_squared` step the tail
+out to all N entries per call, because they return a `RingElement`
+(`cli`'s `wl` steps a level-(l+1) window out to its 2^(l+1) entries and
+folds them to level l); `structure.rho_bracket` reads its N entries off
+slot rows stepped out once per (d, K, k) and shared (see
+`polynomials.reset_polynomial_tables`).  All of this is exact.
 
 Every value is immutable after construction and every function is pure, so
 everything here is safe to share across threads without synchronization.
@@ -535,7 +541,8 @@ class _Window(NamedTuple):
     polynomial sum_h tails[r][h] * C(b, h) in b: its Newton forward
     differences at b = 0, so every entry, class sum and the last entry are
     closed forms, and sum_{b<L} C(b, h) = C(L, h + 1).  An empty `tails`
-    means the head holds all n entries.
+    means the head holds all n entries.  A window is divided only by
+    1 - chi^k (`divided`); `times` changes its class step to a multiple.
     """
 
     n: int
@@ -547,17 +554,16 @@ class _Window(NamedTuple):
     @classmethod
     def from_numerator(cls, poly: Sequence[int], n: int, k: int,
                        divisions: int = 1) -> "_Window":
-        """The integer polynomial poly(chi), ready for `divisions` divisions,
-        each by 1 - chi^k or 1 - chi.
+        """The integer polynomial poly(chi), ready for `divisions` divisions
+        by 1 - chi^k.
 
-        Each division raises the degree of the tail by one, so k more
-        entries fix it, while the division by 1 - chi^k also moves k head
-        entries into the tail: the vector is fixed by its first
-        max(len(poly), k) + divisions*k entries, and it holds all n entries
-        from the start when that reaches n.
+        The head is padded to divisions*k entries, as each division moves k
+        head entries into the tail and raises its degree by one: the window
+        stays s + k wide (s = max(len(poly), divisions*k)), and it holds all
+        n entries from the start when that reaches n.
         """
-        s = max(len(poly), k)
-        if s + divisions * k >= n:
+        s = max(len(poly), divisions * k)
+        if s + k >= n:
             return cls(n, k, tuple(_wrap(poly, n, 1)), (), 1)
         head = tuple(poly) + (0,) * (s - len(poly))
         return cls(n, k, head, ((0,),) * k, 1)
@@ -637,86 +643,58 @@ class _Window(NamedTuple):
             new.append(tuple(acc))
         return _Window(n, k, tuple(z[lp - 1:2 * lp - 2 + s]), tuple(new), den)
 
-    def divided(self, q: int, times: int = 1) -> "_Window":
-        """Divide by (1 - chi^q)^times (q = k or q = 1, gcd(q, n) = 1)
-        modulo the norm.
+    def divided(self, times: int = 1) -> "_Window":
+        """Divide by (1 - chi^k)^times modulo the norm, k the class step
+        (gcd(k, n) = 1).
 
         Each division first adds t times the norm vector, where t makes the
         entry sum vanish; the sum lives on the component killed by the
         quotient map, so the result is exact in Q[chi]/I<K>.  Each class
-        mod q is then a running sum from its first entry, and the class
-        constants close the cycle chi^N = 1.
+        mod k is then a running sum from its first entry, and the class
+        constants close the cycle chi^N = 1.  The last k head entries
+        become the first entries of the tail classes, one Newton difference
+        longer.
         """
         n, k, head, tails, den = self
-        if k % q:
-            raise ArithmeticError(
-                f"cannot divide by 1 - chi^{q} with class step {k}"
-            )
         for _ in range(times):
             s = len(head)
-            # dividing by 1 - chi^k moves k head entries into the tail, and
-            # every division raises the degree of the tail by one, so each
-            # class needs one more entry to fix it; step out to all n
-            # entries when that no longer fits, or when there is no head
-            # to move
-            shift = q == k and s >= k
-            if tails:
-                width = s - (k if shift else 0) + (len(tails[0]) + 1) * k
-                if width > n or (q > 1 and not shift):
-                    head = _Window(n, k, head, tails, den).entries(n)
-                    tails = ()
-                    s = n
-            # sums of all n entries over the classes mod q
-            if q == 1:
-                sums = [sum(head)]
-            else:
-                sums = [sum(head[r::q]) for r in range(q)]
+            # step out to all n entries when there is no head to move, or
+            # when the longer tail no longer fits
+            if tails and (s < k or s + len(tails[0]) * k > n):
+                head = _Window(n, k, head, tails, den).entries(n)
+                tails = ()
+                s = n
+            # sums of all n entries over the classes mod k
+            sums = ([sum(head)] if k == 1 else
+                    [sum(head[r::k]) for r in range(k)])
             for r, diffs in enumerate(tails):
                 count = (n - s - r + k - 1) // k
-                sums[(s + r) % q] += _binomial_dot(diffs, count, 1)
+                sums[(s + r) % k] += _binomial_dot(diffs, count, 1)
             total = sum(sums)
-            scale = 1 if total % n == 0 else n
-            if scale > 1:
+            if total % n:
                 head = [v * n for v in head]
                 tails = [[d * n for d in diffs] for diffs in tails]
+                sums = [v * n for v in sums]
                 den *= n
                 total *= n
             t = -(total // n)
             y = [v + t for v in head]
-            if q == 1:
+            if k == 1:
                 head = tuple(accumulate(y))
             else:
                 # the last entry of class r wraps onto the first of class
                 # r - n: the class constants make the running sums agree
-                c = 0
-                r = 0
-                for _ in range(q):
+                c = r = 0
+                for _ in range(k):
                     y[r] += c
-                    y[r::q] = accumulate(y[r::q])
-                    c += sums[r] * scale + t * ((n - r + q - 1) // q)
-                    r = (r - n) % q
+                    y[r::k] = accumulate(y[r::k])
+                    c += sums[r] + t * ((n - r + k - 1) // k)
+                    r = (r - n) % k
                 head = tuple(y)
-            if not tails:
-                continue
-            tails = [[diffs[0] + t] + list(diffs[1:]) for diffs in tails]
-            if shift:
-                # a running sum within each class: the last k head entries
-                # become the first entries of the tail classes
-                tails = tuple((head[s - k + r], *diffs)
-                              for r, diffs in enumerate(tails))
+            if tails:
+                tails = [(head[s - k + r], diffs[0] + t, *diffs[1:])
+                         for r, diffs in enumerate(tails)]
                 head = head[:s - k]
-                continue
-            # a running sum across the classes: entry s + r + b*k adds
-            # whole blocks b' < b of all k classes and classes 0..r of
-            # block b
-            block = [sum(col) for col in zip(*tails)]
-            partial = [head[-1] if head else 0] + [0] * (len(block) - 1)
-            new = []
-            for diffs in tails:
-                partial = [a + b for a, b in zip(partial, diffs)]
-                new.append((partial[0], *(a + b for a, b in
-                                           zip(block, partial[1:] + [0]))))
-            tails = tuple(new)
         return _Window(n, k, head, tuple(tails), den)
 
 
@@ -725,9 +703,12 @@ def _binom_coeffs(p: int, sign: int) -> list[int]:
     return [math.comb(p, j) * sign ** j for j in range(p + 1)]
 
 
-def _alternating(k: int) -> list[int]:
-    """Coefficients of 1 - chi + chi^2 - ... + chi^(k-1)."""
-    return [(-1) ** j for j in range(k)]
+def _alternating(k: int, n: int) -> list[int]:
+    """Coefficients of 1 - chi + chi^2 - ... + chi^(k-1) folded by chi^n = 1
+    (n even): entry r sums the k // n + [r < k mod n] terms of its class,
+    each (-1)^r, so there are min(k, n) entries."""
+    full, rest = divmod(k, n)
+    return [(full + (r < rest)) * (-1) ** r for r in range(min(k, n))]
 
 
 def _element_from_vec(K: int, vec: _Window) -> RingElement:
@@ -749,17 +730,17 @@ def _residue_images(vecs: Sequence[_Window]):
     Returns (rows, M): integer rows reduced mod M with the property that an
     integer combination sum(t_i * rows[i]) is congruent to 0 mod M in every
     entry exactly when the corresponding combination of ring values lies in
-    4 * Z[chi]/I<K>.  When every vector has a tail and the common window
-    (the longest head plus, per class, as many entries as the longest tail
-    needs) fits in N, a row is read off the stored data: the head entries
-    minus the last entry, then per tail class its value at b = 0 minus the
-    last entry followed by its higher Newton differences, zero-padded to
-    the longest tail.  A shorter head is first aligned to the longest one
-    by moving its classes along whole blocks (`_moved`).  Against
-    the entries of the common window this is a unimodular change of
-    columns, the same for every vector (Pascal's matrix per class), so
-    kernels, Smith exponents and 4Z verdicts are those of the entries.
-    Otherwise a row is all N entries minus the last one.
+    4 * Z[chi]/I<K>.  Every row is read by one loop: the first s entries
+    minus the last entry (`entries(s)`, which also reads a shorter head's
+    missing entries off its tail), then per tail class, moved along to
+    start at entry s (`_moved`), its first value minus the last entry and
+    its higher Newton differences, zero-padded to the longest tail.  s is
+    the longest head when every vector has a tail and the common window (s
+    plus, per class, as many entries as the longest tail needs) fits in N;
+    then, against the entries of the common window, the rows are a
+    unimodular change of columns, the same for every vector (Pascal's
+    matrix per class), so kernels, Smith exponents and 4Z verdicts are
+    those of the entries.  Otherwise s = N and there are no tail columns.
     """
     n, k = vecs[0].n, vecs[0].k
     if any(v.n != n or v.k != k for v in vecs):
@@ -768,27 +749,24 @@ def _residue_images(vecs: Sequence[_Window]):
         )
     den = math.lcm(*(v.den for v in vecs))
     m = 4 * den
-    rows = []
+    s, length = n, 0
     if all(v.tails for v in vecs):
         s = max(len(v.head) for v in vecs)
         length = max(len(v.tails[0]) for v in vecs)
-        if s + length * k <= n:
-            for v in vecs:
-                scale = den // v.den
-                top = v.entry(n - 1)
-                lag = s - len(v.head)
-                row = [x - top for x in v.head]
-                row += [v.entry(j) - top for j in range(len(v.head), s)]
-                for diffs in _moved(v.tails, k, lag + k)[lag:]:
-                    row.append(diffs[0] - top)
-                    row += diffs[1:]
-                    row += [0] * (length - len(diffs))
-                rows.append([x * scale % m for x in row])
-            return rows, m
+        if s + length * k > n:
+            s, length = n, 0
+    rows = []
     for v in vecs:
+        top = v.entry(n - 1)
+        row = [x - top for x in v.entries(s)]
+        if length:
+            lag = s - len(v.head)
+            for diffs in _moved(v.tails, k, lag + k)[lag:]:
+                row.append(diffs[0] - top)
+                row += diffs[1:]
+                row += [0] * (length - len(diffs))
         scale = den // v.den
-        top = v.entry(n - 1) * scale
-        rows.append([(x * scale - top) % m for x in v.entries(n)])
+        rows.append([x * scale % m for x in row])
     return rows, m
 
 
@@ -805,17 +783,21 @@ def _family_vec(
     """Internal vector for scale * f'_k * f^f_power * (f^2 - 1 when flagged)
     * q(f^2) * (1 - chi)^times_one_minus_chi: every family window.
 
-    The sparse factors are multiplied out first; f'_k = (1 - chi + ... +
-    chi^(k-1)) (1 - chi) / (1 - chi^k) supplies the one division by
-    1 - chi^k, and a negative net power of 1 - chi is that many divisions.
+    The sparse factors are multiplied out first, those of f'_k = (1 - chi
+    + ... + chi^(k-1)) (1 - chi) / (1 - chi^k) and f_k already folded by
+    chi^N = 1, so a k past N costs what k mod N does.  A negative net power
+    -e of 1 - chi is e divisions by 1 - chi at class step 1; the window is
+    then held at class step k mod N for the one division by 1 - chi^k.
+    With e = 0 it is built at class step k mod N.
     """
     n = _validate_level(K)
     _validate_odd(k)
+    step = k % n
     q = [scale * c for c in q]
     while q and q[-1] == 0:
         q.pop()
     if not q:
-        return _Window.from_numerator((), n, k % n)
+        return _Window.from_numerator((), n, step)
     deg = len(q) - 1
     # scale * q(f^2) = P(chi) / (1-chi)^(2*deg) with
     # P = sum_j q_j (1+chi)^(2j) (1-chi)^(2(deg-j)) over the scaled q_j,
@@ -830,27 +812,30 @@ def _family_vec(
             p = [a + q[j] * b for a, b in zip_longest(p, g, fillvalue=0)]
     if f_power:
         # f'_k f = f_k: (1 - chi + ... + chi^(k-1)) (1 + chi) = 1 + chi^k
-        num = _poly_mul_int(p, [1, *[0] * (k - 1), 1])
+        num = _poly_mul_int(p, [1, *[0] * (step - 1), 1])
         if f_power > 1:
             num = _poly_mul_int(num, _binom_coeffs(f_power - 1, 1))
     else:
-        num = _poly_mul_int(p, _alternating(k))
+        num = _poly_mul_int(p, _alternating(k, n))
     if f2_minus_1:
         num = [0] + [4 * c for c in num]
     net = (times_one_minus_chi + 1 - f_power - (2 if f2_minus_1 else 0)
            - 2 * deg)
     if net > 0:
         num = _poly_mul_int(num, _binom_coeffs(net, -1))
-    step = k % n
-    divisions = max(-net, 0)
-    vec = _Window.from_numerator(num, n, step, 1 + divisions).divided(step)
-    return vec.divided(1, divisions) if divisions else vec
+    e = max(-net, 0)
+    if not e:
+        return _Window.from_numerator(num, n, step).divided()
+    vec = _Window.from_numerator(num, n, 1, e + step).divided(e)
+    if step > 1:
+        vec = vec.times((1,), step)
+    return vec.divided()
 
 
 def _int_coeffs(q) -> tuple[int, ...]:
     """Integer coefficient tuple from an IntPolynomial-like or a sequence."""
     coeffs = getattr(q, "coeffs", q)
-    if isinstance(coeffs, (int, Fraction)):
+    if isinstance(coeffs, (int, float, Fraction)):
         coeffs = (coeffs,)
     out = []
     for c in coeffs:

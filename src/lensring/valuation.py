@@ -30,10 +30,10 @@ pr_l(g) lies in 4 * Z[chi]/<1 + chi^(2^l)>; under it,
 The criteria return three-valued verdicts and never guess: failing to prove
 is reported as inconclusive, not as the opposite claim.  Both non-membership
 criteria ask which levels are deficient (`_deficiency`); the search takes
-w_l((1 - chi)^j) = j / 2^l from the product rule.  They, and `_valuations`,
-read the raw integer part of every level, numerators over the element's
-denominator, off one descent of the tower (`ring._tower`), without
-building a `LevelProjection`.
+w_l((1 - chi)^j) = j / 2^l from the product rule and reads its witness off
+per-level thresholds on j.  They, and `_valuations`, read the raw integer
+part of every level, numerators over the element's denominator, off one
+descent of the tower (`ring._tower`), without building a `LevelProjection`.
 """
 
 from __future__ import annotations
@@ -332,16 +332,20 @@ def criterion_sufficient(g: RingElement) -> CriterionVerdict:
     return CriterionVerdict.PROVES_MEMBERSHIP
 
 
-def _deficiency(g: RingElement):
-    """The map from a witness's valuations w_l(h) to the levels where
-    w_l(g) + w_l(h) falls below the bound; None if g fails the hypothesis."""
+def _floors(g: RingElement) -> list[tuple[Valuation, Fraction]] | None:
+    """(w_l(g), bound) for every level l; None if g fails the hypothesis."""
     parts = _hypothesis_parts(g)
     if parts is None:
         return None
-    floors = [(_valuation(p, g.den, l), membership_bound(g.level, l))
-              for l, p in enumerate(parts)]
-    return lambda wh: [l for l, ((wg, bound), w) in enumerate(zip(floors, wh))
-                       if (wg + w).below(bound)]
+    return [(_valuation(p, g.den, l), membership_bound(g.level, l))
+            for l, p in enumerate(parts)]
+
+
+def _deficiency(floors, wh: Sequence[Valuation]) -> list[int]:
+    """The levels where w_l(g) + w_l(h) falls below the bound, from g's
+    `_floors` and the witness's valuations w_l(h)."""
+    return [l for l, ((wg, bound), w) in enumerate(zip(floors, wh))
+            if (wg + w).below(bound)]
 
 
 def criterion_necessary(g: RingElement, h: RingElement,
@@ -356,8 +360,8 @@ def criterion_necessary(g: RingElement, h: RingElement,
     if not isinstance(l_star, int) or isinstance(l_star, bool) \
             or not 0 <= l_star < K:
         raise ValueError(f"l_star must satisfy 0 <= l_star < {K}")
-    deficient = _deficiency(g)
-    if deficient is None or deficient(_valuations(h)) != [l_star]:
+    floors = _floors(g)
+    if floors is None or _deficiency(floors, _valuations(h)) != [l_star]:
         return CriterionVerdict.INCONCLUSIVE
     return CriterionVerdict.PROVES_NON_MEMBERSHIP
 
@@ -370,10 +374,13 @@ def _one_minus_chi_valuations(K: int, j: int) -> tuple[Valuation, ...]:
 
 
 def criterion_necessary_search(g: RingElement, max_power: int | None = None):
-    """Scan the witnesses h = (1 - chi)^j, j = 0..max_power (an int >= 0,
-    2^K by default), with w_l(h) = j / 2^l: no power is built.  Returns
-    (verdict, j, l_star) for the first witness with exactly one deficient
-    level, or (inconclusive, None, None)."""
+    """The first witness h = (1 - chi)^j, j = 0..max_power (an int >= 0,
+    2^K by default), with exactly one deficient level: (verdict, j,
+    l_star), or (inconclusive, None, None).  As w_l(h) = j / 2^l, level l
+    is deficient exactly when j < T_l = ((2 + K - l) << l) - 1 - 2^l w_l(g),
+    and never when w_l(g) is infinite: that j is max(T_(2), 0) for the two
+    largest thresholds T_(1) > T_(2), l_star the level of T_(1), and it is
+    confirmed once by the deficiency rule.  No power is built or scanned."""
     K = g.level
     if max_power is None:
         max_power = 1 << K
@@ -381,12 +388,16 @@ def criterion_necessary_search(g: RingElement, max_power: int | None = None):
             or max_power < 0:
         raise ValueError(
             f"max_power must be a non-negative integer, got {max_power!r}")
-    deficient = _deficiency(g)
-    if deficient is not None:
-        for j in range(max_power + 1):
-            levels = deficient(_one_minus_chi_valuations(K, j))
-            if len(levels) == 1:
-                return CriterionVerdict.PROVES_NON_MEMBERSHIP, j, levels[0]
+    floors = _floors(g)
+    if floors is not None:
+        # two sentinels stand for levels that are never deficient
+        *_, (low, _), (top, l_star) = [(0, None), (0, None), *sorted(
+            (((2 + K - l) << l) - 1 - wg._scaled(), l)
+            for l, (wg, _) in enumerate(floors) if not wg.is_infinite)]
+        j = max(low, 0)
+        if j < min(top, max_power + 1) and _deficiency(
+                floors, _one_minus_chi_valuations(K, j)) == [l_star]:
+            return CriterionVerdict.PROVES_NON_MEMBERSHIP, j, l_star
     return CriterionVerdict.INCONCLUSIVE, None, None
 
 

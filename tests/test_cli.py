@@ -8,7 +8,8 @@ from fractions import Fraction
 import pytest
 
 from lensring import element_f, element_f_k, element_f_prime, make_element, w_l
-from lensring.cli import main, parse_expression, tables_document
+from lensring.cli import (RunConfig, main, parse_expression, run,
+                          tables_document)
 from lensring.valuation import valuation_to_text
 
 
@@ -147,6 +148,20 @@ def test_wl_cost_follows_l_not_K(capsys):
         lines[K] = [x for x in out.splitlines()
                     if x.startswith(("w ", "value "))]
     assert lines["4"] == lines["40"] == ["w = 1+6/2^3", "value = 7/4"]
+
+
+def test_wl_family_with_a_class_step_past_n(capsys):
+    # f'_k and f_k are built from factors folded by chi^N = 1, so k = 10^9
+    # costs what k mod N does and reads the same w and value (N = 4 here)
+    def valuation_lines(expr):
+        code, out = run_cli(capsys, "wl", "--expr", expr, "--K", "3",
+                            "--l", "1")
+        assert code == 0
+        return [x for x in out.splitlines() if x.startswith(("w ", "value "))]
+    assert valuation_lines("fpk(1000000001)") == valuation_lines("fpk(1)") \
+        == ["w = 0+0/2^1", "value = 0"]
+    assert valuation_lines("fk(1000000003)*fpk(999999999)") \
+        == valuation_lines("fk(3)*fpk(7)")
 
 
 @pytest.mark.parametrize("args, err", [
@@ -314,6 +329,16 @@ def test_tables_level_must_be_positive(capsys):
             captured = capsys.readouterr()
             assert captured.out == ""
             assert "level K must be a positive integer" in captured.err
+
+
+def test_tables_and_best_poly_validate_sign_and_max_n():
+    with pytest.raises(ValueError, match="sign must be '\\+' or '-', got 'x'"):
+        tables_document(2, "x")
+    for max_n in (-1, True):
+        with pytest.raises(ValueError, match="max_n must be a non-negative"):
+            tables_document(max_n, "-")
+    with pytest.raises(ValueError, match="sign must be '\\+' or '-', got 'x'"):
+        run(RunConfig("best-poly", (("n", 2), ("sign", "x"))))
 
 
 def test_internal_key_error_is_not_a_usage_error(capsys, monkeypatch):

@@ -228,17 +228,57 @@ def test_family_vec_window_matches_n_length_oracle():
 
 
 def test_window_steps_out_when_the_tail_outgrows_n():
-    # more divisions than the numerator was built for: the tail would need
-    # more entries than N holds, so the vector must switch to all N entries
+    # more divisions than the numerator was built for: the head runs out
+    # and the tail would need more entries than N holds, so the vector must
+    # switch to all N entries
     for K in range(3, 8):
         n = 1 << K
         for k, poly in ((1, [8, 8]), (3, [8, -8, 8, 0, 4])):
-            vec = ring._Window.from_numerator(poly, n, k).divided(k)
-            vec = vec.divided(1, 12)
-            z, den = _div_geom(poly + [0] * (n - len(poly)), 1, k, n)
-            for _ in range(12):
-                z, den = _div_geom(z, den, 1, n)
+            vec = ring._Window.from_numerator(poly, n, k).divided(13)
+            assert not vec.tails
+            z, den = poly + [0] * (n - len(poly)), 1
+            for _ in range(13):
+                z, den = _div_geom(z, den, k, n)
             assert_window_matches(vec, z, den)
+
+
+def test_family_vec_folds_a_class_step_past_n():
+    # k >= N: the factors 1 - chi + ... + chi^(k-1) and 1 + chi^k are built
+    # folded by chi^N = 1, against the oracle's k-term cyclic sums
+    count = 0
+    for K in range(1, 7):
+        n = 1 << K
+        for k in (n + 1, 2 * n + 1, 3 * n - 1, 4 * n + 3, 9 * n + 5):
+            for f_power in range(4):
+                for flagged in (False, True):
+                    for q in ((1,), (5, -3, 0, 2)):
+                        vec = ring._family_vec(K, k, q, f_power=f_power,
+                                               f2_minus_1=flagged, scale=8)
+                        z, den = oracle_family_vec(K, k, f_power, flagged, 8,
+                                                   q)
+                        assert_window_matches(vec, z, den)
+                        count += 1
+    assert count == 480
+
+
+def test_family_windows_keep_at_most_one_head_entry():
+    # with net <= 0 and no (1 - chi)^t, every division moves head entries
+    # into the tail: e by 1 - chi at class step 1, then k by 1 - chi^k
+    windowed = 0
+    for K in range(6, 17):
+        for k in (1, 3, 5, 7):
+            for f_power in range(6):
+                for flagged in (False, True):
+                    for q in ((1,), (0, 1), q_n(3).coeffs, (5, -3, 0, 2)):
+                        net = 1 - f_power - 2 * flagged - 2 * (len(q) - 1)
+                        if net > 0:
+                            continue
+                        vec = ring._family_vec(K, k, q, f_power=f_power,
+                                               f2_minus_1=flagged, scale=8)
+                        if vec.tails:
+                            windowed += 1
+                            assert len(vec.head) <= 1, (K, k, f_power, q)
+    assert windowed > 1000
 
 
 def cyclic_product(z, poly):
@@ -344,7 +384,7 @@ def test_derived_vectors_match_direct_evaluation():
             base = ring._eval_f2_vec(q, K, 1, "odd", 1)
             for (k, m), (num, step) in polynomials._DERIVED.items():
                 step %= n
-                vec = base.times(num, step).divided(step)
+                vec = base.times(num, step).divided()
                 z, den = oracle_eval_f2(q, K, k, "odd", m, 0)
                 assert_window_matches(vec, z, den)
                 direct = ring._eval_f2_vec(q, K, k, "odd", m)
@@ -352,7 +392,7 @@ def test_derived_vectors_match_direct_evaluation():
                         == ring._element_from_vec(K, direct))
                 # r_minus re-reads B with the new step once for both k = 3
                 held = base.times((1,), step)
-                assert held.times(num, step).divided(step) == vec
+                assert held.times(num, step).divided() == vec
 
 
 
@@ -374,6 +414,7 @@ def test_residue_rows_are_the_stored_differences():
     # rows read off heads and Newton differences are the entries of the
     # common window minus the last one after one change of columns,
     # Pascal's matrix per class, the same for every vector
+    from lensring.structure import _rho_slot_vec
     rng = random.Random(29)
     seen = set()
     for K in range(3, 13):
@@ -382,10 +423,13 @@ def test_residue_rows_are_the_stored_differences():
             1, 9))] + [1] for _ in range(3)]
         bases = [ring._eval_f2_vec(q, K, 1, "odd", 1) for q in qs]
         sets = [bases] + [
-            [v.times(num, step % n).divided(step % n) for v in bases]
+            [v.times(num, step % n).divided() for v in bases]
             for num, step in polynomials._DERIVED.values()]
         sets += [[ring._eval_f2_vec(q, K, k, mode, 1) for q in qs]
                  for k in (3, 5) for mode in ("odd", "even")]
+        # the slot windows of an odd d have heads of 0 and 1 entries
+        sets += [[_rho_slot_vec(9, K, k, slot) for slot in range(4)]
+                 for k in (1, 3)]
         for vecs in sets:
             rows, m = ring._residue_images(vecs)
             k = vecs[0].k

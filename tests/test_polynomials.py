@@ -3,6 +3,7 @@
 import hashlib
 import math
 import random
+from fractions import Fraction
 
 import pytest
 import sympy
@@ -18,6 +19,7 @@ from lensring import (
     beta,
     beta_inv,
     brute_force_A,
+    evaluate_at_f_squared,
     kernel_oracle,
     membership_A,
     p_k,
@@ -60,6 +62,28 @@ def test_int_polynomial_arithmetic():
     assert a(2) == 1 + 4 + 12
     assert str(IntPolynomial((127, -6, 0, 6, 1))) == "x^4 + 6x^3 - 6x + 127"
     assert str(IntPolynomial(())) == "0"
+
+
+def test_int_polynomial_shift_rejects_a_negative_power():
+    with pytest.raises(ValueError, match="shift must be non-negative"):
+        IntPolynomial((1, 2)).shift(-1)
+
+
+def test_family_coefficients_are_integers():
+    # a scalar or an integral Fraction reads as the int; anything else is
+    # refused, by value (ValueError) or by type (TypeError)
+    want = evaluate_at_f_squared((3,), 4, 3)
+    member = membership_A((3,), 4, 3, 7)
+    for q in (3, Fraction(3), Fraction(6, 2), [Fraction(3)]):
+        assert evaluate_at_f_squared(q, 4, 3) == want
+        assert membership_A(q, 4, 3, 7) == member
+    for evaluate in (lambda q: evaluate_at_f_squared(q, 4, 3),
+                     lambda q: membership_A(q, 4, 3, 7)):
+        with pytest.raises(ValueError, match="must be integers"):
+            evaluate(Fraction(1, 2))
+        for bad in (1.5, True, [1.5], (1, True)):
+            with pytest.raises(TypeError, match="must be integers"):
+                evaluate(bad)
 
 
 def test_int_polynomial_power():

@@ -195,6 +195,12 @@ def test_polynomial_r_coordinates_ignore_the_lift():
                 == polynomial_r_coordinates(shifted, d, K)
 
 
+def test_polynomial_r_coordinates_rejects_a_degree_past_c():
+    # d = 5 has c = 2 coordinates, so deg q must stay below 2
+    with pytest.raises(ValueError, match="degree overflow: deg q = 2"):
+        polynomial_r_coordinates(IntPolynomial((0, 0, 1)), 5, 3)
+
+
 def _back_substitute(q, d, K):
     """Coordinates of q against the scaled r^- (odd d) or r^+ (even d)
     basis by integer back-substitution from the top degree down."""

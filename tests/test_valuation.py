@@ -54,6 +54,11 @@ def test_valuation_construction():
             Valuation(*parts)
 
 
+def test_infinite_valuation_has_no_value():
+    with pytest.raises(ValueError, match="no rational value"):
+        Valuation.infinite().value()
+
+
 def test_unchecked_valuation_equals_checked_one():
     for level in range(5):
         for a in (-2, 0, 3):
@@ -384,6 +389,62 @@ def test_witness_search_matches_a_scan_of_ring_powers():
             assert found == ring_witness_scan(g)
             seen.add(found[1])
     assert {None, 0, 1} <= seen
+
+
+def witness_scan(g, max_power):
+    """The search's verdict from a scan of every j <= max_power, with the
+    witness valuations w_l((1 - chi)^j) = j / 2^l and the deficiency rule
+    written out."""
+    K = g.level
+    if oracle_parts(g) is not None:
+        wg = _valuations(g)
+        for j in range(max_power + 1):
+            wh = _one_minus_chi_valuations(K, j)
+            deficient = [l for l in range(K) if (wg[l] + wh[l])
+                         .below(membership_bound(K, l))]
+            if len(deficient) == 1:
+                return CriterionVerdict.PROVES_NON_MEMBERSHIP, j, deficient[0]
+    return CriterionVerdict.INCONCLUSIVE, None, None
+
+
+def test_witness_search_thresholds_match_the_scan():
+    # the first j with one deficient level, read off the per-level
+    # thresholds, against a scan of every witness up to max_power: on
+    # q-ladder elements, and on level parts in 4Z, whose witnesses reach
+    # j > 1
+    rng = random.Random(19)
+    inputs = [evaluate_at_f_squared(q_n(n), K, k, "odd", m, t)
+              for K in range(1, 9) for n in range(6) for k in (1, 3)
+              for m in (1, 2) for t in (0, 1, 3)]
+    for K in range(2, 8):
+        for shift in (2, 3):
+            for _ in range(30):
+                inputs.append(crt_reconstruct([LevelProjection(l, [
+                    rng.randrange(-3, 4) << (shift + rng.randrange(3))
+                    for _ in range(1 << l)]) for l in range(K)]))
+    seen = set()
+    for g in inputs:
+        for max_power in (0, 1, 5, 40, 1 << g.level):
+            found = criterion_necessary_search(g, max_power)
+            assert found == witness_scan(g, max_power)
+            seen.add(found[1])
+    assert {None, 0, 1, 2, 5} <= seen and max(seen - {None}) > 40
+
+
+def test_witness_search_keeps_no_witness_table():
+    # an inconclusive search at K = 12 reads thresholds, not 2^K + 1
+    # cached witnesses
+    import tracemalloc
+    g = evaluate_at_f_squared(q_n(2), 12, 1)
+    _one_minus_chi_valuations.cache_clear()
+    tracemalloc.start()
+    try:
+        found = criterion_necessary_search(g)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert found == (CriterionVerdict.INCONCLUSIVE, None, None)
+    assert held < 1 << 20
 
 
 def test_witness_search_verdicts_hold_with_ring_powers_at_K_10():
