@@ -125,10 +125,9 @@ __all__ = [
 Rational = Union[int, Fraction]
 
 
-def _validate_level(K: int) -> int:
+def _validate_level(K: int) -> None:
     if not isinstance(K, int) or isinstance(K, bool) or K < 1:
         raise ValueError(f"level K must be a positive integer, got {K!r}")
-    return 1 << K
 
 
 def _validate_exponent(exponent: int) -> None:
@@ -271,7 +270,8 @@ class RingElement(_IntVector):
     """
 
     def __init__(self, level: int, coeffs: Iterable[Rational]) -> None:
-        n = _validate_level(level)
+        _validate_level(level)
+        n = 1 << level
         nums, den = _lift(coeffs)
         if len(nums) != n - 1:
             raise ValueError(
@@ -366,7 +366,8 @@ def make_element(K: int, raw: Iterable[Rational]) -> RingElement:
     uses chi^N = 1 followed by subtracting a multiple of the norm element to
     clear the coefficient of chi^(N-1).
     """
-    n = _validate_level(K)
+    _validate_level(K)
+    n = 1 << K
     nums, den = _lift(raw)
     return RingElement._from_cyclic(K, _wrap(nums, n, 1), den)
 
@@ -508,17 +509,13 @@ def _restride_table(t: int, length: int) -> tuple[tuple[int, ...], ...]:
     A tail class with Newton differences D, read at every t-th block, is
     again a polynomial; a step of t blocks is E^t = (1 + Delta)^t, so its
     j-th difference is (E^t - 1)^j at 0, sum_h row_j[h - j] * D[h]."""
+    factor = [0] + [math.comb(t, i) for i in range(1, min(t, length - 1) + 1)]
     rows = []
-    power = [1] + [0] * (length - 1)
+    power = [1]
     for j in range(length):
         # ((1 + z)^t - 1)^j has degree t j
         rows.append(tuple(power[j:t * j + 1]))
-        # times (1 + z)^t - 1, one shifted multiple per term, cut at length
-        nxt = [0] * length
-        for i in range(1, min(t, length - 1) + 1):
-            c = math.comb(t, i)
-            nxt[i:] = map(add, nxt[i:], [c * v for v in power[:length - i]])
-        power = nxt
+        power = _poly_mul_int(power, factor)[:length]
     return tuple(rows)
 
 
@@ -790,7 +787,8 @@ def _family_vec(
     then held at class step k mod N for the one division by 1 - chi^k.
     With e = 0 it is built at class step k mod N.
     """
-    n = _validate_level(K)
+    _validate_level(K)
+    n = 1 << K
     _validate_odd(k)
     step = k % n
     q = [scale * c for c in q]
@@ -1106,7 +1104,8 @@ def element_from_text(text: str) -> RingElement:
     if not match:
         raise ValueError("malformed element text: expected 'K=<int>; c0,c1,...'")
     K = int(match.group(1))
-    n = _validate_level(K)
+    _validate_level(K)
+    n = 1 << K
     tokens = match.group(2).split(",")
     if len(tokens) != n - 1:
         raise ValueError(

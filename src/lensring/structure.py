@@ -231,7 +231,8 @@ def structure_set(d: int, K: int) -> StructureSetDescriptor:
     """The structure-set descriptor: free rank N/2 - 1 (odd d) or N/2
     (even d), torsion per t_bar for d >= 5."""
     _validate_d(d)
-    n = ring._validate_level(K)
+    ring._validate_level(K)
+    n = 1 << K
     free_rank = n // 2 - 1 if d % 2 else n // 2
     torsion = t_bar(d, K) if d >= 5 else None
     return StructureSetDescriptor(free_rank, torsion)

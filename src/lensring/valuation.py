@@ -13,10 +13,11 @@ valuation is
 or infinity when the projection vanishes.  The pair (a, b) is independent of
 every choice made while computing it.  `w_l` reads it without witnesses: a
 is the least v_2 of a coefficient of p, and b is the first odd coefficient
-of 2^-a p in powers of (1 - chi) mod 2, which a superset-sum transform over
-GF(2) gives in l shift/mask/xor passes on one int of parity bytes.
-`normal_form` also returns the witnesses v1, v2, so a caller can replay
-the factorization.  Valuations compare as integers, without `Fraction`s.
+of 2^-a p in powers of (1 - chi) mod 2.  Over GF(2), x^h = 1 + (1 + x)^h
+for h = 2^i, so the parities lo + x^h hi split as (lo + hi) + (1 + x)^h hi
+and b is read by halving one int of parity bytes l times.  `normal_form`
+also returns the witnesses v1, v2, so a caller can replay the
+factorization.  Valuations compare as integers, without `Fraction`s.
 
 Valuations obey a product rule (w_l of a product is the sum) and the usual
 ultrametric-style sum rules, and they power two membership criteria for
@@ -28,12 +29,14 @@ pr_l(g) lies in 4 * Z[chi]/<1 + chi^(2^l)>; under it,
     l != l_star and < at l_star proves non-membership.
 
 The criteria return three-valued verdicts and never guess: failing to prove
-is reported as inconclusive, not as the opposite claim.  Both non-membership
-criteria ask which levels are deficient (`_deficiency`); the search takes
-w_l((1 - chi)^j) = j / 2^l from the product rule and reads its witness off
-per-level thresholds on j.  They, and `_valuations`, read the raw integer
-part of every level, numerators over the element's denominator, off one
-descent of the tower (`ring._tower`), without building a `LevelProjection`.
+is reported as inconclusive, not as the opposite claim.  All three read
+the integer thresholds T_l = 2^l (bound - w_l(g)) of `_thresholds`: the
+bound holds at level l when T_l <= 0, and a witness h is deficient there
+when 2^l w_l(h) < T_l.  The search takes w_l((1 - chi)^j) = j / 2^l from
+the product rule and reads its witness off the thresholds.  They, and
+`_valuations`, read the raw integer part of every level, numerators over
+the element's denominator, off one descent of the tower (`ring._tower`),
+without building a `LevelProjection`.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cache
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .polynomials import IntPolynomial, ONE, X, _v2
 from .ring import LevelProjection, RingElement, _tower, _wrap, project
@@ -241,45 +244,41 @@ def normal_form_reconstruct(nf: NormalForm, level: int) -> LevelProjection:
     return LevelProjection._from_ints(level, nums) * scale
 
 
-@cache
-def _lane_masks(level: int) -> tuple[int, ...]:
-    """Per pass i < level: 1 in each of the 2^level byte lanes j with bit i
-    of j clear, h = 2^i lanes on in every period of 2h."""
-    n = 1 << level
-    return tuple(int.from_bytes((b"\x01" * h + bytes(h)) * (n // (2 * h)),
-                                "little")
-                 for h in (1 << i for i in range(level)))
-
-
 def _valuation(nums: Sequence[int], den: int, level: int) -> Valuation:
     """(a, b) of the normal form of the level part nums / den, read off
     without witnesses; nums / den need not be in lowest terms.
 
     The basis change from chi^j to (1 - chi)^m is unimodular over Z, so a is
-    the least v_2 over the coefficients.  Mod 2, chi^j is the sum of
-    C(j, m) (1 + chi)^m, and by Lucas C(j, m) is odd exactly when the bits
-    of m are a subset of those of j: the coefficients of 2^-a nums / den
-    that are odd, summed over supersets (level shift/mask/xor passes on one
-    int with a parity byte per coefficient), give the parity of each
-    (1 - chi)^m coefficient, and b is the lowest odd one: the lowest set
-    byte.  A common odd factor of nums and den changes no parity.
+    the least v_2 over the coefficients, and b is the lowest m at which the
+    parities P of 2^-a nums / den have an odd (1 + chi)^m coefficient.  Over
+    GF(2), x^h = 1 + (1 + x)^h for h = 2^i, so P = lo + x^h hi, both halves
+    of degree < h, is (lo + hi) + (1 + x)^h hi: b is below h exactly when
+    lo != hi, and is read off lo + hi then, else off hi plus h.  Each halving
+    splits one int with a parity byte per coefficient.  A common odd factor
+    of nums and den changes no parity.
     """
     if not any(nums):
         return Valuation.infinite()
     # the least v_2 of a numerator, and the numerators that attain it
     low = _v2(math.gcd(*nums))
     x = int.from_bytes(bytes([v >> low & 1 for v in nums]), "little")
-    for i, mask in enumerate(_lane_masks(level)):
-        x ^= (x >> (8 << i)) & mask
-    return Valuation._unchecked(low - _v2(den), _v2(x) >> 3, level)
+    b = 0
+    for i in reversed(range(level)):
+        shift = 8 << i
+        lo, hi = x & ((1 << shift) - 1), x >> shift
+        if lo != hi:
+            x = lo ^ hi
+        else:
+            x, b = hi, b + (1 << i)
+    return Valuation._unchecked(low - _v2(den), b, level)
 
 
 def w_l(g: RingElement, l: int) -> Valuation:
     """The level-l valuation of g; infinite exactly when pr_l(g) = 0.
 
     Reads (a, b) of the normal form of pr_l(g) without building its
-    witnesses: 2^l coefficient valuations and l shift/mask/xor passes on
-    one int of 2^l parity bytes.  `normal_form` builds the witnesses.
+    witnesses: 2^l coefficient valuations and l halvings of one int of 2^l
+    parity bytes.  `normal_form` builds the witnesses.
     """
     p = project(g, l)
     return _valuation(p.nums, p.den, l)
@@ -301,51 +300,50 @@ class CriterionVerdict(Enum):
     INCONCLUSIVE = "inconclusive"
 
 
+def _scaled_bound(K: int, l: int) -> int:
+    """2^l times the membership bound at level l."""
+    return ((2 + K - l) << l) - 1
+
+
 def membership_bound(K: int, l: int) -> Fraction:
     """The threshold 2 + K - l - 2^(-l)."""
-    return Fraction(((2 + K - l) << l) - 1, 1 << l)
+    return Fraction(_scaled_bound(K, l), 1 << l)
 
 
-def _hypothesis_parts(g: RingElement) -> list[list[int]] | None:
-    """The numerators of every level part of g over g.den, or None when one
-    part is not in 4 times its ring: when some numerator is not a multiple
+def _thresholds(g: RingElement) -> Iterator[int | None] | None:
+    """T_l = 2^l (bound - w_l(g)) at each level l in turn, None where
+    w_l(g) is infinite, from the numerators of every level part over g.den;
+    None when g fails the hypothesis: when some numerator is not a multiple
     of 4 den (gcd(4 den, *part) == 4 den, small after its first step)."""
-    parts = _tower(g.nums)
-    m = 4 * g.den
-    return parts if all(math.gcd(m, *p) == m for p in parts) else None
+    parts, m = _tower(g.nums), 4 * g.den
+    if any(math.gcd(m, *p) != m for p in parts):
+        return None
+    ws = (_valuation(p, g.den, l) for l, p in enumerate(parts))
+    return (None if w.is_infinite
+            else _scaled_bound(g.level, w.level) - w._scaled() for w in ws)
 
 
 def criterion_sufficient(g: RingElement) -> CriterionVerdict:
     """Prove membership in 4 Z[chi]/I<K> from valuations alone.
 
     Requires every projection of g to lie in 4 Z[chi]/<1 + chi^(2^l)>;
-    otherwise, and whenever some valuation falls below the bound, the
-    verdict is inconclusive.
+    otherwise, and whenever some valuation falls below the bound (T_l > 0),
+    the verdict is inconclusive.
     """
-    parts = _hypothesis_parts(g)
-    if parts is None:
+    thresholds = _thresholds(g)
+    if thresholds is None or any(t is not None and t > 0 for t in thresholds):
         return CriterionVerdict.INCONCLUSIVE
-    K, den = g.level, g.den
-    for l, p in enumerate(parts):
-        if not _valuation(p, den, l).at_least(membership_bound(K, l)):
-            return CriterionVerdict.INCONCLUSIVE
     return CriterionVerdict.PROVES_MEMBERSHIP
 
 
-def _floors(g: RingElement) -> list[tuple[Valuation, Fraction]] | None:
-    """(w_l(g), bound) for every level l; None if g fails the hypothesis."""
-    parts = _hypothesis_parts(g)
-    if parts is None:
-        return None
-    return [(_valuation(p, g.den, l), membership_bound(g.level, l))
-            for l, p in enumerate(parts)]
-
-
-def _deficiency(floors, wh: Sequence[Valuation]) -> list[int]:
-    """The levels where w_l(g) + w_l(h) falls below the bound, from g's
-    `_floors` and the witness's valuations w_l(h)."""
-    return [l for l, ((wg, bound), w) in enumerate(zip(floors, wh))
-            if (wg + w).below(bound)]
+def _only_deficient(thresholds: Iterable[int | None] | None,
+                    wh: Sequence[Valuation], l_star: int) -> bool:
+    """True when l_star is the one level where w_l(g) + w_l(h) falls below
+    the bound, 2^l w_l(h) < T_l, from g's `_thresholds` and the witness's
+    valuations w_l(h)."""
+    return thresholds is not None and [
+        l for l, (t, w) in enumerate(zip(thresholds, wh))
+        if t is not None and not w.is_infinite and w._scaled() < t] == [l_star]
 
 
 def criterion_necessary(g: RingElement, h: RingElement,
@@ -360,10 +358,9 @@ def criterion_necessary(g: RingElement, h: RingElement,
     if not isinstance(l_star, int) or isinstance(l_star, bool) \
             or not 0 <= l_star < K:
         raise ValueError(f"l_star must satisfy 0 <= l_star < {K}")
-    floors = _floors(g)
-    if floors is None or _deficiency(floors, _valuations(h)) != [l_star]:
-        return CriterionVerdict.INCONCLUSIVE
-    return CriterionVerdict.PROVES_NON_MEMBERSHIP
+    if _only_deficient(_thresholds(g), _valuations(h), l_star):
+        return CriterionVerdict.PROVES_NON_MEMBERSHIP
+    return CriterionVerdict.INCONCLUSIVE
 
 
 @cache
@@ -376,11 +373,11 @@ def _one_minus_chi_valuations(K: int, j: int) -> tuple[Valuation, ...]:
 def criterion_necessary_search(g: RingElement, max_power: int | None = None):
     """The first witness h = (1 - chi)^j, j = 0..max_power (an int >= 0,
     2^K by default), with exactly one deficient level: (verdict, j,
-    l_star), or (inconclusive, None, None).  As w_l(h) = j / 2^l, level l
-    is deficient exactly when j < T_l = ((2 + K - l) << l) - 1 - 2^l w_l(g),
-    and never when w_l(g) is infinite: that j is max(T_(2), 0) for the two
-    largest thresholds T_(1) > T_(2), l_star the level of T_(1), and it is
-    confirmed once by the deficiency rule.  No power is built or scanned."""
+    l_star), or (inconclusive, None, None).  As 2^l w_l(h) = j, level l is
+    deficient exactly when j < T_l, and never when w_l(g) is infinite: that
+    j is max(T_(2), 0) for the two largest thresholds T_(1) > T_(2), l_star
+    the level of T_(1), and it is confirmed once by the deficiency rule.
+    No power is built or scanned."""
     K = g.level
     if max_power is None:
         max_power = 1 << K
@@ -388,15 +385,15 @@ def criterion_necessary_search(g: RingElement, max_power: int | None = None):
             or max_power < 0:
         raise ValueError(
             f"max_power must be a non-negative integer, got {max_power!r}")
-    floors = _floors(g)
-    if floors is not None:
+    thresholds = _thresholds(g)
+    if thresholds is not None:
+        thresholds = list(thresholds)
         # two sentinels stand for levels that are never deficient
         *_, (low, _), (top, l_star) = [(0, None), (0, None), *sorted(
-            (((2 + K - l) << l) - 1 - wg._scaled(), l)
-            for l, (wg, _) in enumerate(floors) if not wg.is_infinite)]
+            (t, l) for l, t in enumerate(thresholds) if t is not None)]
         j = max(low, 0)
-        if j < min(top, max_power + 1) and _deficiency(
-                floors, _one_minus_chi_valuations(K, j)) == [l_star]:
+        if j < min(top, max_power + 1) and _only_deficient(
+                thresholds, _one_minus_chi_valuations(K, j), l_star):
             return CriterionVerdict.PROVES_NON_MEMBERSHIP, j, l_star
     return CriterionVerdict.INCONCLUSIVE, None, None
 

@@ -150,6 +150,24 @@ def test_wl_cost_follows_l_not_K(capsys):
     assert lines["4"] == lines["40"] == ["w = 1+6/2^3", "value = 7/4"]
 
 
+def test_a_huge_level_is_validated_without_building_two_to_the_k(capsys):
+    # K = 10^8 is checked, printed and scaled, never turned into N = 2^K
+    import tracemalloc
+    for args, line in (
+            (("wl", "--expr", "f^2-1", "--K", "100000000", "--l", "3"),
+             "w = 1+6/2^3"),
+            (("tables", "--max-n", "1", "--K", "100000000"),
+             "scaling[1] = 99999996")):
+        tracemalloc.start()
+        try:
+            code, out = run_cli(capsys, *args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and line in out.splitlines()
+        assert peak < 1 << 20, (args, peak)
+
+
 def test_wl_family_with_a_class_step_past_n(capsys):
     # f'_k and f_k are built from factors folded by chi^N = 1, so k = 10^9
     # costs what k mod N does and reads the same w and value (N = 4 here)

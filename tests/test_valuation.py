@@ -32,7 +32,9 @@ from lensring import (
 )
 
 
-from lensring.valuation import _one_minus_chi_valuations, _valuations
+from lensring.polynomials import _v2
+from lensring.valuation import (_one_minus_chi_valuations, _valuation,
+                                _valuations)
 
 
 def random_element(rng, K, span=9):
@@ -284,6 +286,72 @@ def test_w_l_matches_normal_form():
                     else:
                         nf = normal_form(p)
                         assert (w.a, w.b, w.level) == (nf.a, nf.b, l)
+
+
+def superset_sum_b(parities, level):
+    """b from the superset-sum transform: mod 2, chi^j is the sum of the
+    (1 + chi)^m whose exponent bits are a subset of those of j (Lucas), so
+    the (1 - chi)^m coefficient is the xor of the parities at every
+    superset j of m, one pass per bit; b is the lowest odd one."""
+    x = list(parities)
+    for i in range(level):
+        h = 1 << i
+        for j in range(len(x)):
+            if not j & h:
+                x[j] ^= x[j | h]
+    return x.index(1)
+
+
+def test_valuation_halving_matches_the_superset_sum_transform():
+    # every nonzero parity vector at l <= 4
+    for level in range(5):
+        n = 1 << level
+        for bits in range(1, 1 << n):
+            parities = [bits >> j & 1 for j in range(n)]
+            assert _valuation(parities, 1, level) \
+                == Valuation(0, superset_sum_b(parities, level), level)
+    # all-ones, single-bit, (1 + chi)^m and random vectors at l <= 12, as
+    # odd multiples of 2^low over odd multiples of powers of two
+    rng = random.Random(22)
+    for level in range(13):
+        n = 1 << level
+        vectors = [[1] * n]
+        vectors += [[int(j == e) for j in range(n)]
+                    for e in {0, n - 1, n >> 1, rng.randrange(n)}]
+        vectors += [[int(j & m == j) for j in range(n)]
+                    for m in {0, n - 1, n >> 1, rng.randrange(n)}]
+        vectors += [[rng.randrange(2) for _ in range(n)] for _ in range(4)]
+        # sums of (1 + chi)^m over m >= m0 have b >= m0
+        for m0 in (n >> 1, n - (n >> 3) - 1):
+            parities = [0] * n
+            for m in rng.sample(range(m0, n), min(3, n - m0)):
+                parities = [p ^ (j & m == j) for j, p in enumerate(parities)]
+            vectors.append(parities)
+        for parities in vectors:
+            if not any(parities):
+                continue
+            low, odd = rng.randrange(4), rng.choice((1, 3, 5, 15))
+            den = rng.choice((1, 3, 9)) << rng.randrange(5)
+            nums = [odd * ((2 * rng.randrange(-50, 50) + p) << low)
+                    for p in parities]
+            assert _valuation(nums, den, level) == Valuation(
+                low - _v2(den), superset_sum_b(parities, level), level)
+
+
+def test_a_level_18_read_keeps_nothing_allocated():
+    # b is read by halving the parity int, with no per-level masks cached
+    import tracemalloc
+    nums = [4] * (1 << 18)
+    tracemalloc.start()
+    try:
+        w = _valuation(nums, 1, 18)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # C(2^18 - 1, j) is odd for every j, so 1 + chi + ... + chi^(2^18 - 1)
+    # is (1 - chi)^(2^18 - 1) mod 2, and w = 2 + (2^18 - 1) / 2^18
+    assert w == Valuation(2, (1 << 18) - 1, 18)
+    assert held < 1 << 20
 
 
 def test_w_l_matches_resultant_valuation():
