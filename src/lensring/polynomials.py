@@ -27,8 +27,10 @@ claimed basis
     B_K(d) = span{ 2^max(K-2n-2, 0) * r^{-/+}_n : 0 <= n <= c-1 }
 
 and an oracle that reads A off a 2-adic elimination over Z/2^mu so the two
-can be compared.  All arithmetic is exact; nothing is enumerated, but the
-oracles raise BudgetExceededError when (2^K)^c exceeds the budget.
+can be compared.  The Howell kernel, the Hermite form and the Smith form
+all take one elimination step, `_pivot`.  All arithmetic is exact; nothing
+is enumerated, but the oracles raise BudgetExceededError when (2^K)^c
+exceeds the budget.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, partial
 from itertools import zip_longest
+from math import gcd
 from operator import mul
 from typing import Callable, Sequence
 
@@ -299,7 +302,9 @@ def _solve_winners(base: int, terms: Sequence[int]) -> list[int]:
     """Ascending bit masks v with the xor of terms[l] over the set bits l of
     v equal to base, by Gaussian elimination on bitmask ints: each term is
     reduced against the pivots (keyed by their highest bit) and becomes a
-    pivot or, reduced to zero, a null vector of the masks it combined."""
+    pivot or, reduced to zero, a null vector of the masks it combined.  It
+    stays apart from `_pivot`: over Z/2 a row is one int and a step one xor,
+    and the cold r^- ladder ran slower through `_residue_kernel`."""
     pivots: dict[int, tuple[int, int]] = {}
     null = []
     for l, vec in enumerate(terms):
@@ -533,12 +538,13 @@ def _reduce(pivots: dict[int, Sequence[int]], vec: Sequence[int],
     of pivots from the highest pivot position down.
 
     pivots maps a position p to a row whose entry at p is 2^e and which is
-    zero above p; it may be shorter than vec.  Row p is taken off
-    multipliers[p] = v[p] >> e times, which leaves the entry at p in
-    [0, 2^e).  A zero remainder writes vec as sum_p multipliers[p] row_p.
+    zero above p; vec is padded with zeros to the longest row.  Row p is
+    taken off multipliers[p] = v[p] >> e times, which leaves the entry at p
+    in [0, 2^e).  A zero remainder writes vec as sum_p multipliers[p] row_p.
     """
     mod = 1 << K
     v = [x % mod for x in vec]
+    v += [0] * (max(map(len, pivots.values()), default=0) - len(v))
     multipliers = {}
     for p in sorted(pivots, reverse=True):
         row = pivots[p]
@@ -549,32 +555,40 @@ def _reduce(pivots: dict[int, Sequence[int]], vec: Sequence[int],
     return v, multipliers
 
 
-def _eliminate(rows: list[list[int]], cols: Sequence[int],
-               mu: int) -> dict[int, list[int]]:
-    """Row-reduce rows (entries in [0, 2^mu)) over Z/2^mu column by column.
-
-    The pivot of a column is the row of least v_2, scaled to 2^v; it clears
-    the column and 2^(mu - v) times it goes back among the rows, which then
-    span the combinations vanishing on all of cols (Howell, 1986).  Returns
-    the pivot rows by column."""
+def _pivot(rows: list[list[int]], j: int, mu: int) -> tuple[int, list[int]]:
+    """(v, pivot): the 2-adic elimination step over Z/2^mu on column j (not
+    all zero).  The row of least v_2 = v there is popped and scaled to 2^v
+    at j, and it clears column j in the other rows.  2^(mu - v) times it
+    goes back among them when that is nonzero, i.e. when an entry of it has
+    v_2 < v (never in the Smith form), so they span the combinations that
+    vanish on column j (Howell, 1986).  Entries stay in [0, 2^mu)."""
     mod = 1 << mu
-    pivots: dict[int, list[int]] = {}
-    for j in cols:
-        live = [(_v2(row[j]), i) for i, row in enumerate(rows) if row[j]]
-        if not live:
-            continue
-        v, i = min(live)
-        pivot = rows.pop(i)
+    low, i = min((row[j] & -row[j], i) for i, row in enumerate(rows) if row[j])
+    v = low.bit_length() - 1
+    pivot = rows.pop(i)
+    if pivot[j] != low:
         inv = pow(pivot[j] >> v, -1, mod)
         pivot = [x * inv % mod for x in pivot]
+    for row in rows:
+        if row[j]:
+            q = row[j] >> v
+            row[:] = [(x - q * y) % mod for x, y in zip(row, pivot)]
+    if gcd(*pivot) & (low - 1):
+        rows.append([(x << (mu - v)) % mod for x in pivot])
+    return v, pivot
+
+
+def _eliminate(rows: list[list[int]], cols: Sequence[int],
+               mu: int) -> dict[int, list[int]]:
+    """Row-reduce rows (entries in [0, 2^mu)) over Z/2^mu column by column
+    (`_pivot`); the rows left span the combinations vanishing on all of
+    cols.  Returns the pivot rows by column."""
+    pivots: dict[int, list[int]] = {}
+    for j in cols:
         for row in rows:
             if row[j]:
-                q = row[j] >> v
-                row[:] = [(x - q * y) % mod for x, y in zip(row, pivot)]
-        back = [(x << (mu - v)) % mod for x in pivot]
-        if any(back):
-            rows.append(back)
-        pivots[j] = pivot
+                pivots[j] = _pivot(rows, j, mu)[1]
+                break
     return pivots
 
 
@@ -608,11 +622,8 @@ def _residue_kernel(mats: Sequence[Sequence[int]], modulus: int,
             )
     top = max(mu, K)
     c, width = len(mats), len(mats[0])
-    rows = [
-        [(x % modulus) << (top - mu) for x in mats[j]]
-        + [int(i == j) for i in range(c)]
-        for j in range(c)
-    ]
+    rows = [[(x % modulus) << (top - mu) for x in mats[j]]
+            + [int(i == j) for i in range(c)] for j in range(c)]
     _eliminate(rows, range(width), top)
     return _hermite_form([row[width:] for row in rows], K)
 
@@ -671,11 +682,6 @@ class LatticeComparisonReport:
     passed: bool
 
 
-def _poly_vector(p: IntPolynomial, c: int, K: int) -> list[int]:
-    mod = 1 << K
-    return [p.coefficient(j) % mod for j in range(c)]
-
-
 def verify_A_equals_B(K: int, k: int, d: int,
                       budget: int | None = None) -> LatticeComparisonReport:
     """Compare the claimed basis lattice with the oracle (brute_force_A).
@@ -693,17 +699,14 @@ def verify_A_equals_B(K: int, k: int, d: int,
     """
     oracle = brute_force_A(K, k, d, budget)
     claimed = b_basis(K, d)
-    c = claimed.ambient_rank
     membership = tuple(
         (str(p), membership_A(p, K, k, d)) for p in claimed.basis
     )
 
     def reduces(basis, others):
-        rows = {j: _poly_vector(p, c, K) for j, p in enumerate(basis)}
-        return tuple(
-            (str(p), not any(_reduce(rows, _poly_vector(p, c, K), K)[0]))
-            for p in others
-        )
+        rows = dict(enumerate(p.coeffs for p in basis))
+        return tuple((str(p), not any(_reduce(rows, p.coeffs, K)[0]))
+                     for p in others)
 
     in_oracle = reduces(oracle.basis, claimed.basis)
     in_claimed = reduces(claimed.basis, oracle.basis)
@@ -731,25 +734,18 @@ def _smith_normal_form(matrix: Sequence[Sequence[int]], mu: int) -> list[int]:
     that the rows generate in (Z/2^mu)^cols.
 
     2-adic elimination (Storjohann & Mulders, ESA 1998): an entry of least
-    v_2 divides everything in its row and column, so clearing its column by
-    row operations splits off one cyclic factor Z/2^(mu - v).  Entries stay
-    below 2^mu.
+    v_2 divides everything in its row and column, so the step of `_pivot`
+    on its column puts no row back and splits off one cyclic factor
+    Z/2^(mu - v).  Entries stay below 2^mu.
     """
     mod = 1 << mu
     rows = [[x % mod for x in row] for row in matrix]
     exps = []
     while True:
-        pivots = [(_v2(x), i, j) for i, row in enumerate(rows)
-                  for j, x in enumerate(row) if x]
-        if not pivots:
+        entries = [(x & -x, j) for row in rows for j, x in enumerate(row) if x]
+        if not entries:
             return sorted(exps)
-        v, i, j = min(pivots)
-        exps.append(mu - v)
-        pivot = rows.pop(i)
-        inv = pow(pivot[j] >> v, -1, mod)
-        for row in rows:
-            q = (row[j] >> v) * inv
-            row[:] = [(x - q * y) % mod for x, y in zip(row, pivot)]
+        exps.append(mu - _pivot(rows, min(entries)[1], mu)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -130,6 +130,11 @@ def _validate_level(K: int) -> None:
         raise ValueError(f"level K must be a positive integer, got {K!r}")
 
 
+def _is_two_to_the(m: int, level: int) -> bool:
+    """m == 2^level, read off the bits of m, so a huge level builds nothing."""
+    return m.bit_length() == level + 1 and not m & (m - 1)
+
+
 def _validate_exponent(exponent: int) -> None:
     if (not isinstance(exponent, int) or isinstance(exponent, bool)
             or exponent < 0):
@@ -271,12 +276,11 @@ class RingElement(_IntVector):
 
     def __init__(self, level: int, coeffs: Iterable[Rational]) -> None:
         _validate_level(level)
-        n = 1 << level
         nums, den = _lift(coeffs)
-        if len(nums) != n - 1:
+        if not _is_two_to_the(len(nums) + 1, level):
             raise ValueError(
                 f"canonical coefficient tuple at level {level} must have"
-                f" length {n - 1}, got {len(nums)}"
+                f" length 2^{level} - 1, got {len(nums)}"
             )
         self._store(level, nums, den)
 
@@ -320,9 +324,9 @@ class LevelProjection(_IntVector):
         if not isinstance(level, int) or isinstance(level, bool) or level < 0:
             raise ValueError(f"projection level must be >= 0, got {level!r}")
         nums, den = _lift(coeffs)
-        if len(nums) != (1 << level):
+        if not _is_two_to_the(len(nums), level):
             raise ValueError(
-                f"projection at level {level} must have {1 << level}"
+                f"projection at level {level} must have 2^{level}"
                 f" coefficients, got {len(nums)}"
             )
         self._store(level, nums, den)
@@ -1105,11 +1109,10 @@ def element_from_text(text: str) -> RingElement:
         raise ValueError("malformed element text: expected 'K=<int>; c0,c1,...'")
     K = int(match.group(1))
     _validate_level(K)
-    n = 1 << K
     tokens = match.group(2).split(",")
-    if len(tokens) != n - 1:
+    if not _is_two_to_the(len(tokens) + 1, K):
         raise ValueError(
-            f"wrong coefficient count for level {K}: expected {n - 1},"
+            f"wrong coefficient count for level {K}: expected 2^{K} - 1,"
             f" got {len(tokens)}"
         )
     coeffs = []

@@ -84,13 +84,12 @@ class NormalInvariantVector:
             raise ValueError(
                 f"expected {c} residues in each of t4 and t2 for d = {self.d}"
             )
-        mod = 1 << self.K
-        for v in t4:
-            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < mod:
-                raise ValueError(f"t4 entries must lie in [0, {mod}), got {v!r}")
-        for v in t2:
-            if v not in (0, 1):
-                raise ValueError(f"t2 entries must be 0 or 1, got {v!r}")
+        for name, values, bits in (("t4", t4, self.K), ("t2", t2, 1)):
+            for i, v in enumerate(values):
+                if (not isinstance(v, int) or isinstance(v, bool) or v < 0
+                        or v.bit_length() > bits):
+                    raise ValueError(
+                        f"{name}[{i}] must be an int in [0, 2^{bits})")
         object.__setattr__(self, "t4", t4)
         object.__setattr__(self, "t2", t2)
 
@@ -260,7 +259,7 @@ def polynomial_r_coordinates(q: IntPolynomial, d: int, K: int) -> tuple[int, ...
         )
     basis = b_basis(K, d)
     rows = {n: p.coeffs for n, p in enumerate(basis.basis)}
-    rem, coords = _reduce(rows, [q.coefficient(j) for j in range(c)], K)
+    rem, coords = _reduce(rows, q.coeffs, K)
     if any(rem):
         n = max(j for j, x in enumerate(rem) if x)
         raise ArithmeticError(

@@ -92,7 +92,7 @@ class Valuation:
                 raise ValueError("a, b, level must be integers")
         if self.level < 0:
             raise ValueError("level must be >= 0")
-        if not 0 <= self.b < (1 << self.level):
+        if self.b < 0 or self.b.bit_length() > self.level:
             raise ValueError(
                 f"b must satisfy 0 <= b < 2^{self.level}, got {self.b}"
             )

@@ -233,3 +233,165 @@ def test_certificate_catches_a_dropped_kernel_row(monkeypatch):
         kernel_oracle(9, 4, 1)
     with pytest.raises(ArithmeticError, match="residue image order"):
         brute_force_A(4, 1, 9)
+
+
+# --- the elimination loops as they stood before the shared step ------------
+
+def _eliminate_oracle(rows, cols, mu):
+    """Column-by-column elimination over Z/2^mu with its own pivot step:
+    the row of least v_2 (first such row on ties), scaled to 2^v, clears
+    the column, and 2^(mu - v) times it goes back when nonzero."""
+    mod = 1 << mu
+    pivots = {}
+    for j in cols:
+        live = [(_v2(row[j]), i) for i, row in enumerate(rows) if row[j]]
+        if not live:
+            continue
+        v, i = min(live)
+        pivot = rows.pop(i)
+        inv = pow(pivot[j] >> v, -1, mod)
+        pivot = [x * inv % mod for x in pivot]
+        for row in rows:
+            if row[j]:
+                q = row[j] >> v
+                row[:] = [(x - q * y) % mod for x, y in zip(row, pivot)]
+        back = [(x << (mu - v)) % mod for x in pivot]
+        if any(back):
+            rows.append(back)
+        pivots[j] = pivot
+    return pivots
+
+
+def _smith_oracle(matrix, mu):
+    """Exponents of the cyclic factors of the row span in (Z/2^mu)^cols,
+    pivoting on the first entry of least v_2 of the whole matrix."""
+    mod = 1 << mu
+    rows = [[x % mod for x in row] for row in matrix]
+    exps = []
+    while True:
+        pivots = [(_v2(x), i, j) for i, row in enumerate(rows)
+                  for j, x in enumerate(row) if x]
+        if not pivots:
+            return sorted(exps)
+        v, i, j = min(pivots)
+        exps.append(mu - v)
+        pivot = rows.pop(i)
+        inv = pow(pivot[j] >> v, -1, mod)
+        for row in rows:
+            q = (row[j] >> v) * inv
+            row[:] = [(x - q * y) % mod for x, y in zip(row, pivot)]
+
+
+def _reduce_oracle(pivots, vec, K):
+    """Top-down reduction of vec over Z_{2^K}; vec must be at least as long
+    as every row."""
+    mod = 1 << K
+    v = [x % mod for x in vec]
+    multipliers = {}
+    for p in sorted(pivots, reverse=True):
+        row = pivots[p]
+        q = v[p] >> _v2(row[p])
+        if q:
+            multipliers[p] = q
+            v[:len(row)] = [(x - q * y) % mod for x, y in zip(v, row)]
+    return v, multipliers
+
+
+def _hermite_oracle(gens, K):
+    mod = 1 << K
+    rows = [[x % mod for x in g] for g in gens]
+    width = len(rows[0]) if rows else 0
+    pivots = _eliminate_oracle(rows, range(width - 1, -1, -1), K)
+    form = {}
+    for lead in sorted(pivots):
+        form[lead] = _reduce_oracle(form, pivots[lead], K)[0]
+    return form
+
+
+def _random_matrix(rng, mu, height, width, signed=False):
+    """Entries of every 2-adic valuation below mu + 2, with about a quarter
+    of the rows and of the columns zero."""
+    lo = -(1 << mu) if signed else 0
+    mat = [[rng.randrange(lo, 1 << mu) << rng.randrange(mu + 2)
+            for _ in range(width)] for _ in range(height)]
+    if not signed:
+        mat = [[x % (1 << mu) for x in row] for row in mat]
+    for j in range(width):
+        if rng.randrange(4) == 0:
+            for row in mat:
+                row[j] = 0
+    for row in mat:
+        if rng.randrange(4) == 0:
+            row[:] = [0] * width
+    return mat
+
+
+def _shapes(rng):
+    """(mu, height, width) over mu 1..9: the empty matrix, matrices with no
+    columns, single columns and random shapes up to 6 x 7."""
+    for mu in range(1, 10):
+        yield mu, 0, 0
+        yield mu, rng.randrange(1, 4), 0
+        for _ in range(4):
+            yield mu, rng.randrange(1, 6), 1
+        for _ in range(24):
+            yield mu, rng.randrange(1, 7), rng.randrange(1, 8)
+
+
+def test_eliminate_matches_the_loop_it_replaced():
+    rng = random.Random(41)
+    seen = set()
+    for mu, height, width in _shapes(rng):
+        mat = _random_matrix(rng, mu, height, width)
+        cols = list(range(width))
+        rng.shuffle(cols)
+        cols = cols[:rng.randrange(width + 1)]
+        got_rows, want_rows = [r[:] for r in mat], [r[:] for r in mat]
+        got = polynomials._eliminate(got_rows, cols, mu)
+        assert got == _eliminate_oracle(want_rows, cols, mu)
+        assert got_rows == want_rows
+        seen.add(len(got_rows) > height - len(got))  # a row was put back
+    assert seen == {False, True}
+
+
+def test_smith_form_matches_the_loop_it_replaced():
+    rng = random.Random(42)
+    for mu, height, width in _shapes(rng):
+        mat = _random_matrix(rng, mu, height, width, signed=True)
+        assert _smith_normal_form(mat, mu) == _smith_oracle(mat, mu)
+    assert _smith_normal_form([], 4) == _smith_oracle([], 4) == []
+
+
+def test_hermite_form_matches_the_loops_it_replaced():
+    rng = random.Random(43)
+    for mu, height, width in _shapes(rng):
+        gens = _random_matrix(rng, mu, height, width, signed=True)
+        assert _hermite_form(gens, mu) == _hermite_oracle(gens, mu)
+
+
+def test_reduce_pads_short_vectors_and_keeps_long_ones():
+    rng = random.Random(44)
+    lengths = set()
+    for trial in range(400):
+        K = trial % 9 + 1
+        width = rng.randrange(1, 7)
+        gens = _random_matrix(rng, K, rng.randrange(1, 6), width)
+        form = _hermite_form(gens, K)
+        # rows cut after their pivot, as IntPolynomial.coeffs are trimmed
+        pivots = {p: row[:p + 1] if rng.randrange(2) else row
+                  for p, row in form.items()}
+        longest = max(map(len, pivots.values()), default=0)
+        vec = [rng.randrange(-(1 << K), 1 << K)
+               for _ in range(rng.randrange(width + 3))]
+        if pivots and rng.randrange(3) == 0:
+            # a member of the span, cut to its last nonzero entry
+            vec = [sum(rng.randrange(4) * row[i] if i < len(row) else 0
+                       for row in pivots.values()) for i in range(longest)]
+            while vec and vec[-1] % (1 << K) == 0:
+                vec.pop()
+        rem, mult = polynomials._reduce(pivots, vec, K)
+        padded = vec + [0] * (longest - len(vec))
+        assert (rem, mult) == _reduce_oracle(pivots, padded, K)
+        assert len(rem) == max(len(vec), longest)
+        lengths.add((len(vec) > longest) - (len(vec) < longest))
+    assert lengths == {-1, 0, 1}

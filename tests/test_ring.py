@@ -56,6 +56,57 @@ def test_construction_validates_level_and_length():
     with pytest.raises(ValueError):
         RingElement(2, (Fraction(1),))
     RingElement(2, (Fraction(1), Fraction(0), Fraction(0)))
+    # the counts are read off bit lengths: every other length is refused
+    for level in range(1, 5):
+        for length in range(1, 2 << level):
+            text = f"K={level}; " + ",".join(["1"] * length)
+            for build, want in (
+                    (lambda: RingElement(level, [1] * length), (1 << level) - 1),
+                    (lambda: LevelProjection(level, [1] * length), 1 << level),
+                    (lambda: element_from_text(text), (1 << level) - 1)):
+                if length == want:
+                    build()
+                else:
+                    with pytest.raises(ValueError, match=f"2\\^{level}"):
+                        build()
+
+
+def test_huge_levels_are_checked_without_building_two_to_the_k():
+    # a count or range check at level K compares bit lengths and names 2^K
+    # in its message, so K = 4 * 10^8 builds nothing of 2^K bits
+    import tracemalloc
+    from lensring import NormalInvariantVector, Valuation, valuation_from_text
+    K = 400_000_000
+    cases = (
+        (lambda: element_from_text(f"K={K}; 1,2"),
+         rf"count for level {K}: expected 2\^{K} - 1, got 2$"),
+        (lambda: RingElement(K, [1]), rf"length 2\^{K} - 1, got 1$"),
+        (lambda: LevelProjection(K, [1]),
+         rf"must have 2\^{K} coefficients, got 1$"),
+        (lambda: NormalInvariantVector(5, K, (0, -1), (0, 0)),
+         rf"t4\[1\] must be an int in \[0, 2\^{K}\)$"),
+        (lambda: valuation_from_text(f"0+5/2^{K}"), None),
+        (lambda: NormalInvariantVector(5, K, (7, 0), (1, 0)), None),
+    )
+    for call, message in cases:
+        tracemalloc.start()
+        try:
+            if message is None:
+                call()
+            else:
+                with pytest.raises(ValueError, match=message):
+                    call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, (message, peak)
+    assert valuation_from_text(f"0+5/2^{K}") == Valuation(0, 5, K)
+    with pytest.raises(ValueError, match=r"0 <= b < 2\^3, got 8"):
+        Valuation(0, 8, 3)
+    # the entry is named by its place, so one past Python's int-to-str
+    # digit limit is reported, not printed
+    with pytest.raises(ValueError, match=r"t4\[0\] must be an int in"):
+        NormalInvariantVector(5, 20000, (1 << 20000, 0), (0, 0))
 
 
 def test_construction_rejects_floats_and_bools():

@@ -1,6 +1,7 @@
 """Tests for normal invariants, kernels, and structure set descriptors."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -40,6 +41,19 @@ def test_normal_invariant_vector_validation():
         NormalInvariantVector(7, 2, (0, 1, 3), (1, 0, 2))
     with pytest.raises(ValueError):
         NormalInvariantVector(2, 2, (), ())
+
+
+def test_normal_invariant_vector_rejects_bools_and_non_ints():
+    # t2 is checked as t4 is, so r_coordinates never echoes a bool or a
+    # float back as an r_{4i-2} coordinate
+    for t4, t2 in (((0, 0), (True, 1.0)), ((0, 0), (1.0, 0)),
+                   ((0, 0), (0, Fraction(1))), ((True, 0), (0, 0)),
+                   ((0, 2.0), (0, 0))):
+        with pytest.raises(ValueError, match=r"t[24]\[[01]\] must be an int"):
+            NormalInvariantVector(5, 3, t4, t2)
+    coords = r_coordinates(NormalInvariantVector(5, 3, (0, 0), (1, 1)))
+    assert coords == {"r_2": 1, "r_6": 1, "r_4": 0, "r_8": 0}
+    assert all(type(v) is int for v in coords.values())
 
 
 def test_rho_bracket_known_value():
