@@ -4,147 +4,21 @@ The package is organized in four layers.  ring implements the quotient
 ring the whole theory lives in, with exact rational coefficients.  valuation
 implements the level-wise 2-adic valuations, normal forms, and the two
 membership criteria built from them.  polynomials implements the integer
-polynomial families (p, q, r and friends), the obstruction lattices, and
-their brute force oracles.  structure assembles everything into structure
-set descriptors and normal invariant coordinates.  cli exposes the main
-entry points as a small command line tool.
+polynomial families (p, q, r and friends) and the obstruction lattices,
+certified against the residue images that define them.  structure
+assembles everything into structure set descriptors and normal invariant
+coordinates.  cli exposes the main entry points as a small command line
+tool.  Each layer's public names are its `__all__`; the package exports
+their union.
 """
 
-from .polynomials import (
-    DEFAULT_BUDGET,
-    ONE,
-    X,
-    BudgetExceededError,
-    IntPolynomial,
-    LatticeComparisonReport,
-    LatticeDescriptor,
-    RMinusRecord,
-    ShapeRemarkReport,
-    b_basis,
-    beta,
-    beta_inv,
-    brute_force_A,
-    membership_A,
-    p_k,
-    q_n,
-    r_minus,
-    r_plus,
-    reset_polynomial_tables,
-    shape_remark_report,
-    split_n,
-    verify_A_equals_B,
-)
-from .ring import (
-    LevelProjection,
-    RingElement,
-    conjugate,
-    crt_reconstruct,
-    eigenspace_test,
-    element_f,
-    element_f_k,
-    element_f_prime,
-    element_from_text,
-    element_to_text,
-    evaluate_at_f_squared,
-    invert,
-    is_in_4Z,
-    make_element,
-    project,
-    ring_arith,
-)
-from .structure import (
-    KernelSubgroup,
-    NormalInvariantVector,
-    StructureSetDescriptor,
-    TorsionSummand,
-    kernel_oracle,
-    polynomial_r_coordinates,
-    r_coordinates,
-    rho_bracket,
-    structure_set,
-    t_bar,
-    t_to_polynomial,
-)
-from .valuation import (
-    CriterionVerdict,
-    NormalForm,
-    Valuation,
-    criterion_necessary,
-    criterion_necessary_search,
-    criterion_sufficient,
-    membership_bound,
-    normal_form,
-    normal_form_reconstruct,
-    valuation_from_text,
-    valuation_to_text,
-    w_l,
-    x_polynomial,
-)
+from . import polynomials, ring, structure, valuation
+from .polynomials import *
+from .ring import *
+from .structure import *
+from .valuation import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "BudgetExceededError",
-    "CriterionVerdict",
-    "DEFAULT_BUDGET",
-    "IntPolynomial",
-    "KernelSubgroup",
-    "LatticeComparisonReport",
-    "LatticeDescriptor",
-    "LevelProjection",
-    "NormalForm",
-    "NormalInvariantVector",
-    "ONE",
-    "RMinusRecord",
-    "RingElement",
-    "ShapeRemarkReport",
-    "StructureSetDescriptor",
-    "TorsionSummand",
-    "Valuation",
-    "X",
-    "b_basis",
-    "beta",
-    "beta_inv",
-    "brute_force_A",
-    "conjugate",
-    "criterion_necessary",
-    "criterion_necessary_search",
-    "criterion_sufficient",
-    "crt_reconstruct",
-    "eigenspace_test",
-    "element_f",
-    "element_f_k",
-    "element_f_prime",
-    "element_from_text",
-    "element_to_text",
-    "evaluate_at_f_squared",
-    "invert",
-    "is_in_4Z",
-    "kernel_oracle",
-    "make_element",
-    "membership_A",
-    "membership_bound",
-    "normal_form",
-    "normal_form_reconstruct",
-    "p_k",
-    "polynomial_r_coordinates",
-    "project",
-    "q_n",
-    "r_coordinates",
-    "r_minus",
-    "r_plus",
-    "reset_polynomial_tables",
-    "rho_bracket",
-    "ring_arith",
-    "shape_remark_report",
-    "split_n",
-    "structure_set",
-    "t_bar",
-    "t_to_polynomial",
-    "valuation_from_text",
-    "valuation_to_text",
-    "verify_A_equals_B",
-    "w_l",
-    "x_polynomial",
-]
+__all__ = ["__version__", *polynomials.__all__, *ring.__all__,
+           *structure.__all__, *valuation.__all__]

@@ -71,7 +71,9 @@ from .ring import (
     _family_vec,
     _project_window,
     _residue_images,
+    _shown,
     _validate_level,
+    _validate_natural,
     _validate_projection_level,
     _wrap,
     conjugate,
@@ -321,9 +323,8 @@ def _render(fields: Sequence[Field], output_format: str) -> str:
 
 def _tables_fields(max_n: int, sign: str, K: int | None) -> list[Field]:
     if sign not in ("+", "-"):
-        raise ValueError(f"sign must be '+' or '-', got {sign!r}")
-    if not isinstance(max_n, int) or isinstance(max_n, bool) or max_n < 0:
-        raise ValueError(f"max_n must be a non-negative integer, got {max_n!r}")
+        raise ValueError(f"sign must be '+' or '-', got {_shown(sign)}")
+    _validate_natural(max_n, "max_n")
     if K is not None:
         _validate_level(K)
     fields = _header("polynomial-tables") + [
@@ -429,7 +430,7 @@ def _run_best_poly(config: RunConfig) -> tuple[list[Field], int]:
     n = config.param("n")
     sign = config.param("sign")
     if sign not in ("+", "-"):
-        raise ValueError(f"sign must be '+' or '-', got {sign!r}")
+        raise ValueError(f"sign must be '+' or '-', got {_shown(sign)}")
     record = r_minus(n)
     poly = record.polynomial if sign == "-" else r_plus(n)
     return _header("best-poly") + [

@@ -46,6 +46,8 @@ from . import ring
 
 __all__ = [
     "IntPolynomial",
+    "X",
+    "ONE",
     "BudgetExceededError",
     "DEFAULT_BUDGET",
     "p_k",
@@ -85,7 +87,8 @@ def _check_budget(K: int, c: int, budget: int | None, what: str) -> None:
             # past Python's int-to-str digit limit: name it by its length
             named = f"a budget of {budget.bit_length()} bits"
         raise BudgetExceededError(
-            f"{what} lies in (Z_2^{K})^{c} of 2^{K * c} tuples, over {named}"
+            f"{what} lies in (Z_2^{ring._shown(K)})^{ring._shown(c)}"
+            f" of 2^{ring._shown(K * c)} tuples, over {named}"
         )
 
 
@@ -102,7 +105,8 @@ class IntPolynomial:
         coeffs = list(self.coeffs)
         for c in coeffs:
             if not isinstance(c, int) or isinstance(c, bool):
-                raise TypeError(f"coefficients must be ints, got {c!r}")
+                raise TypeError(
+                    f"coefficients must be ints, got {ring._shown(c)}")
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         object.__setattr__(self, "coeffs", tuple(coeffs))
@@ -205,7 +209,8 @@ def p_k(k: int) -> IntPolynomial:
     p_k(f^2) = ((1 + f)^M + (1 - f)^M)/2 = 2^(M-1) (1 + chi^M)/(1 - chi)^M.
     """
     if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise ValueError(f"k must be a positive integer, got {k!r}")
+        raise ValueError(
+            f"k must be a positive integer, got {ring._shown(k)}")
     M = 1 << k
     row = [1]
     for i in range(M):
@@ -215,8 +220,7 @@ def p_k(k: int) -> IntPolynomial:
 
 def split_n(n: int) -> tuple[int, int]:
     """Write n + 1 = 2^a + b with 0 <= b < 2^a and return (a, b)."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise ValueError(f"n must be a non-negative integer, got {n!r}")
+    ring._validate_natural(n, "n")
     a = (n + 1).bit_length() - 1
     return a, (n + 1) - (1 << a)
 
@@ -357,8 +361,7 @@ def r_minus(n: int) -> RMinusRecord:
     `test_derived_vectors_match_direct_evaluation` checks against direct
     evaluation.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise ValueError(f"n must be a non-negative integer, got {n!r}")
+    ring._validate_natural(n, "n")
     if n in _r_minus_table:
         return _r_minus_table[n]
     nbits = n // 2
@@ -435,7 +438,8 @@ def r_plus(n: int) -> IntPolynomial:
 def _validate_d(d: int, minimum: int = 3) -> int:
     """c = (d - 1) // 2 for a dimension d >= minimum."""
     if not isinstance(d, int) or isinstance(d, bool) or d < minimum:
-        raise ValueError(f"d must be an integer >= {minimum}, got {d!r}")
+        raise ValueError(
+            f"d must be an integer >= {minimum}, got {ring._shown(d)}")
     return (d - 1) // 2
 
 
@@ -667,16 +671,21 @@ def brute_force_A(K: int, k: int, d: int,
 
 @dataclass(frozen=True)
 class LatticeComparisonReport:
-    """Outcome of checking the claimed basis against the lattice oracle."""
+    """Outcome of checking the claimed basis against the lattice oracle.
+
+    Each evidence row pairs a basis polynomial, the object itself from
+    `claimed.basis` or `oracle.basis` (`str` gives its text), with its
+    verdict.
+    """
 
     K: int
     k: int
     d: int
     claimed: LatticeDescriptor
     oracle: LatticeDescriptor
-    basis_membership: tuple[tuple[str, bool], ...]
-    basis_in_oracle: tuple[tuple[str, bool], ...]
-    oracle_in_claimed: tuple[tuple[str, bool], ...]
+    basis_membership: tuple[tuple[IntPolynomial, bool], ...]
+    basis_in_oracle: tuple[tuple[IntPolynomial, bool], ...]
+    oracle_in_claimed: tuple[tuple[IntPolynomial, bool], ...]
     index_equal: bool
     exponents_equal: bool
     passed: bool
@@ -699,13 +708,11 @@ def verify_A_equals_B(K: int, k: int, d: int,
     """
     oracle = brute_force_A(K, k, d, budget)
     claimed = b_basis(K, d)
-    membership = tuple(
-        (str(p), membership_A(p, K, k, d)) for p in claimed.basis
-    )
+    membership = tuple((p, membership_A(p, K, k, d)) for p in claimed.basis)
 
     def reduces(basis, others):
         rows = dict(enumerate(p.coeffs for p in basis))
-        return tuple((str(p), not any(_reduce(rows, p.coeffs, K)[0]))
+        return tuple((p, not any(_reduce(rows, p.coeffs, K)[0]))
                      for p in others)
 
     in_oracle = reduces(oracle.basis, claimed.basis)
@@ -779,8 +786,7 @@ def shape_remark_report(n: int, k: int = 1) -> ShapeRemarkReport:
     property set's index is computed exactly as the order of the image of the
     monomial residue map (full enumeration would be hopeless at these levels).
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise ValueError(f"n must be a non-negative integer, got {n!r}")
+    ring._validate_natural(n, "n")
     K = 2 * n + 3
     d = 2 * n + 3  # lattice of degree <= n polynomials with the odd test
     gens = [

@@ -125,9 +125,28 @@ __all__ = [
 Rational = Union[int, Fraction]
 
 
+def _shown(value: object) -> str:
+    """repr(value) for an error message; a number whose repr would pass
+    Python's int-to-str digit limit is named by its size in bits."""
+    try:
+        return repr(value)
+    except ValueError:
+        bits = max(abs(value.numerator).bit_length(),
+                   value.denominator.bit_length())
+        sign = "negative " if value < 0 else ""
+        return f"<{sign}{type(value).__name__} of {bits} bits>"
+
+
+def _validate_natural(value: int, name: str) -> None:
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise ValueError(
+            f"{name} must be a non-negative integer, got {_shown(value)}")
+
+
 def _validate_level(K: int) -> None:
     if not isinstance(K, int) or isinstance(K, bool) or K < 1:
-        raise ValueError(f"level K must be a positive integer, got {K!r}")
+        raise ValueError(
+            f"level K must be a positive integer, got {_shown(K)}")
 
 
 def _is_two_to_the(m: int, level: int) -> bool:
@@ -160,7 +179,7 @@ def _power(base, exponent: int, one):
 
 def _validate_odd(k: int) -> None:
     if not isinstance(k, int) or isinstance(k, bool) or k < 1 or k % 2 == 0:
-        raise ValueError(f"k must be a positive odd integer, got {k!r}")
+        raise ValueError(f"k must be a positive odd integer, got {_shown(k)}")
 
 
 def _lift(values: Iterable[Rational]) -> tuple[list[int], int]:
@@ -279,8 +298,8 @@ class RingElement(_IntVector):
         nums, den = _lift(coeffs)
         if not _is_two_to_the(len(nums) + 1, level):
             raise ValueError(
-                f"canonical coefficient tuple at level {level} must have"
-                f" length 2^{level} - 1, got {len(nums)}"
+                f"canonical coefficient tuple at level {_shown(level)} must"
+                f" have length 2^{_shown(level)} - 1, got {len(nums)}"
             )
         self._store(level, nums, den)
 
@@ -322,13 +341,13 @@ class LevelProjection(_IntVector):
 
     def __init__(self, level: int, coeffs: Iterable[Rational]) -> None:
         if not isinstance(level, int) or isinstance(level, bool) or level < 0:
-            raise ValueError(f"projection level must be >= 0, got {level!r}")
+            raise ValueError(
+                f"projection level must be >= 0, got {_shown(level)}")
         nums, den = _lift(coeffs)
         if not _is_two_to_the(len(nums), level):
             raise ValueError(
-                f"projection at level {level} must have 2^{level}"
-                f" coefficients, got {len(nums)}"
-            )
+                f"projection at level {_shown(level)} must have"
+                f" 2^{_shown(level)} coefficients, got {len(nums)}")
         self._store(level, nums, den)
 
     def __mul__(self, other):
@@ -387,7 +406,8 @@ def ring_arith(a: RingElement, b: RingElement, op: str) -> RingElement:
         return a - b
     if op == "mul":
         return a * b
-    raise ValueError(f"unknown operation {op!r}; expected add, sub, or mul")
+    raise ValueError(
+        f"unknown operation {_shown(op)}; expected add, sub, or mul")
 
 
 def _wrap(coeffs: Sequence[int], n: int, s: int) -> list[int]:
@@ -870,7 +890,7 @@ def _eval_f2_vec(
     if mode == "even":
         return _family_vec(K, k, qcoeffs, f2_minus_1=True, scale=8,
                            times_one_minus_chi=times_one_minus_chi)
-    raise ValueError(f"mode must be 'odd' or 'even', got {mode!r}")
+    raise ValueError(f"mode must be 'odd' or 'even', got {_shown(mode)}")
 
 
 # ---------------------------------------------------------------------------
@@ -918,7 +938,7 @@ def eigenspace_test(a: RingElement, sign: str) -> bool:
         if a.is_integral():
             return int(a.evaluate(-1)) % 2 == 0
         return True
-    raise ValueError(f"sign must be '+' or '-', got {sign!r}")
+    raise ValueError(f"sign must be '+' or '-', got {_shown(sign)}")
 
 
 def is_in_4Z(a: RingElement) -> bool:
@@ -957,8 +977,8 @@ def _projections(a: RingElement) -> list[LevelProjection]:
 def _validate_projection_level(K: int, l: int) -> None:
     if not isinstance(l, int) or isinstance(l, bool) or l < 0 or l > K - 1:
         raise ValueError(
-            f"projection level must satisfy 0 <= l <= {K - 1}, got {l!r}"
-        )
+            f"projection level must satisfy 0 <= l <= {K - 1},"
+            f" got {_shown(l)}")
 
 
 def project(a: RingElement, l: int) -> LevelProjection:
@@ -1045,13 +1065,13 @@ def _validate_m(mode: str, m: int | None) -> int:
         mm = 1 if m is None else m
         if (not isinstance(mm, int) or isinstance(mm, bool)
                 or mm not in (1, 2)):
-            raise ValueError(f"m must be 1 or 2 in odd mode, got {m!r}")
+            raise ValueError(f"m must be 1 or 2 in odd mode, got {_shown(m)}")
         return mm
     if mode == "even":
         if m is not None:
             raise ValueError("even mode does not take an exponent m")
         return 1
-    raise ValueError(f"mode must be 'odd' or 'even', got {mode!r}")
+    raise ValueError(f"mode must be 'odd' or 'even', got {_shown(mode)}")
 
 
 def evaluate_at_f_squared(

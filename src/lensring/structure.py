@@ -82,14 +82,16 @@ class NormalInvariantVector:
         t2 = tuple(self.t2)
         if len(t4) != c or len(t2) != c:
             raise ValueError(
-                f"expected {c} residues in each of t4 and t2 for d = {self.d}"
+                f"expected {ring._shown(c)} residues in each of t4 and t2"
+                f" for d = {ring._shown(self.d)}"
             )
         for name, values, bits in (("t4", t4, self.K), ("t2", t2, 1)):
             for i, v in enumerate(values):
                 if (not isinstance(v, int) or isinstance(v, bool) or v < 0
                         or v.bit_length() > bits):
                     raise ValueError(
-                        f"{name}[{i}] must be an int in [0, 2^{bits})")
+                        f"{name}[{i}] must be an int in"
+                        f" [0, 2^{ring._shown(bits)})")
         object.__setattr__(self, "t4", t4)
         object.__setattr__(self, "t2", t2)
 

@@ -50,7 +50,8 @@ from functools import cache
 from typing import Iterable, Iterator, Sequence
 
 from .polynomials import IntPolynomial, ONE, X, _v2
-from .ring import LevelProjection, RingElement, _tower, _wrap, project
+from .ring import (LevelProjection, RingElement, _shown, _tower,
+                   _validate_natural, _wrap, project)
 
 __all__ = [
     "Valuation",
@@ -94,7 +95,8 @@ class Valuation:
             raise ValueError("level must be >= 0")
         if self.b < 0 or self.b.bit_length() > self.level:
             raise ValueError(
-                f"b must satisfy 0 <= b < 2^{self.level}, got {self.b}"
+                f"b must satisfy 0 <= b < 2^{_shown(self.level)},"
+                f" got {_shown(self.b)}"
             )
 
     @classmethod
@@ -194,8 +196,13 @@ class NormalForm:
     v2: IntPolynomial
 
 
-def _expand_in_monomials(coeffs: list[int]) -> IntPolynomial:
-    """sum of coeffs[e] * (1 - chi)^e as a polynomial in chi, by Horner."""
+def _expand_in_monomials(coeffs: Sequence[int]) -> IntPolynomial:
+    """sum of coeffs[e] * (1 - chi)^e as a polynomial in chi, by Horner.
+
+    As chi -> 1 - chi is an involution, this also reads the coefficients
+    of a polynomial in chi in powers of (1 - chi): applied twice it is the
+    identity.
+    """
     out: list[int] = []
     for c in reversed(coeffs):
         out = [x - y for x, y in zip(out + [0], [0] + out)]
@@ -206,34 +213,26 @@ def _expand_in_monomials(coeffs: list[int]) -> IntPolynomial:
 def normal_form(p: LevelProjection) -> NormalForm:
     """Normal form of a nonzero projection.
 
-    Clears denominators with the lcm, expands the integer vector in the
-    basis (1-chi)^m by repeated synthetic division, and splits off the
-    minimal two-adic valuation.  The returned (a, b) do not depend on the
-    clearing strategy and equal those `w_l` reads without witnesses; the
-    witnesses certify the factorization.
+    Clears denominators with the lcm and splits off the minimal two-adic
+    valuation of the coefficients zm of the integer vector in powers of
+    (1 - chi).  Both zm and the witnesses v1, v2 come from one expansion,
+    `_expand_in_monomials`: chi -> 1 - chi is an involution, so it reads
+    zm off p(1 - chi) and rebuilds the witnesses in chi from their parts
+    of zm.  The returned (a, b) do not depend on the clearing strategy and
+    equal those `w_l` reads without witnesses; the witnesses certify the
+    factorization.
     """
     if p.is_zero():
         raise ValueError("the zero projection has no normal form")
-    dim = 1 << p.level
-    cur, w = list(p.nums), p.den
-    a1 = _v2(w)
-    u = w >> a1
-    zm = []
-    for _ in range(dim):
-        zm.append(sum(cur))
-        suffix = 0
-        nxt = [0] * (len(cur) - 1)
-        for i in range(len(cur) - 1, 0, -1):
-            suffix += cur[i]
-            nxt[i - 1] = -suffix
-        cur = nxt
+    a1 = _v2(p.den)
+    zm = _expand_in_monomials(p.nums).coeffs
     a2 = min(_v2(v) for v in zm if v)
     b = next(m for m, v in enumerate(zm) if v and _v2(v) == a2)
     v1 = _expand_in_monomials([v >> a2 for v in zm[b:]])
     v2 = _expand_in_monomials([v >> (a2 + 1) for v in zm[:b]])
     if v1(1) % 2 == 0:
         raise ArithmeticError("normal form witness v1 must be odd at 1")
-    return NormalForm(a2 - a1, b, u, v1, v2)
+    return NormalForm(a2 - a1, b, p.den >> a1, v1, v2)
 
 
 def normal_form_reconstruct(nf: NormalForm, level: int) -> LevelProjection:
@@ -381,10 +380,7 @@ def criterion_necessary_search(g: RingElement, max_power: int | None = None):
     K = g.level
     if max_power is None:
         max_power = 1 << K
-    elif not isinstance(max_power, int) or isinstance(max_power, bool) \
-            or max_power < 0:
-        raise ValueError(
-            f"max_power must be a non-negative integer, got {max_power!r}")
+    _validate_natural(max_power, "max_power")
     thresholds = _thresholds(g)
     if thresholds is not None:
         thresholds = list(thresholds)
@@ -409,8 +405,7 @@ def x_polynomial(m: int) -> IntPolynomial:
     These satisfy (1 - chi)^(2^m) = 2 x_m + (1 + chi^(2^m)) identically in
     Z[chi], which splits powers of (1 - chi) across projection levels.
     """
-    if not isinstance(m, int) or isinstance(m, bool) or m < 0:
-        raise ValueError(f"m must be a non-negative integer, got {m!r}")
+    _validate_natural(m, "m")
     if m == 0:
         return IntPolynomial((0, -1))
     prev = x_polynomial(m - 1)

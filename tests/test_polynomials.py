@@ -495,6 +495,19 @@ def test_verify_A_equals_B_reports():
     assert report.claimed.scaling_exponents == (1, 0, 0)
 
 
+def test_verify_A_equals_B_evidence_holds_the_basis_polynomials():
+    # each row pairs the basis object itself with its verdict
+    report = verify_A_equals_B(3, 3, 7)
+    claimed, oracle = report.claimed.basis, report.oracle.basis
+    for rows, basis in ((report.basis_membership, claimed),
+                        (report.basis_in_oracle, claimed),
+                        (report.oracle_in_claimed, oracle)):
+        assert len(rows) == len(basis)
+        assert all(p is q for (p, _), q in zip(rows, basis))
+    assert [str(p) for p, _ in report.basis_membership] == [
+        str(p) for p in claimed]
+
+
 def test_verify_A_equals_B_names_each_row_that_does_not_reduce(monkeypatch):
     # a claimed basis whose degree-1 row is twice the oracle's spans a
     # proper sublattice: all of it reduces into the oracle, but the

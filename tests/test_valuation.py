@@ -33,7 +33,8 @@ from lensring import (
 
 
 from lensring.polynomials import _v2
-from lensring.valuation import (_one_minus_chi_valuations, _valuation,
+from lensring.valuation import (NormalForm, _expand_in_monomials,
+                                _one_minus_chi_valuations, _valuation,
                                 _valuations)
 
 
@@ -189,6 +190,68 @@ def test_normal_form_round_trip_and_oddness():
             assert nf.u % 2 == 1
             assert 0 <= nf.b < 1 << l
             assert normal_form_reconstruct(nf, l) == p
+
+
+def _zm_by_synthetic_division(nums, dim):
+    """The coefficients of nums in powers of (1 - chi) by repeated
+    synthetic division at chi = 1: the oracle for `normal_form`."""
+    cur, zm = list(nums), []
+    for _ in range(dim):
+        zm.append(sum(cur))
+        suffix = 0
+        nxt = [0] * (len(cur) - 1)
+        for i in range(len(cur) - 1, 0, -1):
+            suffix += cur[i]
+            nxt[i - 1] = -suffix
+        cur = nxt
+    return zm
+
+
+def _normal_form_oracle(p):
+    zm = _zm_by_synthetic_division(p.nums, 1 << p.level)
+    a1 = _v2(p.den)
+    a2 = min(_v2(v) for v in zm if v)
+    b = next(m for m, v in enumerate(zm) if v and _v2(v) == a2)
+    v1 = _expand_in_monomials([v >> a2 for v in zm[b:]])
+    v2 = _expand_in_monomials([v >> (a2 + 1) for v in zm[:b]])
+    return NormalForm(a2 - a1, b, p.den >> a1, v1, v2), zm
+
+
+def test_normal_form_matches_synthetic_division():
+    rng = random.Random(30)
+    dens = (1, 2, 3, 4, 5, 12, 56, 1 << 9)
+    for l in range(9):
+        dim = 1 << l
+        for trial in range(12):
+            den = rng.choice(dens)
+            if trial == 0:
+                # a single nonzero entry
+                nums = [0] * dim
+                nums[rng.randrange(dim)] = rng.choice((-3, 1)) << rng.randrange(6)
+            else:
+                # sparse: about half the entries are zero
+                nums = [rng.randrange(-99, 100) if rng.random() < 0.5 else 0
+                        for _ in range(dim)]
+            if not any(nums):
+                nums[-1] = 2
+            p = LevelProjection(l, [Fraction(v, den) for v in nums])
+            want, zm = _normal_form_oracle(p)
+            assert _expand_in_monomials(p.nums).coeffs == IntPolynomial(
+                tuple(zm)).coeffs
+            nf = normal_form(p)
+            assert nf == want
+            assert normal_form_reconstruct(nf, l) == p
+
+
+def test_expand_in_monomials_is_an_involution():
+    rng = random.Random(31)
+    cases = [[], [0], [5], [0, 0, 0], [0] * 8, [1, -1], [0, 0, 3]]
+    cases += [[rng.randrange(-50, 51) for _ in range(rng.randrange(1, 40))]
+              for _ in range(60)]
+    for coeffs in cases:
+        once = _expand_in_monomials(coeffs)
+        assert _expand_in_monomials(once.coeffs) == IntPolynomial(tuple(coeffs))
+    assert _expand_in_monomials([]) == IntPolynomial(())
 
 
 def test_w_l_worked_examples():
