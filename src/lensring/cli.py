@@ -26,10 +26,9 @@ Expressions use a tiny language: integer literals, chi, f, fk(k), fpk(k),
 binary + - *, powers ^ with a non-negative integer exponent, unary minus
 (a chain of signs too), and parentheses nested at most 100 deep.  The
 unicode minus and middle dot are accepted as aliases for - and *.  `wl`
-evaluates an expression in the level-l field Q[chi]/<1 + chi^(2^l)> from
-atoms built there (f, fk(k) and fpk(k) folded from their level-(l + 1)
-family windows), so its cost follows l and not K; `parse_expression`
-evaluates at level K.
+evaluates an expression in the level-l field Q[chi]/<1 + chi^(2^l)> only,
+from atoms built there (f, fk(k) and fpk(k) folded from their level-(l + 1)
+family windows), so its cost follows l and not K.
 """
 
 from __future__ import annotations
@@ -66,7 +65,7 @@ from .polynomials import (
 from .ring import (
     LevelProjection,
     RingElement,
-    _element_from_vec,
+    _decimal_str,
     _eval_f2_vec,
     _family_vec,
     _project_window,
@@ -164,24 +163,19 @@ def _tokenize(text: str) -> list[tuple[str, object]]:
     return tokens
 
 
-# an expression's value: a ring element, or its image under a ring map
-_Value = RingElement | LevelProjection
-
 # five stack frames per open parenthesis: well inside the recursion limit
 _MAX_NESTING = 100
 
 
 class _ExpressionParser:
-    """Recursive descent over the expression language, in the ring its atoms
-    are built in: Q[chi]/I<level> (`RingElement`s), or with `projected` the
-    field Q[chi]/<1 + chi^(2^level)> (`LevelProjection`s); + - * ^ then act
-    in that ring."""
+    """Recursive descent over the expression language in the field
+    Q[chi]/<1 + chi^(2^level)>, where its atoms are built; + - * ^ then act
+    on `LevelProjection`s."""
 
-    def __init__(self, text: str, level: int, projected: bool = False):
+    def __init__(self, text: str, level: int):
         self.tokens = _tokenize(text)
         self.pos = 0
         self.level = level
-        self.projected = projected
 
     def _peek(self) -> str:
         return self.tokens[self.pos][0]
@@ -197,7 +191,7 @@ class _ExpressionParser:
             raise ValueError(f"expected {kind!r}, found {tok_kind!r}")
         return value
 
-    def parse(self) -> _Value:
+    def parse(self) -> LevelProjection:
         opened = accumulate((t == "(") - (t == ")") for t, _ in self.tokens)
         if max(opened) > _MAX_NESTING:
             raise ValueError(f"parentheses nested deeper than {_MAX_NESTING}")
@@ -206,7 +200,7 @@ class _ExpressionParser:
             raise ValueError("trailing input after expression")
         return value
 
-    def _sum(self) -> _Value:
+    def _sum(self) -> LevelProjection:
         acc = self._product()
         while self._peek() in ("+", "-"):
             op, _ = self._next()
@@ -214,21 +208,21 @@ class _ExpressionParser:
             acc = acc + rhs if op == "+" else acc - rhs
         return acc
 
-    def _product(self) -> _Value:
+    def _product(self) -> LevelProjection:
         acc = self._unary()
         while self._peek() == "*":
             self._next()
             acc = acc * self._unary()
         return acc
 
-    def _unary(self) -> _Value:
+    def _unary(self) -> LevelProjection:
         signs = 0
         while self._peek() == "-":
             self._next()
             signs += 1
         return -self._power() if signs % 2 else self._power()
 
-    def _power(self) -> _Value:
+    def _power(self) -> LevelProjection:
         base = self._atom()
         if self._peek() == "^":
             self._next()
@@ -236,7 +230,7 @@ class _ExpressionParser:
             return base ** exponent
         return base
 
-    def _atom(self) -> _Value:
+    def _atom(self) -> LevelProjection:
         kind, value = self._next()
         if kind == "(":
             inner = self._sum()
@@ -255,26 +249,16 @@ class _ExpressionParser:
         self._expect(")")
         return self._family(k, f_power=1 if value == "fk" else 0)
 
-    def _polynomial(self, coeffs: list[int]) -> _Value:
-        """The integer polynomial coeffs(chi) in the parser's ring."""
-        if self.projected:
-            return LevelProjection._from_ints(
-                self.level, _wrap(coeffs, 1 << self.level, -1))
-        return make_element(self.level, coeffs)
+    def _polynomial(self, coeffs: list[int]) -> LevelProjection:
+        """The integer polynomial coeffs(chi) in the level-l field."""
+        return LevelProjection._from_ints(
+            self.level, _wrap(coeffs, 1 << self.level, -1))
 
-    def _family(self, k: int, f_power: int) -> _Value:
-        """f'_k f^f_power in the parser's ring: fpk(k), fk(k) = f'_k f, or
-        f = f'_1 f; a projection is folded from the level-(l + 1) window."""
-        if self.projected:
-            return _project_window(
-                _family_vec(self.level + 1, k, f_power=f_power), self.level)
-        return _element_from_vec(
-            self.level, _family_vec(self.level, k, f_power=f_power))
-
-
-def parse_expression(text: str, K: int) -> RingElement:
-    """Evaluate the wl mini-language in Q[chi]/I<K>."""
-    return _ExpressionParser(text, K).parse()
+    def _family(self, k: int, f_power: int) -> LevelProjection:
+        """f'_k f^f_power in the level-l field: fpk(k), fk(k) = f'_k f, or
+        f = f'_1 f, folded from the level-(l + 1) window."""
+        return _project_window(
+            _family_vec(self.level + 1, k, f_power=f_power), self.level)
 
 
 # ---------------------------------------------------------------------------
@@ -288,12 +272,12 @@ Field = tuple[str | None, tuple[str, ...] | None, object]
 def _field(key: str, value, text=None, path=None) -> Field:
     """`key = text` as text (text defaults to value) and value at path
     (default (key,)) as JSON."""
-    shown = value if text is None else text
+    shown = _decimal_str(value if text is None else text)
     return (f"{key} = {shown}", path or (key,), value)
 
 
 def _coeffs_field(key: str, path, coeffs: Sequence[int]) -> Field:
-    text = ",".join(str(c) for c in coeffs) if coeffs else "0"
+    text = ",".join(map(_decimal_str, coeffs)) if coeffs else "0"
     return _field(key, list(coeffs), text, path)
 
 
@@ -318,12 +302,37 @@ def _render(fields: Sequence[Field], output_format: str) -> str:
             for key in path[:-1]:
                 node = node.setdefault(key, {})
             node[path[-1]] = value
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    try:
+        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    except ValueError:  # an int past Python's int-to-str digit limit
+        wide: list[str] = []
+
+    def held(x):
+        # every int is dumped as the string "\0<i>", then written in its
+        # place by `_decimal_str`
+        if type(x) is int:
+            wide.append(_decimal_str(x))
+            return f"\0{len(wide) - 1}"
+        if isinstance(x, dict):
+            return {key: held(v) for key, v in x.items()}
+        return [*map(held, x)] if isinstance(x, list) else x
+    text = json.dumps(held(doc), sort_keys=True, indent=2)
+    for i, digits in enumerate(wide):
+        text = text.replace(f'"\\u0000{i}"', digits)
+    return text + "\n"
+
+
+def _signed_r(sign: str) -> Callable[[int], tuple]:
+    """n -> (the record of r^-_n, whose bits are shown, and r^-_n or r^+_n
+    by sign), the sign checked here."""
+    if sign not in ("+", "-"):
+        raise ValueError(f"sign must be '+' or '-', got {_shown(sign)}")
+    return lambda n: (r_minus(n), r_minus(n).polynomial if sign == "-"
+                      else r_plus(n))
 
 
 def _tables_fields(max_n: int, sign: str, K: int | None) -> list[Field]:
-    if sign not in ("+", "-"):
-        raise ValueError(f"sign must be '+' or '-', got {_shown(sign)}")
+    signed_r = _signed_r(sign)
     _validate_natural(max_n, "max_n")
     if K is not None:
         _validate_level(K)
@@ -338,8 +347,7 @@ def _tables_fields(max_n: int, sign: str, K: int | None) -> list[Field]:
     for n in range(max_n + 1):
         fields.append(_coeffs_field(f"q[{n}]", ("q", str(n)), q_n(n).coeffs))
     for n in range(max_n + 1):
-        record = r_minus(n)
-        poly = record.polynomial if sign == "-" else r_plus(n)
+        record, poly = signed_r(n)
         row = ("r", str(n))
         fields += [
             _coeffs_field(f"r[{n}]", row + ("coeffs",), poly.coeffs),
@@ -395,7 +403,8 @@ def _run_structure_set(config: RunConfig) -> tuple[list[Field], int]:
         fields.append(_field(
             "torsion",
             [{"label": s.label, "order": s.order} for s in descriptor.torsion],
-            ", ".join(f"{s.label}:{s.order}" for s in descriptor.torsion),
+            ", ".join(f"{s.label}:{_decimal_str(s.order)}"
+                      for s in descriptor.torsion),
         ))
     fields.append(_field("basis_provenance", provenance, provenance or "none"))
     return fields, 0
@@ -415,7 +424,7 @@ def _run_wl(config: RunConfig) -> tuple[list[Field], int]:
     _validate_projection_level(K, l)
     # pr_l is a ring map, so the expression is evaluated in the level-l
     # field, where every atom is built
-    p = _ExpressionParser(expr, l, projected=True).parse()
+    p = _ExpressionParser(expr, l).parse()
     w = _valuation(p.nums, p.den, l)
     return _header("valuation") + [
         _field("expr", expr),
@@ -429,10 +438,7 @@ def _run_wl(config: RunConfig) -> tuple[list[Field], int]:
 def _run_best_poly(config: RunConfig) -> tuple[list[Field], int]:
     n = config.param("n")
     sign = config.param("sign")
-    if sign not in ("+", "-"):
-        raise ValueError(f"sign must be '+' or '-', got {_shown(sign)}")
-    record = r_minus(n)
-    poly = record.polynomial if sign == "-" else r_plus(n)
+    record, poly = _signed_r(sign)(n)
     return _header("best-poly") + [
         _field("n", n),
         _field("sign", sign),

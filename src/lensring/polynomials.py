@@ -377,9 +377,9 @@ def r_minus(n: int) -> RMinusRecord:
             f"r^-_{n}: expected exactly one winning correction,"
             f" found {len(winners)}"
         )
-    held = {1: vecs, 3: [v.times((1,), 3) for v in vecs]}
+    held = {1: vecs, 3: [v.restrided(3) for v in vecs]}
     for num, step in _DERIVED.values():
-        derived = [v.times(num, step).divided() for v in held[step]]
+        derived = [v.times(num).divided() for v in held[step]]
         if _search_winners(derived[0], derived[1:]) != winners:
             raise ArithmeticError(
                 f"r^-_{n}: winning correction depends on (k, m), which"

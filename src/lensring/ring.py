@@ -54,11 +54,10 @@ the 8 f'_k f^m q(f^2) of the r^- search among them, are all built by
 `_family_vec`, and never with all N entries unless a public function returns
 them.  Their sparse factors, folded by chi^N = 1 when k >= N, are
 multiplied out first into a numerator of H terms.  A window is only ever
-divided by 1 - chi^(its own class step): a numerator with e = -net >= 1
-divisions by 1 - chi is held at class step 1 and divided e times, then
-held at class step k (`_Window.times((1,), k)`, which reads the new
-classes off the stored differences) and divided once by 1 - chi^k; with
-e = 0 it is held at class step k from the start.  Each division is a
+divided by 1 - chi^(its own class step): every numerator is held at class
+step 1 and divided e = max(-net, 0) times by 1 - chi, then held at class
+step k (`_Window.restrided(k)`, which reads the new classes off the stored
+differences) and divided once by 1 - chi^k.  Each division is a
 running sum along the classes after adding the multiple of the norm
 element that makes the entry sum vanish, which is legitimate because the
 norm is zero in the quotient, and it moves k head entries into the tail
@@ -72,11 +71,12 @@ sum_{s<L} C(s, j) = C(L, j + 1)) and the division itself then cost
 O(H + k*e) operations, not O(N).  `times` multiplies by a short polynomial
 inside the window (each tail class becomes a sum of classes moved along
 by whole blocks), so `r_minus` evaluates each polynomial once, at (k, m) =
-(1, 1), and gets the other three vectors with one product and one division
-each.  Membership in 4 Z[chi]/I<K> of any integer combination needs only
-the first W entries and the last one, so the residue rows of the r^-
-search, the lattice oracles and the shape remark are W wide: W grows like
-n, not like N = 2^(2n+2).  They are read off the head and the Newton
+(1, 1), restrides it once to class step 3, and gets the other three
+vectors with one product and one division each.  Membership in
+4 Z[chi]/I<K> of any integer combination needs only the first W entries
+and the last one, so the residue rows of the r^- search, the lattice
+oracles and the shape remark are W wide: W grows like n, not like
+N = 2^(2n+2).  They are read off the head and the Newton
 differences as stored, which is a unimodular change of columns from the
 entries (`_residue_images`).  When W >= N (small K, or a numerator that
 wraps) the vector simply holds all N entries.  Only `element_f`,
@@ -97,6 +97,7 @@ import math
 import re
 import struct
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate, zip_longest
@@ -154,17 +155,11 @@ def _is_two_to_the(m: int, level: int) -> bool:
     return m.bit_length() == level + 1 and not m & (m - 1)
 
 
-def _validate_exponent(exponent: int) -> None:
-    if (not isinstance(exponent, int) or isinstance(exponent, bool)
-            or exponent < 0):
-        raise ValueError("exponent must be a non-negative integer")
-
-
 def _power(base, exponent: int, one):
     """base ** exponent by square-and-multiply, for any product with unit
     `one`, started at the lowest set bit (2^j costs j products); a bool,
     negative or non-integer exponent raises ValueError."""
-    _validate_exponent(exponent)
+    _validate_natural(exponent, "exponent")
     if not exponent:
         return one
     while not exponent & 1:
@@ -368,7 +363,7 @@ class LevelProjection(_IntVector):
         if nums.count(0) != n - 1:
             return _power(self, exponent, LevelProjection._from_ints(
                 self.level, [1] + [0] * (n - 1)))
-        _validate_exponent(exponent)
+        _validate_natural(exponent, "exponent")
         c = sum(nums)
         wraps, j = divmod(nums.index(c) * exponent, n)
         power = c ** exponent
@@ -563,7 +558,8 @@ class _Window(NamedTuple):
     differences at b = 0, so every entry, class sum and the last entry are
     closed forms, and sum_{b<L} C(b, h) = C(L, h + 1).  An empty `tails`
     means the head holds all n entries.  A window is divided only by
-    1 - chi^k (`divided`); `times` changes its class step to a multiple.
+    1 - chi^k (`divided`); only `restrided` changes its class step, to a
+    multiple.
     """
 
     n: int
@@ -573,21 +569,18 @@ class _Window(NamedTuple):
     den: int
 
     @classmethod
-    def from_numerator(cls, poly: Sequence[int], n: int, k: int,
+    def from_numerator(cls, poly: Sequence[int], n: int,
                        divisions: int = 1) -> "_Window":
-        """The integer polynomial poly(chi), ready for `divisions` divisions
-        by 1 - chi^k.
-
-        The head is padded to divisions*k entries, as each division moves k
-        head entries into the tail and raises its degree by one: the window
-        stays s + k wide (s = max(len(poly), divisions*k)), and it holds all
-        n entries from the start when that reaches n.
+        """The integer polynomial poly(chi) at class step 1, its head padded
+        to `divisions` entries, as each division by 1 - chi moves one head
+        entry into the tail and raises its degree by one: the window stays
+        s + 1 wide (s = max(len(poly), divisions)), and it holds all n
+        entries from the start when that reaches n.
         """
-        s = max(len(poly), divisions * k)
-        if s + k >= n:
-            return cls(n, k, tuple(_wrap(poly, n, 1)), (), 1)
-        head = tuple(poly) + (0,) * (s - len(poly))
-        return cls(n, k, head, ((0,),) * k, 1)
+        s = max(len(poly), divisions)
+        if s + 1 >= n:
+            return cls(n, 1, tuple(_wrap(poly, n, 1)), (), 1)
+        return cls(n, 1, tuple(poly) + (0,) * (s - len(poly)), ((0,),), 1)
 
     def entry(self, j: int) -> int:
         """Entry j, for 0 <= j < N."""
@@ -618,34 +611,39 @@ class _Window(NamedTuple):
                 out[s + r::k] = col
         return tuple(out)
 
-    def times(self, poly: Sequence[int], step: int) -> "_Window":
-        """Multiply by poly(chi) modulo chi^N - 1, held with class step
-        `step` (a multiple of k; a new step reads its classes off the
-        stored differences, `_restride_table`).  The head grows by
+    def restrided(self, step: int) -> "_Window":
+        """The same vector held with class step `step`, a multiple of k: new
+        class c is old class c % k moved c // k blocks, then read at every
+        (step // k)-th block (`_restride_table`, built for the next power of
+        two, its rows stopping where the tail does).  All n entries are held
+        when the new window does not fit."""
+        n, k, head, tails, den = self
+        if step % k:
+            raise ArithmeticError(
+                f"cannot hold class step {k} with step {step}")
+        if step == k:
+            return self
+        if not tails or len(head) + len(tails[0]) * step > n:
+            return _Window(n, step, self.entries(n), (), den)
+        length = len(tails[0])
+        table = _restride_table(step // k, 1 << (length - 1).bit_length())
+        return _Window(n, step, head, tuple(
+            tuple(sum(map(mul, row, diffs[j:]))
+                  for j, row in zip(range(length), table))
+            for diffs in _moved(tails, k, step)), den)
+
+    def times(self, poly: Sequence[int]) -> "_Window":
+        """Multiply by poly(chi) modulo chi^N - 1.  The head grows by
         len(poly) - 1 entries, into which chi^N = 1 wraps the last ones;
         past it each class sums tail classes moved along whole blocks, one
         move being D[h] + D[h+1] on the Newton differences.  All n entries
         are held when the window does not fit."""
         n, k, head, tails, den = self
-        if step % k:
-            raise ArithmeticError(
-                f"cannot hold class step {k} with step {step}")
         lp = len(poly)
         s = len(head)
-        if s + lp - 1 + (len(tails[0]) * step if tails else n) > n:
+        if s + lp - 1 + (len(tails[0]) * k if tails else n) > n:
             z = _poly_mul_int(self.entries(n), poly)
-            return _Window(n, step, tuple(_wrap(z, n, 1)), (), den)
-        if step != k:
-            # new class c is old class c % k moved c // k blocks, then read
-            # at every (step // k)-th block; the table is built for the
-            # next power of two, and its rows stop where the tail does
-            length = len(tails[0])
-            table = _restride_table(step // k,
-                                    1 << (length - 1).bit_length())
-            tails = [tuple(sum(map(mul, row, diffs[j:]))
-                           for j, row in zip(range(length), table))
-                     for diffs in _moved(tails, k, step)]
-            k = step
+            return _Window(n, k, tuple(_wrap(z, n, 1)), (), den)
         wrap = [self.entry(j) for j in range(n - lp + 1, n)]
         z = _poly_mul_int(wrap + list(self.entries(s + lp - 1)), poly)
         moved = _moved(tails, k, lp - 1 + k)
@@ -654,13 +652,7 @@ class _Window(NamedTuple):
         for r in range(k):
             acc = [0] * len(moved[r])
             for c, p in terms:
-                col = moved[c + r]
-                if p == 1:
-                    acc = [*map(add, acc, col)]
-                elif p == -1:
-                    acc = [*map(sub, acc, col)]
-                else:
-                    acc = [a + p * x for a, x in zip(acc, col)]
+                acc = [a + p * x for a, x in zip(acc, moved[c + r])]
             new.append(tuple(acc))
         return _Window(n, k, tuple(z[lp - 1:2 * lp - 2 + s]), tuple(new), den)
 
@@ -686,8 +678,7 @@ class _Window(NamedTuple):
                 tails = ()
                 s = n
             # sums of all n entries over the classes mod k
-            sums = ([sum(head)] if k == 1 else
-                    [sum(head[r::k]) for r in range(k)])
+            sums = [sum(head[r::k]) for r in range(k)]
             for r, diffs in enumerate(tails):
                 count = (n - s - r + k - 1) // k
                 sums[(s + r) % k] += _binomial_dot(diffs, count, 1)
@@ -700,18 +691,15 @@ class _Window(NamedTuple):
                 total *= n
             t = -(total // n)
             y = [v + t for v in head]
-            if k == 1:
-                head = tuple(accumulate(y))
-            else:
-                # the last entry of class r wraps onto the first of class
-                # r - n: the class constants make the running sums agree
-                c = r = 0
-                for _ in range(k):
-                    y[r] += c
-                    y[r::k] = accumulate(y[r::k])
-                    c += sums[r] + t * ((n - r + k - 1) // k)
-                    r = (r - n) % k
-                head = tuple(y)
+            # the last entry of class r wraps onto the first of class r - n:
+            # the class constants make the running sums agree
+            c = r = 0
+            for _ in range(k):
+                y[r] += c
+                y[r::k] = accumulate(y[r::k])
+                c += sums[r] + t * ((n - r + k - 1) // k)
+                r = (r - n) % k
+            head = tuple(y)
             if tails:
                 tails = [(head[s - k + r], diffs[0] + t, *diffs[1:])
                          for r, diffs in enumerate(tails)]
@@ -806,10 +794,10 @@ def _family_vec(
 
     The sparse factors are multiplied out first, those of f'_k = (1 - chi
     + ... + chi^(k-1)) (1 - chi) / (1 - chi^k) and f_k already folded by
-    chi^N = 1, so a k past N costs what k mod N does.  A negative net power
-    -e of 1 - chi is e divisions by 1 - chi at class step 1; the window is
-    then held at class step k mod N for the one division by 1 - chi^k.
-    With e = 0 it is built at class step k mod N.
+    chi^N = 1, so a k past N costs what k mod N does.  The numerator is
+    built at class step 1 and divided e times by 1 - chi (e >= 0 the
+    negative net power of 1 - chi), then restrided to class step k mod N
+    for the one division by 1 - chi^k.
     """
     _validate_level(K)
     n = 1 << K
@@ -819,7 +807,7 @@ def _family_vec(
     while q and q[-1] == 0:
         q.pop()
     if not q:
-        return _Window.from_numerator((), n, step)
+        return _Window.from_numerator((), n, step).restrided(step)
     deg = len(q) - 1
     # scale * q(f^2) = P(chi) / (1-chi)^(2*deg) with
     # P = sum_j q_j (1+chi)^(2j) (1-chi)^(2(deg-j)) over the scaled q_j,
@@ -846,12 +834,8 @@ def _family_vec(
     if net > 0:
         num = _poly_mul_int(num, _binom_coeffs(net, -1))
     e = max(-net, 0)
-    if not e:
-        return _Window.from_numerator(num, n, step).divided()
-    vec = _Window.from_numerator(num, n, 1, e + step).divided(e)
-    if step > 1:
-        vec = vec.times((1,), step)
-    return vec.divided()
+    return _Window.from_numerator(num, n, e + step).divided(e).restrided(
+        step).divided()
 
 
 def _int_coeffs(q) -> tuple[int, ...]:
@@ -884,13 +868,11 @@ def _eval_f2_vec(
     """Internal vector for 8 * f'_k * f^m * q(f^2) (odd mode) or
     8 * f'_k * (f^2 - 1) * q(f^2) (even mode), optionally times (1-chi)^t:
     `_family_vec` with scale 8."""
-    if mode == "odd":
-        return _family_vec(K, k, qcoeffs, f_power=m, scale=8,
-                           times_one_minus_chi=times_one_minus_chi)
-    if mode == "even":
-        return _family_vec(K, k, qcoeffs, f2_minus_1=True, scale=8,
-                           times_one_minus_chi=times_one_minus_chi)
-    raise ValueError(f"mode must be 'odd' or 'even', got {_shown(mode)}")
+    if mode not in ("odd", "even"):
+        raise ValueError(f"mode must be 'odd' or 'even', got {_shown(mode)}")
+    return _family_vec(K, k, qcoeffs, f_power=m if mode == "odd" else 0,
+                       f2_minus_1=mode == "even", scale=8,
+                       times_one_minus_chi=times_one_minus_chi)
 
 
 # ---------------------------------------------------------------------------
@@ -1090,9 +1072,7 @@ def evaluate_at_f_squared(
     without a dense product at high levels.
     """
     mm = _validate_m(mode, m)
-    t = times_one_minus_chi
-    if not isinstance(t, int) or isinstance(t, bool) or t < 0:
-        raise ValueError("times_one_minus_chi must be a non-negative integer")
+    _validate_natural(times_one_minus_chi, "times_one_minus_chi")
     coeffs = _int_coeffs(q)
     return _element_from_vec(
         K, _eval_f2_vec(coeffs, K, k, mode, mm, times_one_minus_chi)
@@ -1106,15 +1086,29 @@ def evaluate_at_f_squared(
 _RATIONAL_RE = re.compile(r"-?\d+(?:/[1-9]\d*)?")
 
 
-def _format_rational(c: Fraction) -> str:
-    if c.denominator == 1:
-        return str(c.numerator)
-    return f"{c.numerator}/{c.denominator}"
+def _decimal_str(x) -> str:
+    """str(x); an int or Fraction past Python's int-to-str digit limit is
+    written in full through `decimal`, which converts without that limit."""
+    try:
+        return str(x)
+    except ValueError:
+        num = str(Decimal(x.numerator))
+        return num if x.denominator == 1 else f"{num}/{Decimal(x.denominator)}"
+
+
+def _decimal_fraction(token: str) -> Fraction:
+    """The rational of `_decimal_str`'s text, an int or num/den; past the
+    int-to-str digit limit its integers are read through `decimal`."""
+    try:
+        return Fraction(token)
+    except ValueError:
+        num, _, den = token.partition("/")
+        return Fraction(int(Decimal(num)), int(Decimal(den or "1")))
 
 
 def element_to_text(a: RingElement) -> str:
     """Serialize as `K=<int>; <c0>,<c1>,...` with rationals in lowest terms."""
-    return f"K={a.level}; " + ",".join(_format_rational(c) for c in a.coeffs)
+    return f"K={a.level}; " + ",".join(map(_decimal_str, a.coeffs))
 
 
 def element_from_text(text: str) -> RingElement:
@@ -1139,5 +1133,5 @@ def element_from_text(text: str) -> RingElement:
     for tok in tokens:
         if not _RATIONAL_RE.fullmatch(tok):
             raise ValueError(f"malformed rational token {tok!r}")
-        coeffs.append(Fraction(tok))
+        coeffs.append(_decimal_fraction(tok))
     return RingElement(K, tuple(coeffs))

@@ -7,10 +7,26 @@ from fractions import Fraction
 
 import pytest
 
-from lensring import element_f, element_f_k, element_f_prime, make_element, w_l
-from lensring.cli import (RunConfig, main, parse_expression, run,
-                          tables_document)
+from lensring import (cli, element_f, element_f_k, element_f_prime,
+                      make_element, ring, w_l)
+from lensring.cli import RunConfig, main, run, tables_document
 from lensring.valuation import valuation_to_text
+
+
+class LevelKParser(cli._ExpressionParser):
+    """The wl language evaluated in Q[chi]/I<K> instead of the level-l
+    field: the oracle of wl, which projects the result to level l."""
+
+    def _polynomial(self, coeffs):
+        return make_element(self.level, coeffs)
+
+    def _family(self, k, f_power):
+        return ring._element_from_vec(
+            self.level, ring._family_vec(self.level, k, f_power=f_power))
+
+
+def parse_expression(text, K):
+    return LevelKParser(text, K).parse()
 
 
 def run_cli(capsys, *args):
@@ -400,8 +416,8 @@ def test_window_invariant_failure_exits_four(capsys, monkeypatch):
     from lensring import cli, ring
 
     def broken(config):
-        # a class step of 3 holds no step-1 product
-        ring._eval_f2_vec((1, 1), 8, 3, "odd", 1).times((1, 1), 1)
+        # a class step of 3 is not restrided to step 1
+        ring._eval_f2_vec((1, 1), 8, 3, "odd", 1).restrided(1)
         return [("unreachable", True)]
 
     monkeypatch.setitem(cli._SUITE_RUNNERS, "q-ladder", broken)

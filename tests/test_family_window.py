@@ -205,6 +205,7 @@ def test_eval_f2_window_matches_n_length_oracle():
 
 def test_family_vec_window_matches_n_length_oracle():
     for K in range(1, 13):
+        n = 1 << K
         for k in (1, 3, 5, 7):
             vecs = []
             oracles = []
@@ -215,6 +216,7 @@ def test_family_vec_window_matches_n_length_oracle():
                         vec = ring._family_vec(K, k, q, f_power=f_power,
                                                f2_minus_1=flagged,
                                                scale=scale)
+                        assert vec.k == k % n
                         z, den = oracle_family_vec(K, k, f_power, flagged,
                                                    scale, q)
                         assert_window_matches(vec, z, den)
@@ -223,8 +225,8 @@ def test_family_vec_window_matches_n_length_oracle():
             # the sum, as rho_bracket forms it, on the common window
             den = math.lcm(*(d for _, d in oracles))
             total = [sum(z[j] * (den // d) for z, d in oracles)
-                     for j in range(1 << K)]
-            assert_window_matches(sum_vecs(vecs, 1 << K), total, den)
+                     for j in range(n)]
+            assert_window_matches(sum_vecs(vecs, n), total, den)
 
 
 def test_window_steps_out_when_the_tail_outgrows_n():
@@ -234,7 +236,8 @@ def test_window_steps_out_when_the_tail_outgrows_n():
     for K in range(3, 8):
         n = 1 << K
         for k, poly in ((1, [8, 8]), (3, [8, -8, 8, 0, 4])):
-            vec = ring._Window.from_numerator(poly, n, k).divided(13)
+            vec = ring._Window.from_numerator(poly, n, k).restrided(
+                k).divided(13)
             assert not vec.tails
             z, den = poly + [0] * (n - len(poly)), 1
             for _ in range(13):
@@ -244,21 +247,42 @@ def test_window_steps_out_when_the_tail_outgrows_n():
 
 def test_family_vec_folds_a_class_step_past_n():
     # k >= N: the factors 1 - chi + ... + chi^(k-1) and 1 + chi^k are built
-    # folded by chi^N = 1, against the oracle's k-term cyclic sums
+    # folded by chi^N = 1, against the oracle's k-term cyclic sums; the
+    # window is held at class step k mod N, whether or not it was divided
+    # by 1 - chi first (e >= 1 when net < 0)
     count = 0
+    routes = set()
     for K in range(1, 7):
         n = 1 << K
-        for k in (n + 1, 2 * n + 1, 3 * n - 1, 4 * n + 3, 9 * n + 5):
+        for k in (n + 1, n + 3, 2 * n + 1, 3 * n - 1, 4 * n + 3, 9 * n + 5):
             for f_power in range(4):
                 for flagged in (False, True):
                     for q in ((1,), (5, -3, 0, 2)):
                         vec = ring._family_vec(K, k, q, f_power=f_power,
                                                f2_minus_1=flagged, scale=8)
+                        assert vec.k == k % n
                         z, den = oracle_family_vec(K, k, f_power, flagged, 8,
                                                    q)
                         assert_window_matches(vec, z, den)
+                        net = 1 - f_power - 2 * flagged - 2 * (len(q) - 1)
+                        routes.add((bool(vec.tails), net < 0))
                         count += 1
-    assert count == 480
+    assert count == 576
+    assert routes == {(False, False), (False, True), (True, False),
+                      (True, True)}
+
+
+def test_restrided_keeps_or_refuses_the_class_step():
+    for K, k in ((3, 1), (8, 1), (8, 3), (12, 5)):
+        for q in ((1,), (5, -3, 0, 2)):
+            vec = ring._eval_f2_vec(q, K, k, "odd", 1)
+            assert vec.restrided(k) is vec
+            for step in (1, 2, k + 1, 2 * k - 1, 3 * k + 2):
+                if step % k:
+                    with pytest.raises(ArithmeticError,
+                                       match=f"cannot hold class step {k} "
+                                             f"with step {step}"):
+                        vec.restrided(step)
 
 
 def test_family_windows_keep_at_most_one_head_entry():
@@ -307,7 +331,7 @@ def test_times_matches_cyclic_product():
             for vec in (base, full):
                 for poly in polys:
                     for step in (1, 3 % n):
-                        out = vec.times(poly, step)
+                        out = vec.restrided(step).times(poly)
                         assert out.k == step and out.den == vec.den
                         want = cyclic_product(z, poly)
                         assert out.entries(n) == tuple(want)
@@ -318,10 +342,10 @@ def test_times_matches_cyclic_product():
                                     == len(vec.head) + len(poly) - 1)
                             assert len(out.tails[0]) == len(vec.tails[0])
     assert windowed > 100
-    # a class step of 3 holds no step-1 product
+    # a class step of 3 is not restrided to step 1
     vec = ring._eval_f2_vec((1, 1), 8, 3, "odd", 1)
     with pytest.raises(ArithmeticError):
-        vec.times((1, 1), 1)
+        vec.restrided(1)
 
 
 def restride_by_entries(vec, step):
@@ -338,8 +362,8 @@ def restride_by_entries(vec, step):
 
 
 def test_restride_matches_the_entries_route():
-    # times((1,), step) restrides from the stored Newton differences; the
-    # oracle reads the same classes off the entries
+    # restrided(step) reads the new classes off the stored Newton
+    # differences; the oracle reads them off the entries
     rng = random.Random(37)
     windowed = 0
     for _ in range(400):
@@ -352,7 +376,7 @@ def test_restride_matches_the_entries_route():
         step = k * rng.choice((2, 3, 5))
         if not vec.tails:
             continue
-        out = vec.times((1,), step)
+        out = vec.restrided(step)
         if out.tails:
             windowed += 1
             assert out == restride_by_entries(vec, step)
@@ -383,15 +407,15 @@ def test_derived_vectors_match_direct_evaluation():
             base = ring._eval_f2_vec(q, K, 1, "odd", 1)
             for (k, m), (num, step) in polynomials._DERIVED.items():
                 step %= n
-                vec = base.times(num, step).divided()
+                vec = base.restrided(step).times(num).divided()
                 z, den = oracle_eval_f2(q, K, k, "odd", m, 0)
                 assert_window_matches(vec, z, den)
                 direct = ring._eval_f2_vec(q, K, k, "odd", m)
                 assert (ring._element_from_vec(K, vec)
                         == ring._element_from_vec(K, direct))
                 # r_minus re-reads B with the new step once for both k = 3
-                held = base.times((1,), step)
-                assert held.times(num, step).divided() == vec
+                held = base.restrided(step)
+                assert held.times(num).divided() == vec
 
 
 
@@ -422,7 +446,7 @@ def test_residue_rows_are_the_stored_differences():
             1, 9))] + [1] for _ in range(3)]
         bases = [ring._eval_f2_vec(q, K, 1, "odd", 1) for q in qs]
         sets = [bases] + [
-            [v.times(num, step % n).divided() for v in bases]
+            [v.restrided(step % n).times(num).divided() for v in bases]
             for num, step in polynomials._DERIVED.values()]
         sets += [[ring._eval_f2_vec(q, K, k, mode, 1) for q in qs]
                  for k in (3, 5) for mode in ("odd", "even")]

@@ -1,5 +1,8 @@
-"""Tests for the package surface and for messages that name huge values."""
+"""Tests for the package surface, for messages that name huge values and
+for huge values at the text boundary."""
 
+import contextlib
+import json
 import sys
 from fractions import Fraction
 
@@ -133,3 +136,52 @@ def test_shown_is_repr_below_the_digit_limit():
     if LIMITED:
         assert ring._shown(-HUGE) == "<negative int of 20001 bits>"
         assert ring._shown(Fraction(1, HUGE)) == "<Fraction of 20001 bits>"
+
+
+@contextlib.contextmanager
+def no_digit_limit():
+    """Python's int-to-str digit limit lifted inside the block only."""
+    old = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if old:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if old:
+            sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+def test_structure_set_prints_wide_integers_in_full(capsys, fmt):
+    # N = 2^20000 and the free rank 2^19999 - 1 pass the digit limit; both
+    # formats print them in full, JSON with json.dumps's own bytes
+    argv = ["structure-set", "--d", "9", "--K", "20000", "--format", fmt]
+    assert cli.main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    with no_digit_limit():
+        if fmt == "text":
+            lines = captured.out.splitlines()
+            assert f"N = {HUGE}" in lines
+            assert f"free_rank = {HUGE // 2 - 1}" in lines
+        else:
+            doc = json.loads(captured.out)
+            assert (doc["N"], doc["free_rank"]) == (HUGE, HUGE // 2 - 1)
+            assert captured.out == json.dumps(doc, sort_keys=True,
+                                              indent=2) + "\n"
+
+
+def test_wide_element_round_trips_through_text():
+    # coefficients with 15k-bit numerators and denominators, past the limit
+    den = 3 ** 9500
+    g = make_element(3, [Fraction(1, den), 5, Fraction(-HUGE // 2 - 1, 7),
+                         0, Fraction(den + 1, 2)])
+    assert max(g.den.bit_length(), *(abs(v).bit_length() for v in g.nums)) \
+        > 15000
+    text = ring.element_to_text(g)
+    assert ring.element_from_text(text) == g
+    with no_digit_limit():
+        assert text == "K=3; " + ",".join(
+            str(c.numerator) if c.denominator == 1 else str(c)
+            for c in g.coeffs)
+        assert ring.element_from_text(text) == g
