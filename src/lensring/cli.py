@@ -26,9 +26,14 @@ Expressions use a tiny language: integer literals, chi, f, fk(k), fpk(k),
 binary + - *, powers ^ with a non-negative integer exponent, unary minus
 (a chain of signs too), and parentheses nested at most 100 deep.  The
 unicode minus and middle dot are accepted as aliases for - and *.  `wl`
-evaluates an expression in the level-l field Q[chi]/<1 + chi^(2^l)> only,
-from atoms built there (f, fk(k) and fpk(k) folded from their level-(l + 1)
-family windows), so its cost follows l and not K.
+reads an expression in the level-l field Q[chi]/<1 + chi^(2^l)> only, by
+the rules of its valuation (`valuation._LevelValue`): a product adds
+valuations, a power scales one, a sum of two different ones takes the
+smaller.  Only a sum of two equal valuations needs more: its polynomial
+in one atom f or fk(k), read in closed form; its residue mod pi^T
+(pi = 1 - chi), read when nonzero; or else its element, built in that
+field from atoms in closed form (`ring._level_family`).  So its cost
+follows l and not K.
 """
 
 from __future__ import annotations
@@ -63,18 +68,14 @@ from .polynomials import (
     verify_A_equals_B,
 )
 from .ring import (
-    LevelProjection,
     RingElement,
     _decimal_str,
     _eval_f2_vec,
-    _family_vec,
-    _project_window,
     _residue_images,
     _shown,
     _validate_level,
     _validate_natural,
     _validate_projection_level,
-    _wrap,
     conjugate,
     crt_reconstruct,
     element_f,
@@ -92,7 +93,7 @@ from .structure import (
 )
 from .valuation import (
     CriterionVerdict,
-    _valuation,
+    _LevelValue,
     _valuations,
     criterion_sufficient,
     valuation_to_text,
@@ -169,8 +170,9 @@ _MAX_NESTING = 100
 
 class _ExpressionParser:
     """Recursive descent over the expression language in the field
-    Q[chi]/<1 + chi^(2^level)>, where its atoms are built; + - * ^ then act
-    on `LevelProjection`s."""
+    Q[chi]/<1 + chi^(2^level)>: its atoms are built by `_integer`, `_chi`
+    and `_family`, and + - * ^ act on what they return, here
+    `valuation._LevelValue`s."""
 
     def __init__(self, text: str, level: int):
         self.tokens = _tokenize(text)
@@ -191,7 +193,7 @@ class _ExpressionParser:
             raise ValueError(f"expected {kind!r}, found {tok_kind!r}")
         return value
 
-    def parse(self) -> LevelProjection:
+    def parse(self) -> _LevelValue:
         opened = accumulate((t == "(") - (t == ")") for t, _ in self.tokens)
         if max(opened) > _MAX_NESTING:
             raise ValueError(f"parentheses nested deeper than {_MAX_NESTING}")
@@ -200,7 +202,7 @@ class _ExpressionParser:
             raise ValueError("trailing input after expression")
         return value
 
-    def _sum(self) -> LevelProjection:
+    def _sum(self) -> _LevelValue:
         acc = self._product()
         while self._peek() in ("+", "-"):
             op, _ = self._next()
@@ -208,21 +210,21 @@ class _ExpressionParser:
             acc = acc + rhs if op == "+" else acc - rhs
         return acc
 
-    def _product(self) -> LevelProjection:
+    def _product(self) -> _LevelValue:
         acc = self._unary()
         while self._peek() == "*":
             self._next()
             acc = acc * self._unary()
         return acc
 
-    def _unary(self) -> LevelProjection:
+    def _unary(self) -> _LevelValue:
         signs = 0
         while self._peek() == "-":
             self._next()
             signs += 1
         return -self._power() if signs % 2 else self._power()
 
-    def _power(self) -> LevelProjection:
+    def _power(self) -> _LevelValue:
         base = self._atom()
         if self._peek() == "^":
             self._next()
@@ -230,18 +232,18 @@ class _ExpressionParser:
             return base ** exponent
         return base
 
-    def _atom(self) -> LevelProjection:
+    def _atom(self) -> _LevelValue:
         kind, value = self._next()
         if kind == "(":
             inner = self._sum()
             self._expect(")")
             return inner
         if kind == "int":
-            return self._polynomial([value])
+            return self._integer(value)
         if kind != "name":
             raise ValueError(f"unexpected token {kind!r} in expression")
         if value == "chi":
-            return self._polynomial([0, 1])
+            return self._chi()
         if value == "f":
             return self._family(1, f_power=1)
         self._expect("(")
@@ -249,16 +251,14 @@ class _ExpressionParser:
         self._expect(")")
         return self._family(k, f_power=1 if value == "fk" else 0)
 
-    def _polynomial(self, coeffs: list[int]) -> LevelProjection:
-        """The integer polynomial coeffs(chi) in the level-l field."""
-        return LevelProjection._from_ints(
-            self.level, _wrap(coeffs, 1 << self.level, -1))
+    def _integer(self, c: int) -> _LevelValue:
+        return _LevelValue.integer(self.level, c)
 
-    def _family(self, k: int, f_power: int) -> LevelProjection:
-        """f'_k f^f_power in the level-l field: fpk(k), fk(k) = f'_k f, or
-        f = f'_1 f, folded from the level-(l + 1) window."""
-        return _project_window(
-            _family_vec(self.level + 1, k, f_power=f_power), self.level)
+    def _chi(self) -> _LevelValue:
+        return _LevelValue.chi(self.level)
+
+    def _family(self, k: int, f_power: int) -> _LevelValue:
+        return _LevelValue.family(self.level, k, f_power)
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +387,7 @@ def _basis_provenance(d: int, K: int) -> str | None:
 def _run_structure_set(config: RunConfig) -> tuple[list[Field], int]:
     d = config.param("d")
     K = config.param("K")
-    descriptor = structure_set(d, K)
+    descriptor = structure_set(d, K, config.budget)
     provenance = _basis_provenance(d, K)
     fields = _header("structure-set") + [
         _field("d", d),
@@ -422,10 +422,9 @@ def _run_wl(config: RunConfig) -> tuple[list[Field], int]:
     l = config.param("l")
     _validate_level(K)
     _validate_projection_level(K, l)
-    # pr_l is a ring map, so the expression is evaluated in the level-l
-    # field, where every atom is built
-    p = _ExpressionParser(expr, l).parse()
-    w = _valuation(p.nums, p.den, l)
+    # pr_l is a ring map, so the expression is read in the level-l field,
+    # where its valuation follows the rules of `valuation._LevelValue`
+    w = _ExpressionParser(expr, l).parse().w
     return _header("valuation") + [
         _field("expr", expr),
         _field("K", K),

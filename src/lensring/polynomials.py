@@ -77,19 +77,34 @@ class BudgetExceededError(RuntimeError):
     the budget."""
 
 
-def _check_budget(K: int, c: int, budget: int | None, what: str) -> None:
+def _refuse_over(budget: int | None, over: Callable[[int], bool],
+                 what: str) -> None:
+    """BudgetExceededError naming what, when over(budget) holds for the
+    budget (DEFAULT_BUDGET when None) or the budget is negative."""
     budget = DEFAULT_BUDGET if budget is None else budget
-    # 2^(K c) > budget, without building the count
-    if budget < 0 or K * c >= budget.bit_length():
+    if budget < 0 or over(budget):
         try:
             named = f"the budget of {budget}"
         except ValueError:
             # past Python's int-to-str digit limit: name it by its length
             named = f"a budget of {budget.bit_length()} bits"
-        raise BudgetExceededError(
-            f"{what} lies in (Z_2^{ring._shown(K)})^{ring._shown(c)}"
-            f" of 2^{ring._shown(K * c)} tuples, over {named}"
-        )
+        raise BudgetExceededError(f"{what}, over {named}")
+
+
+def _check_budget(K: int, c: int, budget: int | None, what: str) -> None:
+    """The group (Z_2^K)^c of a lattice or kernel request against the
+    budget: 2^(K c) > budget, read off bit lengths without building it."""
+    _refuse_over(budget, lambda b: K * c >= b.bit_length(),
+                 f"{what} lies in (Z_2^{ring._shown(K)})^{ring._shown(c)}"
+                 f" of 2^{ring._shown(K * c)} tuples")
+
+
+def _check_count(count: int, budget: int | None, what: str,
+                 units: str) -> None:
+    """A count of items to build, torsion summands or basis rungs, against
+    the budget."""
+    _refuse_over(budget, lambda b: count > b,
+                 f"{what} has {ring._shown(count)} {units}")
 
 
 @dataclass(frozen=True)
@@ -517,10 +532,13 @@ class LatticeDescriptor:
                 )
 
 
-def b_basis(K: int, d: int) -> LatticeDescriptor:
-    """The claimed basis: 2^max(K-2n-2, 0) r^-_n (odd d) or r^+_n (even d)."""
+def b_basis(K: int, d: int, budget: int | None = None) -> LatticeDescriptor:
+    """The claimed basis: 2^max(K-2n-2, 0) r^-_n (odd d) or r^+_n (even d).
+    BudgetExceededError is raised, before any rung is searched, when its c
+    rungs exceed the budget."""
     ring._validate_level(K)
     c = _validate_d(d, 5)
+    _check_count(c, budget, "the claimed basis", "rungs")
     use_plus = d % 2 == 0
     exps = tuple(max(K - 2 * n - 2, 0) for n in range(c))
     polys = tuple(

@@ -38,9 +38,8 @@ convolution: both signed operands packed once into big integers, one
 multiply, and for ring products (chi^N = 1) and level products
 (chi^(2^l) = -1) a wrap split at digit n by shifts and masks.  Any other
 coefficient list is reduced by chi^n = +-1 in one place, `_wrap`:
-`make_element` and the family windows by chi^N = 1, `project` by
-chi^(2^l) = -1 to fold one level, and `_project_window` the same way from
-a level-(l+1) family window straight to level l.  An N-entry vector read in
+`make_element` and the family windows by chi^N = 1, and `project` by
+chi^(2^l) = -1 to fold one level.  An N-entry vector read in
 Q[chi]/(chi^N - 1) becomes canonical in one place too,
 `RingElement._from_cyclic`, by subtracting its last entry.  The tower is
 walked with whole-list `map`s: `_tower` reads all K levels off one descent
@@ -82,9 +81,9 @@ entries (`_residue_images`).  When W >= N (small K, or a numerator that
 wraps) the vector simply holds all N entries.  Only `element_f`,
 `element_f_prime`, `element_f_k` and `evaluate_at_f_squared` step the tail
 out to all N entries per call, because they return a `RingElement`
-(`cli`'s `wl` steps a level-(l+1) window out to its 2^(l+1) entries and
-folds them to level l); `structure.rho_bracket` reads its N entries off
-slot rows stepped out once per (d, K, k) and shared (see
+(`cli`'s `wl` builds no window: `_level_family` writes f, f_k and f'_k in
+closed form in the level-l field); `structure.rho_bracket` reads its N
+entries off slot rows stepped out once per (d, K, k) and shared (see
 `polynomials.reset_polynomial_tables`).  All of this is exact.
 
 Every value is immutable after construction and every function is pure, so
@@ -724,13 +723,30 @@ def _element_from_vec(K: int, vec: _Window) -> RingElement:
     return RingElement._from_cyclic(K, vec.entries(1 << K), vec.den)
 
 
-def _project_window(vec: _Window, l: int) -> LevelProjection:
-    """pr_l of a level-(l+1) family vector: its 2^(l+1) entries e folded by
-    chi^(2^l) = -1, p_j = e_j - e_(j+2^l), over vec.den.  The canonical
-    shift by the last entry cancels in each difference, so no level-(l+1)
-    element is built."""
-    return LevelProjection._from_ints(
-        l, _wrap(vec.entries(2 << l), 1 << l, -1), vec.den)
+def _level_family(l: int, k: int, f_power: int) -> LevelProjection:
+    """f'_k f^f_power (f_power 0 or 1) in the level-l field, where
+    chi^M = -1 with M = 2^l, in closed form.  f = chi + ... + chi^(M-1), as
+    (1 - chi) times it is chi - chi^M = 1 + chi.  f_k = sigma_k(f), and
+    sigma_k (k odd, k' its inverse mod 2M) moves the coefficient of chi^e
+    to chi^(ke): coefficient t of f_k is that of chi^(t k' mod 2M) in f,
+    1 below M and -1 past it (bit l of t k'), and 0 at t = 0.  f'_k = f_k / f
+    is h with (1 + chi) h = (1 - chi) f_k: with u_j = (-1)^j (f_k)_j and
+    U_j = u_0 + ... + u_j (U_(-1) = 0), (-1)^j h_j = U_(j-1) + U_j - U_(M-1),
+    as both sides of that step by u_(j-1) + u_j, and the wrap of
+    chi^M = -1, h_0 - h_(M-1) = (f_k)_(M-1), fixes the constant.  At l = 0,
+    f = f_k = 0 and f'_k = k."""
+    _validate_odd(k)
+    m = 1 << l
+    if not l:
+        return LevelProjection._from_ints(0, [0 if f_power else k])
+    inverse = pow(k, -1, 2 * m)
+    nums = [-1 if e >> l & 1 else 1 for e in range(0, m * inverse, inverse)]
+    nums[0] = 0
+    if not f_power:
+        sums = list(accumulate(-v if j & 1 else v for j, v in enumerate(nums)))
+        nums = [a + b - sums[-1] for a, b in zip([0, *sums], sums)]
+        nums[1::2] = [-v for v in nums[1::2]]
+    return LevelProjection._from_ints(l, nums)
 
 
 def _residue_images(vecs: Sequence[_Window]):
@@ -1096,14 +1112,20 @@ def _decimal_str(x) -> str:
         return num if x.denominator == 1 else f"{num}/{Decimal(x.denominator)}"
 
 
-def _decimal_fraction(token: str) -> Fraction:
-    """The rational of `_decimal_str`'s text, an int or num/den; past the
-    int-to-str digit limit its integers are read through `decimal`."""
+def _decimal_int(digits: str) -> int:
+    """int(digits); past the int-to-str digit limit read through
+    `decimal`, which converts without that limit."""
     try:
-        return Fraction(token)
+        return int(digits)
     except ValueError:
-        num, _, den = token.partition("/")
-        return Fraction(int(Decimal(num)), int(Decimal(den or "1")))
+        return int(Decimal(digits))
+
+
+def _decimal_fraction(token: str) -> Fraction:
+    """The rational of `_decimal_str`'s text, an int or num/den, its
+    integers read by `_decimal_int`."""
+    num, _, den = token.partition("/")
+    return Fraction(_decimal_int(num), _decimal_int(den or "1"))
 
 
 def element_to_text(a: RingElement) -> str:
@@ -1121,13 +1143,13 @@ def element_from_text(text: str) -> RingElement:
     match = re.fullmatch(r"K=(\d+); (.*)", body, flags=re.DOTALL)
     if not match:
         raise ValueError("malformed element text: expected 'K=<int>; c0,c1,...'")
-    K = int(match.group(1))
+    K = _decimal_int(match.group(1))
     _validate_level(K)
     tokens = match.group(2).split(",")
     if not _is_two_to_the(len(tokens) + 1, K):
         raise ValueError(
-            f"wrong coefficient count for level {K}: expected 2^{K} - 1,"
-            f" got {len(tokens)}"
+            f"wrong coefficient count for level {_shown(K)}: expected"
+            f" 2^{_shown(K)} - 1, got {len(tokens)}"
         )
     coeffs = []
     for tok in tokens:

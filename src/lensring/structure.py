@@ -37,6 +37,7 @@ from .polynomials import (
     IntPolynomial,
     _cached,
     _check_budget,
+    _check_count,
     _reduce,
     _residue_lattice,
     _unit_rows,
@@ -215,11 +216,15 @@ class StructureSetDescriptor:
     torsion: tuple[TorsionSummand, ...] | None
 
 
-def t_bar(d: int, K: int) -> tuple[TorsionSummand, ...]:
+def t_bar(d: int, K: int,
+          budget: int | None = None) -> tuple[TorsionSummand, ...]:
     """The torsion summands for d >= 5: the c order-2 labels r_{4i-2}
-    followed by the labels r_{4i} of order 2^min(K, 2i)."""
+    followed by the labels r_{4i} of order 2^min(K, 2i).
+    BudgetExceededError is raised, before any is built, when the 2c
+    summands exceed the budget."""
     c = _validate_d(d, minimum=5)
     ring._validate_level(K)
+    _check_count(2 * c, budget, "the torsion", "summands")
     two_part = [TorsionSummand(f"r_{4 * i - 2}", 2) for i in range(1, c + 1)]
     big_part = [
         TorsionSummand(f"r_{4 * i}", 1 << min(K, 2 * i))
@@ -228,14 +233,16 @@ def t_bar(d: int, K: int) -> tuple[TorsionSummand, ...]:
     return tuple(two_part + big_part)
 
 
-def structure_set(d: int, K: int) -> StructureSetDescriptor:
+def structure_set(d: int, K: int,
+                  budget: int | None = None) -> StructureSetDescriptor:
     """The structure-set descriptor: free rank N/2 - 1 (odd d) or N/2
-    (even d), torsion per t_bar for d >= 5."""
+    (even d), torsion per t_bar for d >= 5, whose 2c summands are checked
+    against the budget before anything is built."""
     _validate_d(d)
     ring._validate_level(K)
+    torsion = t_bar(d, K, budget) if d >= 5 else None
     n = 1 << K
     free_rank = n // 2 - 1 if d % 2 else n // 2
-    torsion = t_bar(d, K) if d >= 5 else None
     return StructureSetDescriptor(free_rank, torsion)
 
 

@@ -37,6 +37,11 @@ the product rule and reads its witness off the thresholds.  They, and
 `_valuations`, read the raw integer part of every level, numerators over
 the element's denominator, off one descent of the tower (`ring._tower`),
 without building a `LevelProjection`.
+
+`_LevelValue` reads the valuation of a `cli` expression by the product and
+sum rules, and builds something only for a sum of two equal valuations:
+its polynomial in one atom (`_family_polynomial_valuation`), its residue
+mod pi^T (`_Residue`), or, when that residue is zero, its element.
 """
 
 from __future__ import annotations
@@ -46,12 +51,14 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cache
-from typing import Iterable, Iterator, Sequence
+from functools import cache, partial
+from operator import add, mul, neg, sub
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .polynomials import IntPolynomial, ONE, X, _v2
-from .ring import (LevelProjection, RingElement, _shown, _tower,
-                   _validate_natural, _wrap, project)
+from .ring import (LevelProjection, RingElement, _level_family, _power,
+                   _shown, _tower, _validate_natural, _validate_odd, _wrap,
+                   project)
 
 __all__ = [
     "Valuation",
@@ -130,13 +137,18 @@ class Valuation:
             return Valuation.infinite()
         if self.level != other.level:
             raise ValueError("cannot add valuations at different levels")
-        level = self.level
-        total = ((self.a + other.a) << level) + self.b + other.b
-        return Valuation._unchecked(total >> level, total % (1 << level), level)
+        return Valuation._from_scaled(self._scaled() + other._scaled(),
+                                      self.level)
 
     def _scaled(self) -> int:
         """The value times 2^level: (a << level) + b."""
         return (self.a << self.level) + self.b
+
+    @classmethod
+    def _from_scaled(cls, scaled: int, level: int) -> "Valuation":
+        """The finite valuation scaled / 2^level."""
+        return cls._unchecked(scaled >> level, scaled & ((1 << level) - 1),
+                              level)
 
     def __lt__(self, other: "Valuation") -> bool:
         if not isinstance(other, Valuation):
@@ -272,6 +284,31 @@ def _valuation(nums: Sequence[int], den: int, level: int) -> Valuation:
     return Valuation._unchecked(low - _v2(den), b, level)
 
 
+def _power_valuation(w: Valuation, e: int, level: int) -> Valuation:
+    """w_l(a^e) = e w_l(a) by the product rule, from w = w_l(a); a^0 = 1
+    has valuation 0 even for a = 0."""
+    if not e:
+        return Valuation._unchecked(0, 0, level)
+    return w if w.is_infinite else Valuation._from_scaled(w._scaled() * e,
+                                                          level)
+
+
+def _family_polynomial_valuation(coeffs: Sequence[int],
+                                 level: int) -> Valuation:
+    """w_l(P(a)) for the integer polynomial P = coeffs of degree < 2^l and
+    a = f or a Galois conjugate f_k (k odd): with P(1 + y) = sum_j d_j y^j,
+    P(a) = sum_j d_j (a - 1)^j, and as w_l(a - 1) = w_l(2 chi / (1 - chi))
+    = 1 - 2^-l, the terms have the pairwise different valuations
+    v_2(d_j) + j (1 - 2^-l) (j < 2^l), so w_l(P(a)) is the least of them.
+    `_expand_in_monomials` gives the d_j up to sign, as (1 + y)^j at
+    y = -chi is (1 - chi)^j."""
+    d = _expand_in_monomials(coeffs).coeffs
+    if not d:
+        return Valuation.infinite()
+    return Valuation._from_scaled(
+        min(((_v2(c) + j) << level) - j for j, c in enumerate(d) if c), level)
+
+
 def w_l(g: RingElement, l: int) -> Valuation:
     """The level-l valuation of g; infinite exactly when pr_l(g) = 0.
 
@@ -287,6 +324,208 @@ def _valuations(g: RingElement) -> list[Valuation]:
     """w_l(g) at every level l < K, in order, from one `_tower` descent."""
     den = g.den
     return [_valuation(part, den, l) for l, part in enumerate(_tower(g.nums))]
+
+
+# ---------------------------------------------------------------------------
+# values of the level-l field known by their valuation
+# ---------------------------------------------------------------------------
+
+def _in_level(l: int, coeffs: list[int]) -> LevelProjection:
+    """The integer polynomial coeffs(chi) in the level-l field."""
+    return LevelProjection._from_ints(l, _wrap(coeffs, 1 << l, -1))
+
+
+# the atom of a value not known as P(atom) with deg P < 2^l
+_MIXED = -1
+# what `_LevelValue.built` builds: the element, P, or the residue mod pi^T
+_ELEMENT, _POLYNOMIAL, _RESIDUE = range(3)
+# residues are kept mod pi^T with T = min(2^l, 2^_RESIDUE_LEVEL), so a
+# product costs at most T shifts and xors of ints of 2T bits
+_RESIDUE_LEVEL = 10
+
+
+class _Residue:
+    """An integral value x of the level-l field modulo pi^T, pi = 1 - chi,
+    T = min(2^l, 2^_RESIDUE_LEVEL): as 2 is a unit times pi^(2^l), that
+    ring is F_2[pi]/<pi^T>, held as the bits of one int (bit i for pi^i).
+    When it is nonzero, its lowest set bit is v_pi(x) = 2^l w_l(x)."""
+
+    __slots__ = ("mask", "bits")
+
+    def __init__(self, bits: int, mask: int) -> None:
+        self.mask, self.bits = mask, bits & mask
+
+    @classmethod
+    def at(cls, level: int, bits: int) -> "_Residue":
+        return cls(bits, (1 << (1 << min(level, _RESIDUE_LEVEL))) - 1)
+
+    def __add__(self, other: "_Residue") -> "_Residue":
+        return _Residue(self.bits ^ other.bits, self.mask)
+
+    __sub__ = __add__
+
+    def __neg__(self) -> "_Residue":
+        return self
+
+    def __mul__(self, other: "_Residue") -> "_Residue":
+        """The carry-less product: one shifted copy of the denser operand
+        per set bit of the sparser."""
+        a, b = sorted((self.bits, other.bits), key=int.bit_count)
+        out = 0
+        while a:
+            low = a & -a
+            out ^= b * low
+            a ^= low
+        return _Residue(out, self.mask)
+
+    def __pow__(self, e: int) -> "_Residue":
+        return _power(self, e, _Residue(1, self.mask))
+
+
+class _LevelValue:
+    """A value of `cli`'s expression language in the level-l field: its
+    valuation w, read at once, and its element, deferred.
+
+    w is the normalized valuation of Q(zeta), zeta of order 2^(l + 1), in
+    which 2 is totally ramified, so w(ab) = w(a) + w(b), w(a^e) = e w(a),
+    and w(a +- b) = min(w(a), w(b)) when the two differ; a zero operand
+    (w infinite) drops out of a sum.  Only a sum of two equal finite
+    valuations needs more, the first of these that answers:
+      * `atom` is k mod 2^(l + 1) when the value is P(f_k) for an integer
+        polynomial P of degree at most `degree` < 2^l, None when it is an
+        integer, else _MIXED; a sum of two such values reads w off P
+        (`_family_polynomial_valuation`);
+      * every value is integral, so its residue mod pi^T (`_Residue`) is
+        built, and w is read off the sum's when that is nonzero;
+      * else both sides are built, and w is read off the sum.
+
+    `op` applied to `args` (values built first), or to nothing for an
+    atom, builds the element; on the polynomials or the residues of the
+    args it builds P or the residue, which an atom holds from the start.
+    `_built` keeps what is built, indexed by _ELEMENT, _POLYNOMIAL and
+    _RESIDUE.
+    """
+
+    __slots__ = ("level", "w", "atom", "degree", "op", "args", "_built")
+
+    def __init__(self, level: int, w: Valuation, atom: int | None,
+                 degree: int, op: Callable, *args, poly=None,
+                 residue=None) -> None:
+        self.level, self.w, self.atom, self.degree = level, w, atom, degree
+        self.op, self.args = op, args
+        self._built = [None, poly, residue]
+
+    @classmethod
+    def integer(cls, l: int, c: int) -> "_LevelValue":
+        """c, of valuation v_2(c) (infinite for 0), and P = c for any
+        atom."""
+        w = Valuation.infinite() if not c else Valuation._unchecked(
+            _v2(c), 0, l)
+        return cls(l, w, None, 0, partial(_in_level, l, [c]),
+                   poly=IntPolynomial((c,)), residue=_Residue.at(l, c & 1))
+
+    @classmethod
+    def chi(cls, l: int) -> "_LevelValue":
+        """chi = 1 - pi, a unit."""
+        return cls(l, Valuation._unchecked(0, 0, l), _MIXED, 0,
+                   partial(_in_level, l, [0, 1]),
+                   residue=_Residue.at(l, 0b11))
+
+    @classmethod
+    def family(cls, l: int, k: int, f_power: int) -> "_LevelValue":
+        """f'_k f^f_power: fpk(k), fk(k) = f'_k f = f_k, or f = f_1, built
+        in closed form (`ring._level_family`).  f'_k is a unit, and f_k is
+        one for l >= 1 and 0 at l = 0; f_k is P(f_k) for P = x, named by
+        k mod 2^(l + 1), the order of chi.  Mod 2, f_k has all its
+        coefficients odd but the constant, like f = chi + ... + chi^(M-1)
+        (M = 2^l), which is 1 + pi^(M-1) as 1 + chi + ... + chi^(M-1) =
+        (1 + chi)^(M-1) over F_2; so f'_k = f_k / f is 1 mod 2."""
+        _validate_odd(k)
+        build = partial(_level_family, l, k, f_power)
+        if not f_power:
+            return cls(l, Valuation._unchecked(0, 0, l), _MIXED, 0, build,
+                       residue=_Residue.at(l, 1))
+        residue = _Residue.at(l, 1 ^ (1 << (1 << l) - 1)
+                              if l <= _RESIDUE_LEVEL else 1)
+        if not l:
+            return cls(l, Valuation.infinite(), _MIXED, 0, build,
+                       residue=residue)
+        return cls(l, Valuation._unchecked(0, 0, l), k % (2 << l), 1, build,
+                   poly=X, residue=residue)
+
+    def _joint(self, other: "_LevelValue",
+               degree: int) -> tuple[int | None, int]:
+        """The atom and degree of a sum or product of degree `degree`."""
+        atom = (other.atom if self.atom is None else self.atom
+                if other.atom in (None, self.atom) else _MIXED)
+        if atom == _MIXED or degree >> self.level:
+            return _MIXED, 0
+        return atom, degree
+
+    def __neg__(self) -> "_LevelValue":
+        return _LevelValue(self.level, self.w, self.atom, self.degree, neg,
+                           self)
+
+    def __mul__(self, other: "_LevelValue") -> "_LevelValue":
+        return _LevelValue(self.level, self.w + other.w,
+                           *self._joint(other, self.degree + other.degree),
+                           mul, self, other)
+
+    def __pow__(self, e: int) -> "_LevelValue":
+        if not e:
+            return _LevelValue.integer(self.level, 1)
+        return _LevelValue(self.level,
+                           _power_valuation(self.w, e, self.level),
+                           *self._joint(self, self.degree * e), pow, self, e)
+
+    def __add__(self, other: "_LevelValue") -> "_LevelValue":
+        return self._sum(other, add)
+
+    def __sub__(self, other: "_LevelValue") -> "_LevelValue":
+        return self._sum(other, sub)
+
+    def _sum(self, other: "_LevelValue", op: Callable) -> "_LevelValue":
+        if other.w.is_infinite:
+            return self
+        if self.w.is_infinite:
+            return other if op is add else -other
+        l = self.level
+        value = _LevelValue(l, min(self.w, other.w),
+                            *self._joint(other, max(self.degree,
+                                                    other.degree)),
+                            op, self, other)
+        if self.w != other.w:
+            return value
+        if value.atom != _MIXED:
+            value.w = _family_polynomial_valuation(
+                value.built(_POLYNOMIAL).coeffs, l)
+        elif bits := value.built(_RESIDUE).bits:
+            value.w = Valuation._from_scaled((bits & -bits).bit_length() - 1,
+                                             l)
+        else:
+            p = value.built(_ELEMENT)
+            value.w = _valuation(p.nums, p.den, l)
+        return value
+
+    def built(self, algebra: int):
+        """The element, P or the residue (algebra _ELEMENT, _POLYNOMIAL or
+        _RESIDUE), built operands first by one loop, not by recursion, as
+        an untied chain of sums or products is as deep as the expression
+        is long."""
+        stack = [self]
+        while stack:
+            value = stack[-1]
+            if value._built[algebra] is None:
+                todo = [a for a in value.args if type(a) is _LevelValue
+                        and a._built[algebra] is None]
+                if todo:
+                    stack += todo
+                    continue
+                value._built[algebra] = value.op(*(
+                    a._built[algebra] if type(a) is _LevelValue else a
+                    for a in value.args))
+            stack.pop()
+        return self._built[algebra]
 
 
 # ---------------------------------------------------------------------------

@@ -7,13 +7,36 @@ from fractions import Fraction
 
 import pytest
 
-from lensring import (cli, element_f, element_f_k, element_f_prime,
-                      make_element, ring, w_l)
+from lensring import (LevelProjection, cli, element_f, element_f_k,
+                      element_f_prime, make_element, project, ring, valuation,
+                      w_l)
 from lensring.cli import RunConfig, main, run, tables_document
-from lensring.valuation import valuation_to_text
+from lensring.valuation import _valuation, valuation_to_text
 
 
-class LevelKParser(cli._ExpressionParser):
+class DenseParser(cli._ExpressionParser):
+    """The wl language evaluated element by element in the level-l field:
+    every atom the projection of its level-(l + 1) family window, every
+    product 2^l entries.  The oracle of the valuation rules and closed
+    forms `wl` reads instead."""
+
+    def _integer(self, c):
+        return self._polynomial([c])
+
+    def _chi(self):
+        return self._polynomial([0, 1])
+
+    def _polynomial(self, coeffs):
+        return LevelProjection._from_ints(
+            self.level, ring._wrap(coeffs, 1 << self.level, -1))
+
+    def _family(self, k, f_power):
+        window = ring._family_vec(self.level + 1, k, f_power=f_power)
+        return project(ring._element_from_vec(self.level + 1, window),
+                       self.level)
+
+
+class LevelKParser(DenseParser):
     """The wl language evaluated in Q[chi]/I<K> instead of the level-l
     field: the oracle of wl, which projects the result to level l."""
 
@@ -185,8 +208,9 @@ def test_a_huge_level_is_validated_without_building_two_to_the_k(capsys):
 
 
 def test_wl_family_with_a_class_step_past_n(capsys):
-    # f'_k and f_k are built from factors folded by chi^N = 1, so k = 10^9
-    # costs what k mod N does and reads the same w and value (N = 4 here)
+    # f'_k and f_k at level l depend on k mod 2^(l + 1) only, the order of
+    # chi there, so k = 10^9 costs what k mod 4 does and reads the same w
+    # and value
     def valuation_lines(expr):
         code, out = run_cli(capsys, "wl", "--expr", expr, "--K", "3",
                             "--l", "1")
@@ -196,6 +220,121 @@ def test_wl_family_with_a_class_step_past_n(capsys):
         == ["w = 0+0/2^1", "value = 0"]
     assert valuation_lines("fk(1000000003)*fpk(999999999)") \
         == valuation_lines("fk(3)*fpk(7)")
+
+
+def random_tied_expression(rng, l, depth=0):
+    """An expression over every atom, with k past 2^(l + 1) and even k
+    among the family indices, where a third of the binary sums subtract or
+    add an expression to itself, to an atom or to a small integer."""
+    if depth > 3 or rng.random() < 0.3:
+        kind = rng.choice(("int", "int", "chi", "f", "fk", "fpk"))
+        if kind == "int":
+            return str(rng.choice((0, 1, 2, 3, 4, 5, 6, 8, 12, 16)))
+        if kind in ("fk", "fpk"):
+            k = rng.choice((1, 3, 5, 7, 9, 15, 33, 127, 10 ** 9 + 1,
+                            (2 << l) - 1, (2 << l) + 1, (6 << l) + 5, 0, 2))
+            return f"{kind}({k})"
+        return kind
+    op = rng.choice(("+", "-", "*", "^", "neg", "paren", "tie", "tie"))
+    a = random_tied_expression(rng, l, depth + 1)
+    if op == "^":
+        return f"({a})^{rng.randrange(5)}"
+    if op == "neg":
+        return "-" + a
+    if op == "paren":
+        return f"({a})"
+    if op == "tie":
+        b = rng.choice((a, random_tied_expression(rng, l, depth + 1),
+                        random_tied_expression(rng, l, 3), "1", "2"))
+        return f"({a}){rng.choice('+-')}({b})"
+    return a + op + random_tied_expression(rng, l, depth + 1)
+
+
+def parsed_valuation(parser, text, l):
+    """w_l of text read by parser, or the type and message it raised."""
+    try:
+        value = parser(text, l).parse()
+    except ValueError as exc:
+        return type(exc), str(exc)
+    if isinstance(value, LevelProjection):
+        return _valuation(value.nums, value.den, l)
+    return value.w
+
+
+def test_wl_valuation_rules_match_the_dense_parser():
+    # the valuation rules, the closed-form atoms, the closed form of a
+    # polynomial in one atom and the residues give the w of the element
+    # built entry by entry, and every error with its message, at every
+    # level l <= 10
+    fixed = ["0^0", "0^3", "0^0*chi", "(f-f)^0", "chi^0-1", "f^2-1",
+             "(f^2-1)^2-(f^2-1)^2", "f^3-fk(3)^2", "fpk(3)*f^2-chi^100",
+             "2^40-2^40", "fk(2)", "fpk(0)", "f+)", "f f", "(f", "1-1",
+             "(" * 101 + "f" + ")" * 101, "fk(1000000001)-f", "3*f-f-2*f"]
+    rng = random.Random(34)
+    kinds = {"inf": 0, "error": 0, "finite": 0}
+    for l in range(11):
+        cases = fixed + [random_tied_expression(rng, l) for _ in range(150)]
+        for text in cases:
+            want = parsed_valuation(DenseParser, text, l)
+            assert parsed_valuation(cli._ExpressionParser, text, l) == want, \
+                (text, l)
+            kinds["error" if isinstance(want, tuple) else
+                  "inf" if want.is_infinite else "finite"] += 1
+    assert min(kinds.values()) > 100, kinds
+
+
+def dense_residue(p, l):
+    """The residue mod pi^T (T = min(2^l, 2^10)) of an integral level-l
+    element, from its coefficients: over F_2, chi = 1 + pi, and the
+    coefficient of pi^i sums those of chi^j over the j whose bits hold
+    i's (Lucas), which the superset-sum transform reads."""
+    assert p.den == 1
+    bits = [c & 1 for c in p.nums]
+    for h in range(l):
+        for i in range(len(bits)):
+            if not i >> h & 1:
+                bits[i] ^= bits[i | 1 << h]
+    return sum(b << i for i, b in enumerate(bits[:1 << min(l, 10)]))
+
+
+def test_wl_residues_match_the_dense_parser():
+    # every value is integral, and its residue mod pi^T built from the
+    # atoms' residues (1 + pi^(M-1) for f and f_k, 1 for f'_k) is that of
+    # its element, also past l = 10, where T = 2^10 < 2^l
+    rng = random.Random(35)
+    nonzero = 0
+    for l in range(13):
+        for _ in range(30 if l <= 10 else 10):
+            text = random_tied_expression(rng, l)
+            try:
+                want = DenseParser(text, l).parse()
+            except ValueError:
+                continue
+            value = cli._ExpressionParser(text, l).parse()
+            assert value.w == _valuation(want.nums, want.den, l), (text, l)
+            got = value.built(valuation._RESIDUE).bits
+            assert got == dense_residue(want, l), (text, l)
+            nonzero += got != 0
+    assert nonzero > 100
+
+
+def test_wl_builds_no_element_where_a_rule_answers(monkeypatch):
+    # a tied sum of polynomials in one atom reads w off P, a tied sum with
+    # a nonzero residue off that; an untied sum or a product builds
+    # nothing, so these answer at l = 20 without 2^20 entries
+    def refuse(*args):
+        raise AssertionError("an element was built")
+    monkeypatch.setattr(valuation, "_in_level", refuse)
+    monkeypatch.setattr(valuation, "_level_family", refuse)
+    for expr, w in (("(f^2-1)^2", "3+1048572/2^20"),
+                    ("fpk(7)^1000000007*(f+1)^7", "6+1048569/2^20"),
+                    ("(fk(3)+1)^3-fk(3)^3-1", "0+1048575/2^20"),
+                    ("f^1000000007+2*chi", "0+0/2^20"),
+                    ("fpk(3)*f^2-chi^100", "0+4/2^20"),
+                    ("(1-chi)^5*fk(3)", "0+5/2^20"),
+                    ("8*fk(7)^2+fpk(7)", "0+0/2^20")):
+        assert valuation_to_text(cli._ExpressionParser(expr, 20).parse().w) \
+            == w, expr
 
 
 @pytest.mark.parametrize("args, err", [
@@ -385,6 +524,19 @@ def test_internal_key_error_is_not_a_usage_error(capsys, monkeypatch):
     with pytest.raises(KeyError, match="no-such-param"):
         main(["verify", "--suite", "kernel"])
     assert capsys.readouterr().err == ""
+
+
+def test_structure_set_summands_are_gated_by_the_budget(capsys):
+    # 2c = 2^21 summands exceed the default budget of 2^20: exit 3 at once;
+    # --budget moves the gate
+    assert main(["structure-set", "--d", "2097153", "--K", "3"]) == 3
+    assert capsys.readouterr().err == ("error: the torsion has 2097152"
+                                       " summands, over the budget of"
+                                       " 1048576\n")
+    assert main(["structure-set", "--d", "9", "--K", "3",
+                 "--budget", "7"]) == 3
+    assert main(["structure-set", "--d", "9", "--K", "3",
+                 "--budget", "8"]) == 0
 
 
 def test_budget_exit_three(capsys, monkeypatch):

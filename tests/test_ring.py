@@ -30,9 +30,9 @@ from lensring.ring import (
     _element_from_vec,
     _eval_f2_vec,
     _family_vec,
+    _level_family,
     _poly_mul_int,
     _power,
-    _project_window,
     _tower,
     _wrap,
 )
@@ -390,6 +390,15 @@ def test_atoms_project_through_level_l_plus_one():
             power = power * chi(K)
 
 
+def project_window(vec, l):
+    """pr_l of a level-(l+1) family vector: its 2^(l+1) entries e folded by
+    chi^(2^l) = -1, p_j = e_j - e_(j+2^l), over vec.den.  The canonical
+    shift by the last entry cancels in each difference, so no level-(l+1)
+    element is built: the window route to the level-l atoms."""
+    return LevelProjection._from_ints(
+        l, _wrap(vec.entries(2 << l), 1 << l, -1), vec.den)
+
+
 def test_project_window_matches_project():
     # p_j = e_j - e_(j+2^l) over den equals pr_l of the level-(l+1) element,
     # for the windows of f, fk(k) and fpk(k), windows over den > 1, and
@@ -400,7 +409,7 @@ def test_project_window_matches_project():
         for den in (1, 6, 1 << 9):
             entries = tuple(rng.randrange(-50, 51) for _ in range(2 << l))
             vec = ring._Window(2 << l, 1, entries[:-1] + (7,), (), den)
-            assert _project_window(vec, l) == project(
+            assert project_window(vec, l) == project(
                 _element_from_vec(l + 1, vec), l)
         for k in range(1, 15, 2):
             windows = [
@@ -414,10 +423,27 @@ def test_project_window_matches_project():
             for window in windows:
                 vec = window(l + 1)
                 dens.add(vec.den)
-                got = _project_window(vec, l)
+                got = project_window(vec, l)
                 assert got == project(_element_from_vec(l + 1, vec), l)
                 assert (got.level, len(got.nums)) == (l, 1 << l)
     assert 1 in dens and max(dens) > 1
+
+
+def test_level_atoms_match_the_window_route():
+    # f, f_k and f'_k in closed form at level l equal the projections of
+    # their level-(l+1) windows, for every odd k < 3 * 2^(l+1): k past the
+    # order 2^(l+1) of chi names the same atoms as k mod 2^(l+1)
+    for l in range(11):
+        for k in range(1, 3 << (l + 1), 2):
+            for f_power in (0, 1):
+                want = project_window(_family_vec(l + 1, k, f_power=f_power),
+                                      l)
+                assert _level_family(l, k, f_power) == want, (l, k, f_power)
+    assert _level_family(0, 7, 0).nums == (7,)
+    assert _level_family(0, 7, 1).is_zero()
+    for k in (0, 2, -1):
+        with pytest.raises(ValueError, match="positive odd integer"):
+            _level_family(3, k, 0)
 
 
 def test_monomial_powers_match_square_and_multiply(monkeypatch):
@@ -751,6 +777,18 @@ def test_text_parse_rejects_malformed_input():
     ):
         with pytest.raises(ValueError):
             element_from_text(bad)
+
+
+def test_text_level_past_the_int_to_str_limit():
+    # a K= prefix of 5000 digits is read through decimal, like the
+    # coefficients, and named by its size in bits in the count message
+    with pytest.raises(ValueError,
+                       match=r"^wrong coefficient count for level <int of"
+                             r" 16607 bits>: expected 2\^<int of 16607"
+                             r" bits> - 1, got 1$"):
+        element_from_text("K=" + "1" * 5000 + "; 1")
+    assert element_from_text("K=" + "0" * 5000 + "2; 1,2,3") \
+        == make_element(2, [1, 2, 3])
 
 
 # ---------------------------------------------------------------------------

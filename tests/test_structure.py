@@ -144,6 +144,33 @@ def test_kernel_oracle_budget_gate():
         kernel_oracle(9, 6, budget=1000)
 
 
+def test_summand_and_rung_counts_are_gated_by_the_budget():
+    # t_bar and structure_set build 2c summands and b_basis searches c
+    # rungs; a d whose counts pass the budget is refused before any is
+    # built, with kernel_oracle's default budget of 2^20
+    huge = 1 << 20000
+    summands = "the torsion has <int of 20000 bits> summands"
+    for call, what in (
+            (lambda: t_bar(huge, 3), summands),
+            (lambda: structure_set(huge, 3), summands),
+            (lambda: b_basis(3, huge),
+             "the claimed basis has <int of 19999 bits> rungs")):
+        with pytest.raises(BudgetExceededError,
+                           match=f"^{what}, over the budget of 1048576$"):
+            call()
+    # the gate is count > budget: 2c = 6 summands and c = 3 rungs at d = 7
+    assert len(t_bar(7, 3, budget=6)) == 6
+    assert structure_set(7, 3, budget=6).torsion == t_bar(7, 3)
+    assert len(b_basis(3, 7, budget=3).basis) == 3
+    for call in (lambda: t_bar(7, 3, budget=5),
+                 lambda: structure_set(7, 3, budget=5),
+                 lambda: b_basis(3, 7, budget=2)):
+        with pytest.raises(BudgetExceededError):
+            call()
+    # below d = 5 there is no torsion to count
+    assert structure_set(4, 2, budget=0).torsion is None
+
+
 def test_t_bar_orders():
     orders = tuple(s.order for s in t_bar(5, 3))
     assert orders == (2, 2, 4, 8)

@@ -16,6 +16,7 @@ from lensring import (
     criterion_sufficient,
     crt_reconstruct,
     element_f,
+    element_f_k,
     element_f_prime,
     evaluate_at_f_squared,
     is_in_4Z,
@@ -34,8 +35,9 @@ from lensring import (
 
 from lensring.polynomials import _v2
 from lensring.valuation import (NormalForm, _expand_in_monomials,
-                                _one_minus_chi_valuations, _valuation,
-                                _valuations)
+                                _family_polynomial_valuation,
+                                _one_minus_chi_valuations, _power_valuation,
+                                _valuation, _valuations)
 
 
 def random_element(rng, K, span=9):
@@ -305,6 +307,55 @@ def test_w_l_sum_rule():
                         or ws.value() >= w1.value()
                 else:
                     assert ws == min(w1, w2)
+
+
+def test_power_valuation_scales_by_the_exponent():
+    rng = random.Random(13)
+    for K in (2, 3, 4):
+        for _ in range(20):
+            g = random_element(rng, K)
+            for l in range(K):
+                for e in range(4):
+                    assert _power_valuation(w_l(g, l), e, l) == w_l(g ** e, l)
+    zero = make_element(3, [0])
+    assert _power_valuation(w_l(zero, 2), 0, 2) == Valuation(0, 0, 2)
+    assert _power_valuation(w_l(zero, 2), 5, 2).is_infinite
+
+
+def random_family_polynomial(rng, degree):
+    """Coefficients of P = sum_j d_j (1 - x)^j with d_j of spread 2-adic
+    valuations, so the least term falls at any j; or plain random ones."""
+    if rng.random() < 0.3:
+        return [rng.randrange(-9, 10) for _ in range(degree + 1)]
+    d = [rng.choice((0, 1, -3, 5)) << rng.randrange(5)
+         for _ in range(degree + 1)]
+    return list(_expand_in_monomials(d).coeffs)
+
+
+def test_family_polynomial_valuation_matches_the_dense_route():
+    # w_l(P(a)) for a = f, f_3, f_5 and deg P < 2^l, read off P(1 + y),
+    # equals the valuation of P(a) built by Horner in the level-l field
+    rng = random.Random(34)
+    cases = past_zero = 0
+    for l in range(11):
+        atoms = [project(element_f(l + 1), l)] + [
+            project(element_f_k(l + 1, k), l) for k in (3, 5)]
+        for _ in range(30):
+            degree = rng.randrange(min(1 << l, 16))
+            if l <= 4 and rng.random() < 0.3:
+                degree = (1 << l) - 1
+            coeffs = random_family_polynomial(rng, degree)
+            got = _family_polynomial_valuation(coeffs, l)
+            past_zero += not got.is_infinite and got.b > 0
+            for atom in atoms:
+                value = LevelProjection._from_ints(l, [0] * (1 << l))
+                for c in reversed(coeffs):
+                    value = value * atom + LevelProjection._from_ints(
+                        l, [c] + [0] * ((1 << l) - 1))
+                assert got == _valuation(value.nums, value.den, l), \
+                    (coeffs, l)
+                cases += 1
+    assert cases == 11 * 30 * 3 and past_zero > 100
 
 
 def test_w_l_validates_level_index():
