@@ -9,31 +9,33 @@ Subcommands:
   verify --suite NAME            re-run one book of exact checks, or all
   best-poly --n N --sign S       a single best polynomial with its bits
 
-Common flags: --format text|structured (JSON), --out FILE, --budget INT and
---seed INT.  Each command builds one record, which both formats render: as
-`key = value` lines, or as sorted-key JSON.  The enumeration budget may also
-be set through the environment variable LENSRING_BUDGET; an explicit
---budget wins.  Output is byte identical for identical configurations;
-nothing is timestamped or machine dependent.
+Every subcommand takes --format text|structured (JSON) and --out FILE;
+structure-set and verify also take --budget INT, the cap they pass to the
+gates they reach, and verify takes --seed INT for its random inputs.  A
+subcommand refuses a flag it would not read.  Each command builds one
+record, which both formats render: as `key = value` lines, or as sorted-key
+JSON.  The command line is the whole configuration: output is byte
+identical for identical command lines, and nothing is timestamped, machine
+dependent or read from the environment.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or validation error
-(nothing else), 3 enumeration budget exceeded, 4 internal invariant failure
-(an ArithmeticError: a result the code certifies did not check out).  Each
-failing verify check also writes a one-line reproducer (suite and seed,
-with the check name) to stderr.
+Exit codes: 0 success, 1 verification failure, 2 usage or validation error,
+or an --out that cannot be written (nothing else), 3 enumeration budget
+exceeded, 4 internal invariant failure (an ArithmeticError: a result the
+code certifies did not check out).  Each failing verify check also writes a
+one-line reproducer (suite and seed, with the check name) to stderr.
 
-Expressions use a tiny language: integer literals, chi, f, fk(k), fpk(k),
-binary + - *, powers ^ with a non-negative integer exponent, unary minus
-(a chain of signs too), and parentheses nested at most 100 deep.  The
-unicode minus and middle dot are accepted as aliases for - and *.  `wl`
-reads an expression in the level-l field Q[chi]/<1 + chi^(2^l)> only, by
-the rules of its valuation (`valuation._LevelValue`): a product adds
-valuations, a power scales one, a sum of two different ones takes the
-smaller.  Only a sum of two equal valuations needs more: its polynomial
-in one atom f or fk(k), read in closed form; its residue mod pi^T
-(pi = 1 - chi), read when nonzero; or else its element, built in that
-field from atoms in closed form (`ring._level_family`).  So its cost
-follows l and not K.
+Expressions use a tiny language: integer literals (ASCII digits), chi, f,
+fk(k), fpk(k), binary + - *, powers ^ with a non-negative integer
+exponent, unary minus (a chain of signs too), and parentheses nested at
+most 100 deep.  The unicode minus and middle dot are accepted as aliases
+for - and *.  `wl` reads an expression in the level-l field
+Q[chi]/<1 + chi^(2^l)> only, by the rules of its valuation
+(`valuation._LevelValue`): a product adds valuations, a power scales one,
+a sum of two different ones takes the smaller.  Only a sum of two equal
+valuations needs more: its polynomial in one atom f or fk(k), read in
+closed form; its residue mod pi^T (pi = 1 - chi), read when nonzero; or
+else its element, built in that field from atoms in closed form
+(`ring._level_family`).  So its cost follows l and not K.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import random
 import shutil
 import sys
@@ -105,7 +106,6 @@ __all__ = ["RunConfig", "main", "tables_document"]
 
 SCHEMA_VERSION = 1
 DEFAULT_SEED = 1729
-BUDGET_ENV_VAR = "LENSRING_BUDGET"
 
 
 @dataclass(frozen=True)
@@ -127,6 +127,9 @@ class RunConfig:
 # ---------------------------------------------------------------------------
 
 _NAMES = ("chi", "f", "fk", "fpk")
+# ASCII only: str.isdigit() also holds for superscripts and other scripts'
+# digits, which int() reads or rejects with its own message
+_DIGITS = "0123456789"
 
 
 def _tokenize(text: str) -> list[tuple[str, object]]:
@@ -138,9 +141,9 @@ def _tokenize(text: str) -> list[tuple[str, object]]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < len(source) and source[j].isdigit():
+            while j < len(source) and source[j] in _DIGITS:
                 j += 1
             tokens.append(("int", int(source[i:j])))
             i = j
@@ -798,36 +801,22 @@ def _run_verify(config: RunConfig) -> tuple[list[Field], int]:
 # ---------------------------------------------------------------------------
 
 def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
-    """The flags every subcommand takes; the rest of a parsed namespace is
-    the subcommand's own parameters."""
+    """The flags every subcommand takes: how its output is written."""
     parser.add_argument(
         "--format", choices=("text", "structured"), default="text",
         help="output format: plain text or JSON",
     )
     parser.add_argument("--out", default=None, help="write output to a file")
-    parser.add_argument(
-        "--budget", type=int, default=None,
-        help=f"enumeration budget (default {DEFAULT_BUDGET}; or the"
-             f" {BUDGET_ENV_VAR} environment variable)",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=DEFAULT_SEED,
-        help="seed for the randomized checks",
-    )
-
-
-def _common_dests() -> frozenset[str]:
-    common = argparse.ArgumentParser(add_help=False)
-    _add_common_arguments(common)
-    return frozenset({"subcommand", *vars(common.parse_args([]))})
-
-
-_COMMON_DESTS = _common_dests()
 
 
 def _structure_set_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--K", type=int, required=True)
+    p.add_argument(
+        "--budget", type=int, default=DEFAULT_BUDGET,
+        help="cap, in summands, on the 2c torsion summands listed"
+             f" (default {DEFAULT_BUDGET})",
+    )
 
 
 def _tables_arguments(p: argparse.ArgumentParser) -> None:
@@ -847,6 +836,16 @@ def _wl_arguments(p: argparse.ArgumentParser) -> None:
 def _verify_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--suite", choices=(*_SUITE_RUNNERS, "all"),
                    required=True)
+    p.add_argument(
+        "--budget", type=int, default=DEFAULT_BUDGET,
+        help="cap on the size (2^K)^c, in tuples of (Z/2^K)^c, of the"
+             " group in which the a-eq-b and kernel suites compute each"
+             f" lattice A and rho kernel (default {DEFAULT_BUDGET})",
+    )
+    p.add_argument(
+        "--seed", type=int, default=DEFAULT_SEED,
+        help="seed for the randomized checks",
+    )
 
 
 def _best_poly_arguments(p: argparse.ArgumentParser) -> None:
@@ -922,35 +921,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_budget(flag_value: int | None) -> int:
-    if flag_value is not None:
-        budget, source = flag_value, "--budget"
-    else:
-        env = os.environ.get(BUDGET_ENV_VAR)
-        if env is None:
-            return DEFAULT_BUDGET
-        try:
-            budget, source = int(env), BUDGET_ENV_VAR
-        except ValueError as exc:
-            raise ValueError(
-                f"{BUDGET_ENV_VAR} must be an integer, got {env!r}"
-            ) from exc
-    if budget < 0:
-        raise ValueError(f"{source} must be non-negative, got {budget}")
-    return budget
+# the namespace entries that are not a subcommand's params
+_RUN_SETTINGS = frozenset({"subcommand", "format", "out", "budget", "seed"})
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     """The run configuration of a parsed command line: its params are the
-    subcommand's own arguments, in the order the subparser declares them."""
-    params = tuple((name, value) for name, value in vars(args).items()
-                   if name not in _COMMON_DESTS)
+    subcommand's own arguments, in the order the subparser declares them;
+    budget and seed are the defaults where the subcommand takes neither."""
+    values = vars(args)
+    budget = values.get("budget", DEFAULT_BUDGET)
+    if budget < 0:
+        raise ValueError(f"--budget must be non-negative, got {budget}")
     return RunConfig(
         subcommand=args.subcommand,
-        params=params,
+        params=tuple((name, value) for name, value in values.items()
+                     if name not in _RUN_SETTINGS),
         output_format=args.format,
-        budget=_resolve_budget(args.budget),
-        seed=args.seed,
+        budget=budget,
+        seed=values.get("seed", DEFAULT_SEED),
     )
 
 
@@ -979,11 +968,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ArithmeticError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    if args.out:
+    if not args.out:
+        sys.stdout.write(output)
+        return code
+    try:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(output)
-    else:
-        sys.stdout.write(output)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return code
 
 

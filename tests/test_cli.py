@@ -481,6 +481,20 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert doc["d"] == 7
 
 
+def test_unwritable_out_exits_two(tmp_path, capsys):
+    # a directory, and a file whose parent directory is missing
+    for target, error in ((tmp_path, "Is a directory"),
+                          (tmp_path / "missing" / "doc.txt",
+                           "No such file or directory")):
+        assert main(["wl", "--expr", "f", "--K", "3", "--l", "1",
+                     "--out", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert error in captured.err and str(target) in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_usage_errors_exit_two(capsys):
     assert main(["structure-set", "--d", "2", "--K", "3"]) == 2
     assert main(["wl", "--expr", "f^^2", "--K", "3", "--l", "1"]) == 2
@@ -541,16 +555,11 @@ def test_structure_set_summands_are_gated_by_the_budget(capsys):
 
 def test_budget_exit_three(capsys, monkeypatch):
     assert main(["verify", "--suite", "a-eq-b", "--budget", "4"]) == 3
+    # the command line is the whole configuration: the environment is not
+    # read
     monkeypatch.setenv("LENSRING_BUDGET", "4")
-    assert main(["verify", "--suite", "a-eq-b"]) == 3
-    # an explicit flag beats the environment
-    monkeypatch.setenv("LENSRING_BUDGET", "4")
-    assert main(["verify", "--suite", "kernel", "--budget", "1048576"]) == 0
-    monkeypatch.setenv("LENSRING_BUDGET", "not-a-number")
-    assert main(["verify", "--suite", "kernel"]) == 2
-    monkeypatch.setenv("LENSRING_BUDGET", "-4")
-    assert main(["verify", "--suite", "a-eq-b"]) == 2
-    assert "LENSRING_BUDGET must be non-negative" in capsys.readouterr().err
+    assert main(["verify", "--suite", "a-eq-b"]) == 0
+    capsys.readouterr()
 
 
 def test_internal_invariant_failure_exits_four(capsys, monkeypatch):
@@ -625,13 +634,23 @@ def test_every_subcommand_argument_reaches_the_run_config():
             value = (action.choices[0] if action.choices
                      else "3" if action.type is int else "f")
             argv += [action.option_strings[0], str(value)]
-        args = parser.parse_args(argv + ["--seed", "5", "--format",
-                                          "structured"])
+        seed = ["--seed", "5"] if name == "verify" else []
+        args = parser.parse_args(argv + seed + ["--format", "structured"])
         config = cli.config_from_args(args)
         assert config.subcommand == name
         assert config.params == tuple(
             (a.dest, getattr(args, a.dest)) for a in own)
-        assert (config.seed, config.output_format) == (5, "structured")
+        assert config.output_format == "structured"
+        assert config.seed == (5 if name == "verify" else cli.DEFAULT_SEED)
+        # a subcommand rejects a flag it does not read: --seed is verify's
+        # alone, --budget that of structure-set and verify
+        dests = {a.dest for a in sub._actions}
+        for flag in ("seed", "budget"):
+            if flag not in dests:
+                assert main(argv + [f"--{flag}", "5"]) == 2, (name, flag)
+    assert [name for name, sub in subparsers.choices.items()
+            if "budget" in {a.dest for a in sub._actions}] == [
+        "structure-set", "verify"]
 
 
 def test_terminal_probed_once_per_command_line(capsys, monkeypatch):
@@ -745,6 +764,18 @@ def test_expression_language_rejects_garbage():
     for bad in ("f^", "f^(2)", "foo", "1+", "(1", "f 2", "chi@", "fk(2)"):
         with pytest.raises(ValueError):
             parse_expression(bad, 3)
+
+
+def test_integer_literals_are_ascii_digits(capsys):
+    # superscript two and the Arabic-Indic digit three pass str.isdigit();
+    # each is an unexpected character, not a literal int() reads or rejects
+    for expr, ch in (("f\u00b2", "\u00b2"), ("f^\u0663", "\u0663"),
+                     ("fk(\u0663)", "\u0663"), ("\u0663*f", "\u0663")):
+        assert main(["wl", "--expr", expr, "--K", "3", "--l", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: unexpected character {ch!r} in expression\n")
 
 
 def test_tables_document_hash_stability():

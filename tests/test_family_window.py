@@ -481,6 +481,35 @@ def test_residue_rows_are_the_stored_differences():
     assert seen == {"all n", "stored", "aligned heads", "padded tails"}
 
 
+def test_residue_rows_read_all_n_entries_when_the_common_window_does_not_fit():
+    # at K = 4 each window fits on its own (head 10 and tail 2; head 0 and
+    # tail 10), but their common window, the longest head plus the longest
+    # tail, needs 20 of the 16 entries: the rows are then all 16 entries
+    # minus the last one, on the common denominator
+    K, n = 4, 16
+    vecs = [ring._Window.from_numerator(
+                [1, -2, 3, 0, 1, 4, -1, 2, 0, 3, 1], n).divided(1),
+            ring._Window.from_numerator([3], n, 9).divided(9)]
+    assert [(len(v.head), len(v.tails[0])) for v in vecs] == [(10, 2), (0, 10)]
+    rows, m = ring._residue_images(vecs)
+    den = math.lcm(*(v.den for v in vecs))
+    assert m == 4 * den
+    for v, row in zip(vecs, rows):
+        full = v.entries(n)
+        scale = den // v.den
+        assert row == [(x - full[-1]) * scale % m for x in full]
+    # the 4Z verdict of an integer combination of the rows is that of the
+    # same combination of the elements
+    elements = [ring._element_from_vec(K, v) for v in vecs]
+    verdicts = set()
+    for t in ((1, 1), (16, 8192), (16, 16384), (64, 16384)):
+        in_4z = combination_in_4z(rows, m, t)
+        assert in_4z == ring.is_in_4Z(
+            t[0] * elements[0] + t[1] * elements[1]), t
+        verdicts.add(in_4z)
+    assert verdicts == {True, False}
+
+
 # ---------------------------------------------------------------------------
 # the unit windows: membership_A and rho_bracket as integer combinations of
 # windows built once, against the direct evaluation of each input
