@@ -12,11 +12,12 @@ Subcommands:
 Every subcommand takes --format text|structured (JSON) and --out FILE;
 structure-set and verify also take --budget INT, the cap they pass to the
 gates they reach, and verify takes --seed INT for its random inputs.  A
-subcommand refuses a flag it would not read.  Each command builds one
-record, which both formats render: as `key = value` lines, or as sorted-key
-JSON.  The command line is the whole configuration: output is byte
-identical for identical command lines, and nothing is timestamped, machine
-dependent or read from the environment.
+subcommand refuses a flag it would not read, and names itself in the usage
+line it prints (`usage: lensring wl ...`).  Each command builds one record,
+which both formats render: as `key = value` lines, or as sorted-key JSON.
+The command line is the whole configuration: output is byte identical for
+identical command lines, and nothing is timestamped, machine dependent or
+read from the environment.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or validation error,
 or an --out that cannot be written (nothing else), 3 enumeration budget
@@ -870,26 +871,11 @@ _SUBCOMMANDS: dict[str, tuple[
 }
 
 
-class _SubcommandParser:
-    """One subcommand's parser inside the top-level parser, built the first
-    time any attribute of it is read.  argparse reaches a subparser only
-    through its attributes (parse_known_args), so a command line builds the
-    parser of the one subcommand it names and no other."""
-
-    def __init__(self, *,
-                 add_arguments: Callable[[argparse.ArgumentParser], None],
-                 **kwargs) -> None:
-        self._add_arguments = add_arguments
-        self._kwargs = kwargs
-        self._parser: argparse.ArgumentParser | None = None
-
-    def __getattr__(self, name: str):
-        if self._parser is None:
-            parser = argparse.ArgumentParser(**self._kwargs)
-            _add_common_arguments(parser)
-            self._add_arguments(parser)
-            self._parser = parser
-        return getattr(self._parser, name)
+def _add_subcommand_arguments(parser: argparse.ArgumentParser,
+                              name: str) -> None:
+    """The flags of subcommand `name`: the common ones, then its own."""
+    _add_common_arguments(parser)
+    _SUBCOMMANDS[name][1](parser)
 
 
 def _formatter_class() -> Callable[..., argparse.HelpFormatter]:
@@ -902,10 +888,10 @@ def _formatter_class() -> Callable[..., argparse.HelpFormatter]:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """A fresh parser for the whole command line; `main` builds one per
-    call.  Its subcommand parsers are built on first use, so parsing one
-    command line makes two ArgumentParsers rather than seven, and it probes
-    the terminal size once."""
+    """The parser of the whole command line, every subcommand's parser in
+    it.  `main` builds it only for a line whose first argument names no
+    subcommand (top-level help and usage errors); a line that names one
+    builds that subcommand's parser alone.  It probes the terminal once."""
     formatter_class = _formatter_class()
     parser = argparse.ArgumentParser(
         prog="lensring",
@@ -913,11 +899,11 @@ def build_parser() -> argparse.ArgumentParser:
                     " ring arithmetic",
         formatter_class=formatter_class,
     )
-    sub = parser.add_subparsers(dest="subcommand", required=True,
-                                parser_class=_SubcommandParser)
-    for name, (help_text, add_arguments, _) in _SUBCOMMANDS.items():
-        sub.add_parser(name, help=help_text, add_arguments=add_arguments,
-                       formatter_class=formatter_class)
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    for name, (help_text, _, _) in _SUBCOMMANDS.items():
+        _add_subcommand_arguments(
+            sub.add_parser(name, help=help_text,
+                           formatter_class=formatter_class), name)
     return parser
 
 
@@ -951,9 +937,17 @@ def run(config: RunConfig) -> tuple[str, int]:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        if argv and argv[0] in _SUBCOMMANDS:
+            name = argv[0]
+            parser = argparse.ArgumentParser(
+                prog=f"lensring {name}", formatter_class=_formatter_class())
+            _add_subcommand_arguments(parser, name)
+            args = parser.parse_args(argv[1:],
+                                     argparse.Namespace(subcommand=name))
+        else:
+            args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -617,7 +618,7 @@ def test_verify_all_runs_each_listed_suite_once(capsys, monkeypatch):
     ]
 
 
-def test_every_subcommand_argument_reaches_the_run_config():
+def test_every_subcommand_argument_reaches_the_run_config(capsys):
     import argparse
 
     from lensring import cli
@@ -643,11 +644,17 @@ def test_every_subcommand_argument_reaches_the_run_config():
         assert config.output_format == "structured"
         assert config.seed == (5 if name == "verify" else cli.DEFAULT_SEED)
         # a subcommand rejects a flag it does not read: --seed is verify's
-        # alone, --budget that of structure-set and verify
+        # alone, --budget that of structure-set and verify; it says so with
+        # its own usage line
         dests = {a.dest for a in sub._actions}
         for flag in ("seed", "budget"):
             if flag not in dests:
+                capsys.readouterr()
                 assert main(argv + [f"--{flag}", "5"]) == 2, (name, flag)
+                err = capsys.readouterr().err
+                assert err.startswith(f"usage: lensring {name} "), err
+                assert (f"lensring {name}: error: unrecognized arguments:"
+                        f" --{flag} 5") in err, err
     assert [name for name, sub in subparsers.choices.items()
             if "budget" in {a.dest for a in sub._actions}] == [
         "structure-set", "verify"]
@@ -702,6 +709,31 @@ def test_help_and_usage_match_the_default_formatter(monkeypatch):
             assert helps(cli.build_parser()) == seen[columns], columns
         assert len(seen[columns]) == 1 + len(cli._SUBCOMMANDS)
     assert seen["60"] != seen["200"]
+
+
+def test_main_reads_sys_argv(capsys, monkeypatch):
+    # the console script calls main() with no argv; it parses sys.argv[1:]
+    for argv in (["lensring", "wl", "--expr", "f", "--K", "3", "--l", "1"],
+                 ["lensring"]):
+        code = main(argv[1:])
+        want = capsys.readouterr()
+        monkeypatch.setattr(sys, "argv", argv)
+        assert main() == code, argv
+        assert capsys.readouterr() == want, argv
+
+
+def test_subcommand_help_is_that_of_the_full_parser(capsys, monkeypatch):
+    # main builds a named subcommand's parser on its own; it must print the
+    # help of the same subcommand inside build_parser's tree
+    import argparse
+
+    monkeypatch.setenv("COLUMNS", "80")
+    (subparsers,) = [a for a in cli.build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+    assert list(subparsers.choices) == list(cli._SUBCOMMANDS)
+    for name, sub in subparsers.choices.items():
+        assert main([name, "--help"]) == 0, name
+        assert capsys.readouterr().out == sub.format_help(), name
 
 
 def old_random_element(rng, K):
