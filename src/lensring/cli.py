@@ -57,6 +57,7 @@ from .polynomials import (
     DEFAULT_BUDGET,
     BudgetExceededError,
     IntPolynomial,
+    _confirm_r_minus,
     beta,
     beta_inv,
     membership_A,
@@ -646,6 +647,7 @@ def _suite_r_uniqueness(config: RunConfig) -> list[Check]:
     for n in range(7):
         try:
             record = r_minus(n)
+            _confirm_r_minus(n)
         except ArithmeticError:
             checks.append((f"r^-_{n}: search with uniqueness", False))
             continue

@@ -302,8 +302,10 @@ def _search_winners(base_vec, term_vecs) -> list[int]:
     sum_l v_l row_l / (M/2) = base / (M/2) over GF(2), solved by
     elimination (`_solve_winners`): the winners are one solution plus the
     span of the null space, and a single winner means full column rank.
-    Every r^- search through n = 64 has such rows; a row that is not
-    0 mod M/2 raises ArithmeticError, as nothing else solves the test.
+    Every r^- search through n = 64 has such rows, the rung's own at
+    (k, m) = (1, 1) and the three of `_confirm_r_minus` alike (both go
+    through `_rung_winners`); a row that is not 0 mod M/2 raises
+    ArithmeticError, as nothing else solves the test.
     """
     rows, modulus = ring._residue_images([base_vec, *term_vecs])
     bits = {0, modulus // 2}
@@ -352,9 +354,20 @@ def _solve_winners(base: int, terms: Sequence[int]) -> list[int]:
     return sorted(winners)
 
 
-# (k, m) -> (numerator, step) of f, f'_3 and f_3 = f f'_3 over 1 - chi^step
-_DERIVED = {(1, 2): ((1, 1), 1), (3, 1): ((1, -2, 2, -1), 3),
-            (3, 2): ((1, 0, 0, 1), 3)}
+def _rung_winners(n: int, k: int, m: int) -> list[int]:
+    """The winning masks (`_search_winners`) of the rung-n system at (k, m):
+    q_n and the scaled r^-_l (l < floor(n/2)), each evaluated directly as
+    8 f'_k f^m p(f^2) at level 2n + 2."""
+    K = 2 * n + 2
+    vecs = [ring._eval_f2_vec(p.coeffs, K, k, "odd", m)
+            for p in (q_n(n), *_scaled_corrections(n))]
+    return _search_winners(vecs[0], vecs[1:])
+
+
+def _scaled_corrections(n: int) -> list[IntPolynomial]:
+    """2^(2(n-l)-1) r^-_l for l < floor(n/2), the terms a rung-n bit adds."""
+    return [r_minus(l).polynomial * (1 << (2 * (n - l) - 1))
+            for l in range(n // 2)]
 
 
 def r_minus(n: int) -> RMinusRecord:
@@ -367,50 +380,48 @@ def r_minus(n: int) -> RMinusRecord:
     affine system over GF(2) when every row is 0 mod M/2, and uniqueness
     is full column rank (`_search_winners`).  Every rung through n = 64
     has such rows; a rung that did not would raise ArithmeticError, since
-    no other search is left.  The search asserts uniqueness and re-runs for
-    every (k, m) in {1, 3} x {1, 2} to confirm the winner is the same.
-    Each polynomial is evaluated once, at (k, m) = (1, 1); the other three
-    vectors are that one times f, f'_3 or f_3 (`_DERIVED`).  The three
-    confirming searches reuse that evaluation, so they show the winner does
-    not depend on (k, m) only as far as `_DERIVED` is right, which
-    `test_derived_vectors_match_direct_evaluation` checks against direct
-    evaluation.
+    no other search is left.  One system is solved, at (k, m) = (1, 1), and
+    its winner must be unique.  The paper's claim that the winner is the
+    same for every (k, m) in {1, 3} x {1, 2} is checked apart, by
+    `_confirm_r_minus`, which evaluates every vector directly.
     """
     ring._validate_natural(n, "n")
     if n in _r_minus_table:
         return _r_minus_table[n]
-    nbits = n // 2
-    base = q_n(n)
-    scaled = [
-        r_minus(l).polynomial * (1 << (2 * (n - l) - 1)) for l in range(nbits)
-    ]
-    K = 2 * n + 2
-    vecs = [ring._eval_f2_vec(p.coeffs, K, 1) for p in (base, *scaled)]
-    winners = _search_winners(vecs[0], vecs[1:])
+    winners = _rung_winners(n, 1, 1)
     if len(winners) != 1:
         raise ArithmeticError(
             f"r^-_{n}: expected exactly one winning correction,"
             f" found {len(winners)}"
         )
-    held = {1: vecs, 3: [v.restrided(3) for v in vecs]}
-    for num, step in _DERIVED.values():
-        derived = [v.times(num).divided() for v in held[step]]
-        if _search_winners(derived[0], derived[1:]) != winners:
-            raise ArithmeticError(
-                f"r^-_{n}: winning correction depends on (k, m), which"
-                " contradicts uniqueness"
-            )
     v = winners[0]
-    bits = {l: (v >> l) & 1 for l in range(nbits)}
-    poly = base
-    for l in range(nbits):
+    scaled = _scaled_corrections(n)
+    bits = {l: (v >> l) & 1 for l in range(len(scaled))}
+    poly = q_n(n)
+    for l, term in enumerate(scaled):
         if bits[l]:
-            poly = poly + scaled[l]
+            poly = poly + term
     if poly.degree != n or not poly.is_monic():
         raise ArithmeticError(f"r^-_{n}: expected monic of degree {n}")
     record = RMinusRecord(n, poly, bits)
     _r_minus_table[n] = record
     return record
+
+
+def _confirm_r_minus(n: int) -> None:
+    """ArithmeticError unless the rung-n system has r_minus(n)'s winner, and
+    only it, at (k, m) = (1, 2), (3, 1) and (3, 2) too: the paper's claim
+    that r^-_n does not depend on (k, m), by direct evaluation."""
+    bits = r_minus(n).chosen_bits
+    mask = sum(bit << l for l, bit in bits.items())
+    for k, m in ((1, 2), (3, 1), (3, 2)):
+        winners = _rung_winners(n, k, m)
+        if winners != [mask]:
+            raise ArithmeticError(
+                f"r^-_{n}: winning correction depends on (k, m), which"
+                f" contradicts uniqueness: (k, m) = ({k}, {m}) has winners"
+                f" {winners}, not [{mask}]"
+            )
 
 
 def beta(q: IntPolynomial) -> IntPolynomial:

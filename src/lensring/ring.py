@@ -67,11 +67,10 @@ net <= 0 and t = 0 its head keeps at most one entry.  `_Window` stores
 the head before the tail and, per class, the Newton forward differences
 of the tail: the last entry, the class sums each division needs (through
 sum_{s<L} C(s, j) = C(L, j + 1)) and the division itself then cost
-O(H + k*e) operations, not O(N).  `times` multiplies by a short polynomial
-inside the window (each tail class becomes a sum of classes moved along
-by whole blocks), so `r_minus` evaluates each polynomial once, at (k, m) =
-(1, 1), restrides it once to class step 3, and gets the other three
-vectors with one product and one division each.  Membership in
+O(H + k*e) operations, not O(N).  The r^- search evaluates each
+polynomial this way at (k, m) = (1, 1), and its check at the other three
+pairs (`polynomials._confirm_r_minus`) evaluates each one again, from its
+own numerator.  Membership in
 4 Z[chi]/I<K> of any integer combination needs only the first W entries
 and the last one, so the residue rows of the r^- search, the lattice
 oracles and the shape remark are W wide: W grows like n, not like
@@ -630,30 +629,6 @@ class _Window(NamedTuple):
             tuple(sum(map(mul, row, diffs[j:]))
                   for j, row in zip(range(length), table))
             for diffs in _moved(tails, k, step)), den)
-
-    def times(self, poly: Sequence[int]) -> "_Window":
-        """Multiply by poly(chi) modulo chi^N - 1.  The head grows by
-        len(poly) - 1 entries, into which chi^N = 1 wraps the last ones;
-        past it each class sums tail classes moved along whole blocks, one
-        move being D[h] + D[h+1] on the Newton differences.  All n entries
-        are held when the window does not fit."""
-        n, k, head, tails, den = self
-        lp = len(poly)
-        s = len(head)
-        if s + lp - 1 + (len(tails[0]) * k if tails else n) > n:
-            z = _poly_mul_int(self.entries(n), poly)
-            return _Window(n, k, tuple(_wrap(z, n, 1)), (), den)
-        wrap = [self.entry(j) for j in range(n - lp + 1, n)]
-        z = _poly_mul_int(wrap + list(self.entries(s + lp - 1)), poly)
-        moved = _moved(tails, k, lp - 1 + k)
-        terms = [(lp - 1 - i, p) for i, p in enumerate(poly) if p]
-        new = []
-        for r in range(k):
-            acc = [0] * len(moved[r])
-            for c, p in terms:
-                acc = [a + p * x for a, x in zip(acc, moved[c + r])]
-            new.append(tuple(acc))
-        return _Window(n, k, tuple(z[lp - 1:2 * lp - 2 + s]), tuple(new), den)
 
     def divided(self, times: int = 1) -> "_Window":
         """Divide by (1 - chi^k)^times modulo the norm, k the class step

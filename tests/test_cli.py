@@ -441,6 +441,35 @@ def test_verify_failure_exits_one(capsys, monkeypatch):
     assert "FAIL wl-rules: stub check" in out
 
 
+def test_r_minus_confirmation_can_fail(capsys, monkeypatch):
+    # a (3, 2) system with another winner at rung 5: the confirmation
+    # names the rung and the pair, and verify reports the rung as failed
+    from lensring import polynomials
+
+    rung_winners = polynomials._rung_winners
+
+    def skewed(n, k, m):
+        winners = rung_winners(n, k, m)
+        if (n, k, m) == (5, 3, 2):
+            return [w ^ 1 for w in winners]
+        return winners
+
+    monkeypatch.setattr(polynomials, "_rung_winners", skewed)
+    polynomials._confirm_r_minus(4)
+    with pytest.raises(ArithmeticError,
+                       match=r"r\^-_5: .*\(k, m\) = \(3, 2\)"):
+        polynomials._confirm_r_minus(5)
+    assert main(["verify", "--suite", "r-uniqueness", "--seed", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "reproduce: lensring verify --suite r-uniqueness --seed 3"
+        "  # r^-_5: search with uniqueness\n"
+    )
+    fails = [line for line in captured.out.splitlines()
+             if line.startswith("FAIL ")]
+    assert fails == ["FAIL r-uniqueness: r^-_5: search with uniqueness"]
+
+
 def test_verify_failure_prints_reproducer_to_stderr(capsys, monkeypatch):
     from lensring import cli
 

@@ -305,49 +305,6 @@ def test_family_windows_keep_at_most_one_head_entry():
     assert windowed > 1000
 
 
-def cyclic_product(z, poly):
-    """z times poly(chi) modulo chi^n - 1, entry by entry."""
-    n = len(z)
-    return [sum(c * z[(j - i) % n] for i, c in enumerate(poly))
-            for j in range(n)]
-
-
-TIMES_POLYS = [(1, 1), (1, -2, 2, -1), (1, 0, 0, 1)]
-
-
-def test_times_matches_cyclic_product():
-    rng = random.Random(13)
-    windowed = 0
-    for K in range(1, 11):
-        n = 1 << K
-        polys = TIMES_POLYS + [
-            tuple(rng.randrange(-4, 5) for _ in range(rng.randrange(1, 6)))
-            for _ in range(3)
-        ]
-        for q in [(1,), q_n(3).coeffs, (5, -3, 0, 2), (0, 0, 0, 0, 0, 1)]:
-            base = ring._eval_f2_vec(q, K, 1, "odd", 1)
-            z = list(base.entries(n))
-            full = ring._Window(n, 1, tuple(z), (), base.den)
-            for vec in (base, full):
-                for poly in polys:
-                    for step in (1, 3 % n):
-                        out = vec.restrided(step).times(poly)
-                        assert out.k == step and out.den == vec.den
-                        want = cyclic_product(z, poly)
-                        assert out.entries(n) == tuple(want)
-                        assert_window_matches(out, want, out.den)
-                        if out.tails:
-                            windowed += 1
-                            assert (len(out.head)
-                                    == len(vec.head) + len(poly) - 1)
-                            assert len(out.tails[0]) == len(vec.tails[0])
-    assert windowed > 100
-    # a class step of 3 is not restrided to step 1
-    vec = ring._eval_f2_vec((1, 1), 8, 3, "odd", 1)
-    with pytest.raises(ArithmeticError):
-        vec.restrided(1)
-
-
 def restride_by_entries(vec, step):
     """The window held with class step `step`, its tail classes read off
     the entries: L entries per new class, then L stride-step difference
@@ -396,29 +353,6 @@ def test_restride_matches_the_entries_route():
                          for e in range(min(len(power) + t, length))]
 
 
-def test_derived_vectors_match_direct_evaluation():
-    # f B, f'_3 B and f_3 B from B = 8 f q(f^2), as r_minus derives them
-    rng = random.Random(17)
-    for K in range(1, 13):
-        n = 1 << K
-        for _ in range(3):
-            q = [rng.randrange(-9, 10) for _ in range(rng.randrange(1, 8))]
-            q[-1] = q[-1] or 1
-            base = ring._eval_f2_vec(q, K, 1, "odd", 1)
-            for (k, m), (num, step) in polynomials._DERIVED.items():
-                step %= n
-                vec = base.restrided(step).times(num).divided()
-                z, den = oracle_eval_f2(q, K, k, "odd", m, 0)
-                assert_window_matches(vec, z, den)
-                direct = ring._eval_f2_vec(q, K, k, "odd", m)
-                assert (ring._element_from_vec(K, vec)
-                        == ring._element_from_vec(K, direct))
-                # r_minus re-reads B with the new step once for both k = 3
-                held = base.restrided(step)
-                assert held.times(num).divided() == vec
-
-
-
 def _values_minus_top(row, s, k, length):
     """Undo the stored-differences layout of a residue row: per class, the
     values minus the last entry from (d0 - last, d1, d2, ...), as running
@@ -444,10 +378,8 @@ def test_residue_rows_are_the_stored_differences():
         n = 1 << K
         qs = GRID_Q + [[rng.randrange(-9, 10) for _ in range(rng.randrange(
             1, 9))] + [1] for _ in range(3)]
-        bases = [ring._eval_f2_vec(q, K, 1, "odd", 1) for q in qs]
-        sets = [bases] + [
-            [v.restrided(step % n).times(num).divided() for v in bases]
-            for num, step in polynomials._DERIVED.values()]
+        sets = [[ring._eval_f2_vec(q, K, k, "odd", m) for q in qs]
+                for k in (1, 3) for m in (1, 2)]
         sets += [[ring._eval_f2_vec(q, K, k, mode, 1) for q in qs]
                  for k in (3, 5) for mode in ("odd", "even")]
         # the slot windows of an odd d have heads of 0 and 1 entries

@@ -268,8 +268,9 @@ def _scan_winners(rows, modulus):
 
 
 def test_solver_matches_scan_on_every_r_minus_search(monkeypatch):
-    # the main search and the three confirming (k, m) searches of every
-    # rung n <= 28, each solved over GF(2) and scanned mask by mask
+    # the search of every rung n <= 28 and its three confirming (k, m)
+    # searches, each solved over GF(2) and scanned mask by mask; r_minus
+    # alone makes one search per rung
     reset_polynomial_tables()
     searches = []
     search = polynomials._search_winners
@@ -282,6 +283,9 @@ def test_solver_matches_scan_on_every_r_minus_search(monkeypatch):
     monkeypatch.setattr(polynomials, "_search_winners", recorded)
     for n in range(29):
         r_minus(n)
+    assert len(searches) == 29
+    for n in range(29):
+        polynomials._confirm_r_minus(n)
     reset_polynomial_tables()
     assert len(searches) == 4 * 29
     for base_vec, term_vecs, winners in searches:
