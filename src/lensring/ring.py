@@ -24,9 +24,11 @@ Q[chi]/<1 + chi^(2^l)> for 0 <= l <= K-1 and jointly determine an element:
     Q[chi]/I<K>  =  prod_{l<K} Q[chi]/<1 + chi^(2^l)>,
 
 one factor per step chi^(2M) - 1 = (chi^M - 1)(chi^M + 1) of the tower.
-`project` is the only way down the tower and `crt_reconstruct`, the inverse
-butterfly, the only way up; `invert` goes down, inverts each level in its
-field by the norm to the level below, and comes back up.
+`crt_reconstruct`, the inverse butterfly, is the only way up.  There are
+two ways down, each kept where it measures faster: `project` folds to one
+level (`_wrap`), and `_tower` reads all K levels off one descent for the
+membership criteria, `valuation._valuations` and `invert`, which inverts
+each level in its field by the norm to the level below and comes back up.
 
 Performance note: `RingElement` and `LevelProjection` store an integer
 vector over one positive denominator, in lowest terms, and every operation
@@ -55,14 +57,15 @@ them.  Their sparse factors, folded by chi^N = 1 when k >= N, are
 multiplied out first into a numerator of H terms.  A window is only ever
 divided by 1 - chi^(its own class step): every numerator is held at class
 step 1 and divided e = max(-net, 0) times by 1 - chi, then held at class
-step k (`_Window.restrided(k)`, which reads the new classes off the stored
-differences) and divided once by 1 - chi^k.  Each division is a
+step k (`_Window.restrided(k)`, which reads each new class off the
+window's own entries: L entries per class, L the tail length, then L
+difference passes) and divided once by 1 - chi^k.  Each division is a
 running sum along the classes after adding the multiple of the norm
 element that makes the entry sum vanish, which is legitimate because the
 norm is zero in the quotient, and it moves k head entries into the tail
 classes, each now a polynomial of one degree more in its index.  So the
 vector is fixed by its first W = H + k + e*(k - 1) entries (H + 1 when
-k = 1; the head is padded to e + k entries when H is shorter), and with
+k = 1; H >= e + k, so the head holds an entry for every division), and with
 net <= 0 and t = 0 its head keeps at most one entry.  `_Window` stores
 the head before the tail and, per class, the Newton forward differences
 of the tail: the last entry, the class sums each division needs (through
@@ -97,9 +100,8 @@ import struct
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
-from functools import cache
 from itertools import accumulate, zip_longest
-from operator import add, mul, sub
+from operator import add, sub
 from typing import Iterable, NamedTuple, Sequence, Union
 
 __all__ = [
@@ -518,28 +520,11 @@ def _binomial_dot(diffs: Sequence[int], b: int, first: int) -> int:
     return total
 
 
-@cache
-def _restride_table(t: int, length: int) -> tuple[tuple[int, ...], ...]:
-    """Row j < length: the coefficients of z^j .. z^min(t j, length - 1)
-    in ((1 + z)^t - 1)^j; a longer table's rows start with a shorter one's.
-
-    A tail class with Newton differences D, read at every t-th block, is
-    again a polynomial; a step of t blocks is E^t = (1 + Delta)^t, so its
-    j-th difference is (E^t - 1)^j at 0, sum_h row_j[h - j] * D[h]."""
-    factor = [0] + [math.comb(t, i) for i in range(1, min(t, length - 1) + 1)]
-    rows = []
-    power = [1]
-    for j in range(length):
-        # ((1 + z)^t - 1)^j has degree t j
-        rows.append(tuple(power[j:t * j + 1]))
-        power = _poly_mul_int(power, factor)[:length]
-    return tuple(rows)
-
-
 def _moved(tails: Sequence[Sequence[int]], k: int,
            count: int) -> list[tuple[int, ...]]:
     """moved[c] for c < count: tail class c % k moved along c // k blocks,
-    one move being D[h] + D[h+1] on the Newton differences."""
+    one move being D[h] + D[h+1] on the Newton differences; it aligns a
+    shorter head in `_residue_images`."""
     moved = list(tails)
     while len(moved) < count:
         d = moved[-k]
@@ -557,7 +542,7 @@ class _Window(NamedTuple):
     closed forms, and sum_{b<L} C(b, h) = C(L, h + 1).  An empty `tails`
     means the head holds all n entries.  A window is divided only by
     1 - chi^k (`divided`); only `restrided` changes its class step, to a
-    multiple.
+    multiple, reading the new classes off the entries.
     """
 
     n: int
@@ -567,18 +552,18 @@ class _Window(NamedTuple):
     den: int
 
     @classmethod
-    def from_numerator(cls, poly: Sequence[int], n: int,
-                       divisions: int = 1) -> "_Window":
-        """The integer polynomial poly(chi) at class step 1, its head padded
-        to `divisions` entries, as each division by 1 - chi moves one head
-        entry into the tail and raises its degree by one: the window stays
-        s + 1 wide (s = max(len(poly), divisions)), and it holds all n
-        entries from the start when that reaches n.
+    def from_numerator(cls, poly: Sequence[int], n: int) -> "_Window":
+        """The integer polynomial poly(chi) at class step 1: its
+        s = len(poly) coefficients as the head and a zero tail, so the
+        window is s + 1 wide, and all n entries from the start when that
+        reaches n.  Each division by 1 - chi moves one head entry into the
+        tail, so a numerator divided e times needs s >= e (`_family_vec`'s
+        always has it).
         """
-        s = max(len(poly), divisions)
+        s = len(poly)
         if s + 1 >= n:
             return cls(n, 1, tuple(_wrap(poly, n, 1)), (), 1)
-        return cls(n, 1, tuple(poly) + (0,) * (s - len(poly)), ((0,),), 1)
+        return cls(n, 1, tuple(poly), ((0,),), 1)
 
     def entry(self, j: int) -> int:
         """Entry j, for 0 <= j < N."""
@@ -610,25 +595,26 @@ class _Window(NamedTuple):
         return tuple(out)
 
     def restrided(self, step: int) -> "_Window":
-        """The same vector held with class step `step`, a multiple of k: new
-        class c is old class c % k moved c // k blocks, then read at every
-        (step // k)-th block (`_restride_table`, built for the next power of
-        two, its rows stopping where the tail does).  All n entries are held
-        when the new window does not fit."""
+        """The same vector held with class step `step`, a multiple of k:
+        each new class is a polynomial of the tail's degree in its block
+        index, read off the next L * step entries (L the tail length) by L
+        difference passes at stride `step`.  All n entries are held when
+        the new window does not fit."""
         n, k, head, tails, den = self
         if step % k:
             raise ArithmeticError(
                 f"cannot hold class step {k} with step {step}")
         if step == k:
             return self
-        if not tails or len(head) + len(tails[0]) * step > n:
+        s = len(head)
+        if not tails or s + len(tails[0]) * step > n:
             return _Window(n, step, self.entries(n), (), den)
-        length = len(tails[0])
-        table = _restride_table(step // k, 1 << (length - 1).bit_length())
-        return _Window(n, step, head, tuple(
-            tuple(sum(map(mul, row, diffs[j:]))
-                  for j, row in zip(range(length), table))
-            for diffs in _moved(tails, k, step)), den)
+        vals = self.entries(s + len(tails[0]) * step)[s:]
+        rows = []
+        while vals:
+            rows.append(vals[:step])
+            vals = list(map(sub, vals[step:], vals))
+        return _Window(n, step, head, tuple(zip(*rows)), den)
 
     def divided(self, times: int = 1) -> "_Window":
         """Divide by (1 - chi^k)^times modulo the norm, k the class step
@@ -732,15 +718,16 @@ def _residue_images(vecs: Sequence[_Window]):
     entry exactly when the corresponding combination of ring values lies in
     4 * Z[chi]/I<K>.  Every row is read by one loop: the first s entries
     minus the last entry (`entries(s)`, which also reads a shorter head's
-    missing entries off its tail), then per tail class, moved along to
-    start at entry s (`_moved`), its first value minus the last entry and
-    its higher Newton differences, zero-padded to the longest tail.  s is
-    the longest head when every vector has a tail and the common window (s
-    plus, per class, as many entries as the longest tail needs) fits in N;
-    then, against the entries of the common window, the rows are a
-    unimodular change of columns, the same for every vector (Pascal's
-    matrix per class), so kernels, Smith exponents and 4Z verdicts are
-    those of the entries.  Otherwise s = N and there are no tail columns.
+    missing entries off its tail), then per tail class, moved along its
+    Newton differences to start at entry s (`_moved`), its first value
+    minus the last entry and its higher Newton differences, zero-padded to
+    the longest tail.  s is the longest head when every vector has a tail
+    and the common window (s plus, per class, as many entries as the
+    longest tail needs) fits in N; then, against the entries of the common
+    window, the rows are a unimodular change of columns, the same for every
+    vector (Pascal's matrix per class), so kernels, Smith exponents and 4Z
+    verdicts are those of the entries.  Otherwise s = N and there are no
+    tail columns.
     """
     n, k = vecs[0].n, vecs[0].k
     if any(v.n != n or v.k != k for v in vecs):
@@ -788,7 +775,9 @@ def _family_vec(
     chi^N = 1, so a k past N costs what k mod N does.  The numerator is
     built at class step 1 and divided e times by 1 - chi (e >= 0 the
     negative net power of 1 - chi), then restrided to class step k mod N
-    for the one division by 1 - chi^k.
+    for the one division by 1 - chi^k.  Its length H is at least
+    e + (k mod N) for every nonzero q, so each division finds the head
+    entries it moves into the tail.
     """
     _validate_level(K)
     n = 1 << K
@@ -798,7 +787,7 @@ def _family_vec(
     while q and q[-1] == 0:
         q.pop()
     if not q:
-        return _Window.from_numerator((), n, step).restrided(step)
+        return _Window.from_numerator((), n).restrided(step)
     deg = len(q) - 1
     # scale * q(f^2) = P(chi) / (1-chi)^(2*deg) with
     # P = sum_j q_j (1+chi)^(2j) (1-chi)^(2(deg-j)) over the scaled q_j,
@@ -825,8 +814,7 @@ def _family_vec(
     if net > 0:
         num = _poly_mul_int(num, _binom_coeffs(net, -1))
     e = max(-net, 0)
-    return _Window.from_numerator(num, n, e + step).divided(e).restrided(
-        step).divided()
+    return _Window.from_numerator(num, n).divided(e).restrided(step).divided()
 
 
 def _int_coeffs(q) -> tuple[int, ...]:
@@ -1074,7 +1062,7 @@ def evaluate_at_f_squared(
 # text serialization
 # ---------------------------------------------------------------------------
 
-_RATIONAL_RE = re.compile(r"-?\d+(?:/[1-9]\d*)?")
+_RATIONAL_RE = re.compile(r"-?[0-9]+(?:/[1-9][0-9]*)?")
 
 
 def _decimal_str(x) -> str:
@@ -1111,11 +1099,13 @@ def element_to_text(a: RingElement) -> str:
 def element_from_text(text: str) -> RingElement:
     """Parse the serialization produced by element_to_text.
 
-    Parsing is strict: the level prefix, the separator, the token syntax and
-    the coefficient count are all enforced.
+    Parsing is strict about syntax: the level prefix, the separator, the
+    token syntax (ASCII digits only) and the coefficient count are all
+    enforced, and only trailing newlines are dropped.  It does not require
+    the canonical spelling: `K=01`, `-0` and `4/2` are read as their values.
     """
     body = text.rstrip("\n")
-    match = re.fullmatch(r"K=(\d+); (.*)", body, flags=re.DOTALL)
+    match = re.fullmatch(r"K=([0-9]+); (.*)", body, flags=re.DOTALL)
     if not match:
         raise ValueError("malformed element text: expected 'K=<int>; c0,c1,...'")
     K = _decimal_int(match.group(1))

@@ -179,10 +179,13 @@ def valuation_to_text(v: Valuation) -> str:
     return f"{v.a}+{v.b}/2^{v.level}"
 
 
-_VALUATION_RE = re.compile(r"(-?\d+)\+(\d+)/2\^(\d+)")
+_VALUATION_RE = re.compile(r"(-?[0-9]+)\+([0-9]+)/2\^([0-9]+)")
 
 
 def valuation_from_text(text: str) -> Valuation:
+    """Parse `valuation_to_text`'s `a+b/2^l` or `inf`: ASCII digits only,
+    surrounding whitespace dropped, and 0 <= b < 2^l checked by
+    `Valuation`.  Leading zeros and `-0` are read as their values."""
     body = text.strip()
     if body == "inf":
         return Valuation.infinite()

@@ -236,7 +236,7 @@ def test_window_steps_out_when_the_tail_outgrows_n():
     for K in range(3, 8):
         n = 1 << K
         for k, poly in ((1, [8, 8]), (3, [8, -8, 8, 0, 4])):
-            vec = ring._Window.from_numerator(poly, n, k).restrided(
+            vec = ring._Window.from_numerator(poly, n).restrided(
                 k).divided(13)
             assert not vec.tails
             z, den = poly + [0] * (n - len(poly)), 1
@@ -305,22 +305,11 @@ def test_family_windows_keep_at_most_one_head_entry():
     assert windowed > 1000
 
 
-def restride_by_entries(vec, step):
-    """The window held with class step `step`, its tail classes read off
-    the entries: L entries per new class, then L stride-step difference
-    passes (L the tail length)."""
-    s, length = len(vec.head), len(vec.tails[0])
-    vals = list(vec.entries(s + length * step)[s:])
-    rows = []
-    while vals:
-        rows.append(vals[:step])
-        vals = [a - b for a, b in zip(vals[step:], vals[:-step])]
-    return ring._Window(vec.n, step, vec.head, tuple(zip(*rows)), vec.den)
-
-
 def test_restride_matches_the_entries_route():
-    # restrided(step) reads the new classes off the stored Newton
-    # differences; the oracle reads them off the entries
+    # restrided(step) reads the new classes off the entries; every stored
+    # position s + c + b*step (b < L) of its tail must hold the entry that
+    # the old window gives there in closed form (`entry`, binomial dots on
+    # the old Newton differences, no running sums)
     rng = random.Random(37)
     windowed = 0
     for _ in range(400):
@@ -334,23 +323,18 @@ def test_restride_matches_the_entries_route():
         if not vec.tails:
             continue
         out = vec.restrided(step)
+        assert (out.n, out.k, out.den) == (vec.n, step, vec.den)
         if out.tails:
             windowed += 1
-            assert out == restride_by_entries(vec, step)
+            s, length = len(vec.head), len(vec.tails[0])
+            assert out.head == vec.head
+            assert len(out.tails) == step
+            assert {len(diffs) for diffs in out.tails} == {length}
+            for j in range(s, s + length * step):
+                assert out.entry(j) == vec.entry(j), (K, k, q, step, j)
         if K <= 10:
             assert out.entries(vec.n) == vec.entries(vec.n)
     assert windowed > 200
-    # row j of the table: ((1 + z)^t - 1)^j from z^j up to z^(length - 1)
-    for t in (1, 2, 3, 5, 17, 39):
-        for length in (1, 2, 7, 24, 64):
-            power = [1]
-            for j, row in enumerate(ring._restride_table(t, length)):
-                want = (power + [0] * length)[j:length]
-                assert list(row) + [0] * (length - j - len(row)) == want
-                power = [sum(math.comb(t, i) * power[e - i]
-                             for i in range(1, t + 1)
-                             if 0 <= e - i < len(power))
-                         for e in range(min(len(power) + t, length))]
 
 
 def _values_minus_top(row, s, k, length):
@@ -421,7 +405,7 @@ def test_residue_rows_read_all_n_entries_when_the_common_window_does_not_fit():
     K, n = 4, 16
     vecs = [ring._Window.from_numerator(
                 [1, -2, 3, 0, 1, 4, -1, 2, 0, 3, 1], n).divided(1),
-            ring._Window.from_numerator([3], n, 9).divided(9)]
+            ring._Window.from_numerator([3] + [0] * 8, n).divided(9)]
     assert [(len(v.head), len(v.tails[0])) for v in vecs] == [(10, 2), (0, 10)]
     rows, m = ring._residue_images(vecs)
     den = math.lcm(*(v.den for v in vecs))

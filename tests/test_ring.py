@@ -779,6 +779,25 @@ def test_text_parse_rejects_malformed_input():
             element_from_text(bad)
 
 
+def test_text_parsers_read_ascii_digits_only():
+    # Python's \d also matches other scripts' decimal digits; the writers
+    # emit ASCII only, so the parsers must refuse the rest
+    from lensring import valuation_from_text, valuation_to_text
+    for bad in ("K=\u0661; 5", "K=1; \u0665", "K=1; 5/\u0663",
+                "K=1; 5\u00b2", "K=\u00b9; 5"):
+        with pytest.raises(ValueError):
+            element_from_text(bad)
+    for bad in ("1+\u0663/2^2", "\u0661+3/2^2", "1+3/2^\u0662",
+                "1+3/2^\u00b2"):
+        with pytest.raises(ValueError):
+            valuation_from_text(bad)
+    g = make_element(3, [Fraction(-7, 3), 0, 11, Fraction(5, 8)])
+    assert element_from_text(element_to_text(g)) == g
+    w = valuation_from_text("1+3/2^2")
+    assert valuation_to_text(w) == "1+3/2^2"
+    assert valuation_from_text(valuation_to_text(w)) == w
+
+
 def test_text_level_past_the_int_to_str_limit():
     # a K= prefix of 5000 digits is read through decimal, like the
     # coefficients, and named by its size in bits in the count message
