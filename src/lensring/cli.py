@@ -15,9 +15,11 @@ gates they reach, and verify takes --seed INT for its random inputs.  A
 subcommand refuses a flag it would not read, and names itself in the usage
 line it prints (`usage: lensring wl ...`).  Each command builds one record,
 which both formats render: as `key = value` lines, or as sorted-key JSON.
-The command line is the whole configuration: output is byte identical for
-identical command lines, and nothing is timestamped, machine dependent or
-read from the environment.
+The command line is the whole configuration: `run` takes argparse's parsed
+namespace, and its output depends on nothing but that namespace's fields
+(--out, which `main` reads, names only where it goes).  So output is byte
+identical for identical command lines, and nothing is timestamped, machine
+dependent or read from the environment.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or validation error,
 or an --out that cannot be written (nothing else), 3 enumeration budget
@@ -47,7 +49,6 @@ import json
 import random
 import shutil
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import accumulate
@@ -104,24 +105,10 @@ from .valuation import (
     x_polynomial,
 )
 
-__all__ = ["RunConfig", "main", "tables_document"]
+__all__ = ["main", "run", "tables_document"]
 
 SCHEMA_VERSION = 1
 DEFAULT_SEED = 1729
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything one invocation depends on; equal configs give equal bytes."""
-
-    subcommand: str
-    params: tuple[tuple[str, object], ...]
-    output_format: str = "text"
-    budget: int = DEFAULT_BUDGET
-    seed: int = DEFAULT_SEED
-
-    def param(self, name: str):
-        return dict(self.params)[name]
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +122,7 @@ _DIGITS = "0123456789"
 
 
 def _tokenize(text: str) -> list[tuple[str, object]]:
-    source = text.replace("−", "-").replace("·", "*").replace("×", "*")
+    source = text.replace("−", "-").replace("·", "*")
     tokens: list[tuple[str, object]] = []
     i = 0
     while i < len(source):
@@ -389,10 +376,9 @@ def _basis_provenance(d: int, K: int) -> str | None:
 # subcommand implementations (each returns its output fields and an exit code)
 # ---------------------------------------------------------------------------
 
-def _run_structure_set(config: RunConfig) -> tuple[list[Field], int]:
-    d = config.param("d")
-    K = config.param("K")
-    descriptor = structure_set(d, K, config.budget)
+def _run_structure_set(args: argparse.Namespace) -> tuple[list[Field], int]:
+    d, K = args.d, args.K
+    descriptor = structure_set(d, K, args.budget)
     provenance = _basis_provenance(d, K)
     fields = _header("structure-set") + [
         _field("d", d),
@@ -415,16 +401,12 @@ def _run_structure_set(config: RunConfig) -> tuple[list[Field], int]:
     return fields, 0
 
 
-def _run_tables(config: RunConfig) -> tuple[list[Field], int]:
-    return _tables_fields(
-        config.param("max_n"), config.param("sign"), config.param("K")
-    ), 0
+def _run_tables(args: argparse.Namespace) -> tuple[list[Field], int]:
+    return _tables_fields(args.max_n, args.sign, args.K), 0
 
 
-def _run_wl(config: RunConfig) -> tuple[list[Field], int]:
-    expr = config.param("expr")
-    K = config.param("K")
-    l = config.param("l")
+def _run_wl(args: argparse.Namespace) -> tuple[list[Field], int]:
+    expr, K, l = args.expr, args.K, args.l
     _validate_level(K)
     _validate_projection_level(K, l)
     # pr_l is a ring map, so the expression is read in the level-l field,
@@ -439,9 +421,8 @@ def _run_wl(config: RunConfig) -> tuple[list[Field], int]:
     ], 0
 
 
-def _run_best_poly(config: RunConfig) -> tuple[list[Field], int]:
-    n = config.param("n")
-    sign = config.param("sign")
+def _run_best_poly(args: argparse.Namespace) -> tuple[list[Field], int]:
+    n, sign = args.n, args.sign
     record, poly = _signed_r(sign)(n)
     return _header("best-poly") + [
         _field("n", n),
@@ -480,7 +461,7 @@ def _random_element(rng: random.Random, K: int) -> RingElement:
     return RingElement._from_cyclic(K, x, 1 << down)
 
 
-def _suite_wl_rules(config: RunConfig) -> list[Check]:
+def _suite_wl_rules(args: argparse.Namespace) -> list[Check]:
     checks: list[Check] = []
     for K in range(1, 7):
         f = element_f(K)
@@ -529,7 +510,7 @@ def _suite_wl_rules(config: RunConfig) -> list[Check]:
                 w = w_l(fp, l)
                 ok = ok and not w.is_infinite and w.value() == 0
             checks.append((f"K={K} l={l}: w(f'_k) = 0", ok))
-    rng = random.Random(config.seed)
+    rng = random.Random(args.seed)
     for K in range(1, 6):
         product_ok = True
         sum_ok = True
@@ -553,7 +534,7 @@ def _suite_wl_rules(config: RunConfig) -> list[Check]:
     return checks
 
 
-def _suite_p_identities(config: RunConfig) -> list[Check]:
+def _suite_p_identities(args: argparse.Namespace) -> list[Check]:
     checks: list[Check] = []
     frozen = {
         1: (1, 1),
@@ -593,7 +574,7 @@ def _suite_p_identities(config: RunConfig) -> list[Check]:
     return checks
 
 
-def _suite_q_ladder(config: RunConfig) -> list[Check]:
+def _suite_q_ladder(args: argparse.Namespace) -> list[Check]:
     checks: list[Check] = []
     for n in range(6):
         a, b = split_n(n)
@@ -634,7 +615,7 @@ def _suite_q_ladder(config: RunConfig) -> list[Check]:
     return checks
 
 
-def _suite_r_uniqueness(config: RunConfig) -> list[Check]:
+def _suite_r_uniqueness(args: argparse.Namespace) -> list[Check]:
     checks: list[Check] = []
     reset_polynomial_tables()
     expected = {
@@ -667,12 +648,12 @@ def _suite_r_uniqueness(config: RunConfig) -> list[Check]:
     return checks
 
 
-def _suite_a_eq_b(config: RunConfig) -> list[Check]:
+def _suite_a_eq_b(args: argparse.Namespace) -> list[Check]:
     checks: list[Check] = []
     for K in range(1, 5):
         for k in (1, 3, 5):
             for d in range(5, 10):
-                report = verify_A_equals_B(K, k, d, budget=config.budget)
+                report = verify_A_equals_B(K, k, d, budget=args.budget)
                 checks.append(
                     (f"A = B at K={K} k={k} d={d}"
                      f" (index 2^{report.claimed.index_exponent})",
@@ -681,9 +662,9 @@ def _suite_a_eq_b(config: RunConfig) -> list[Check]:
     return checks
 
 
-def _suite_kernel(config: RunConfig) -> list[Check]:
+def _suite_kernel(args: argparse.Namespace) -> list[Check]:
     checks: list[Check] = []
-    rng = random.Random(config.seed)
+    rng = random.Random(args.seed)
     for d in range(5, 10):
         c = (d - 1) // 2
         for K in range(1, 4):
@@ -691,7 +672,7 @@ def _suite_kernel(config: RunConfig) -> list[Check]:
                 sorted(1 << min(K, 2 * i) for i in range(1, c + 1))
             )
             for k in (1, 3):
-                subgroup = kernel_oracle(d, K, k, budget=config.budget)
+                subgroup = kernel_oracle(d, K, k, budget=args.budget)
                 checks.append(
                     (f"kernel divisors at d={d} K={K} k={k}",
                      subgroup.elementary_divisors == expected)
@@ -710,9 +691,9 @@ def _suite_kernel(config: RunConfig) -> list[Check]:
     return checks
 
 
-def _suite_extras(config: RunConfig) -> list[Check]:
+def _suite_extras(args: argparse.Namespace) -> list[Check]:
     checks: list[Check] = []
-    rng = random.Random(config.seed)
+    rng = random.Random(args.seed)
     for K in range(1, 6):
         ok = True
         for _ in range(20):
@@ -764,7 +745,7 @@ def _suite_extras(config: RunConfig) -> list[Check]:
     return checks
 
 
-_SUITE_RUNNERS: dict[str, Callable[[RunConfig], list[Check]]] = {
+_SUITE_RUNNERS: dict[str, Callable[[argparse.Namespace], list[Check]]] = {
     "wl-rules": _suite_wl_rules,
     "p-identities": _suite_p_identities,
     "q-ladder": _suite_q_ladder,
@@ -775,17 +756,17 @@ _SUITE_RUNNERS: dict[str, Callable[[RunConfig], list[Check]]] = {
 }
 
 
-def _run_verify(config: RunConfig) -> tuple[list[Field], int]:
-    suite = config.param("suite")
+def _run_verify(args: argparse.Namespace) -> tuple[list[Field], int]:
+    suite = args.suite
     names = list(_SUITE_RUNNERS) if suite == "all" else [suite]
     lines = []
     failed = 0
     for name in names:
-        for check_name, ok in _SUITE_RUNNERS[name](config):
+        for check_name, ok in _SUITE_RUNNERS[name](args):
             if not ok:
                 failed += 1
                 print(f"reproduce: lensring verify --suite {name}"
-                      f" --seed {config.seed}  # {check_name}",
+                      f" --seed {args.seed}  # {check_name}",
                       file=sys.stderr)
             lines.append(f"{'ok' if ok else 'FAIL'} {name}: {check_name}")
     total = len(lines)
@@ -860,7 +841,7 @@ def _best_poly_arguments(p: argparse.ArgumentParser) -> None:
 # runner `run` dispatches to
 _SUBCOMMANDS: dict[str, tuple[
     str, Callable[[argparse.ArgumentParser], None],
-    Callable[[RunConfig], tuple[list[Field], int]]]] = {
+    Callable[[argparse.Namespace], tuple[list[Field], int]]]] = {
     "structure-set": ("classification descriptor for one (d, K)",
                       _structure_set_arguments, _run_structure_set),
     "tables": ("the p/q/r polynomial tables", _tables_arguments,
@@ -909,33 +890,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# the namespace entries that are not a subcommand's params
-_RUN_SETTINGS = frozenset({"subcommand", "format", "out", "budget", "seed"})
-
-
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    """The run configuration of a parsed command line: its params are the
-    subcommand's own arguments, in the order the subparser declares them;
-    budget and seed are the defaults where the subcommand takes neither."""
-    values = vars(args)
-    budget = values.get("budget", DEFAULT_BUDGET)
-    if budget < 0:
-        raise ValueError(f"--budget must be non-negative, got {budget}")
-    return RunConfig(
-        subcommand=args.subcommand,
-        params=tuple((name, value) for name, value in values.items()
-                     if name not in _RUN_SETTINGS),
-        output_format=args.format,
-        budget=budget,
-        seed=values.get("seed", DEFAULT_SEED),
-    )
-
-
-def run(config: RunConfig) -> tuple[str, int]:
-    """Execute one configuration; returns (output text, exit code)."""
-    _, _, runner = _SUBCOMMANDS[config.subcommand]
-    fields, code = runner(config)
-    return _render(fields, config.output_format), code
+def run(args: argparse.Namespace) -> tuple[str, int]:
+    """Execute one parsed command line; returns (output text, exit code).
+    A negative --budget is refused before the subcommand runs."""
+    if vars(args).get("budget", 0) < 0:
+        raise ValueError(f"--budget must be non-negative, got {args.budget}")
+    _, _, runner = _SUBCOMMANDS[args.subcommand]
+    fields, code = runner(args)
+    return _render(fields, args.format), code
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -953,8 +915,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        config = config_from_args(args)
-        output, code = run(config)
+        output, code = run(args)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

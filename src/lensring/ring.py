@@ -577,7 +577,9 @@ class _Window(NamedTuple):
         """Entries 0 .. width - 1 (all n once width >= n); along a tail
         class the h-th differences are running sums of the (h+1)-th ones,
         started at diffs[h], built from the highest difference down.  The
-        first c entries of a class need only its first c differences."""
+        first c entries of a class need only its first c differences, and
+        of its h-th differences only the first c - h, so each pass is one
+        entry longer than the last."""
         n, k, head, tails, _ = self
         width = min(width, n)
         s = len(head)
@@ -588,9 +590,9 @@ class _Window(NamedTuple):
             count = len(range(s + r, width, k))
             if count:
                 diffs = diffs[:count]
-                col = [diffs[-1]] * count
+                col = [diffs[-1]] * (count - len(diffs) + 1)
                 for d in reversed(diffs[:-1]):
-                    col = list(accumulate(col[:-1], initial=d))
+                    col = list(accumulate(col, initial=d))
                 out[s + r::k] = col
         return tuple(out)
 

@@ -1,5 +1,6 @@
 """Tests for the command line interface."""
 
+import argparse
 import hashlib
 import json
 import random
@@ -11,7 +12,7 @@ import pytest
 from lensring import (LevelProjection, cli, element_f, element_f_k,
                       element_f_prime, make_element, project, ring, valuation,
                       w_l)
-from lensring.cli import RunConfig, main, run, tables_document
+from lensring.cli import main, run, tables_document
 from lensring.valuation import _valuation, valuation_to_text
 
 
@@ -350,6 +351,8 @@ def test_wl_builds_no_element_where_a_rule_answers(monkeypatch):
     (("--expr", "f^^2", "--K", "3", "--l", "1"), "expected 'int', found '^'"),
     (("--expr", "foo", "--K", "3", "--l", "1"),
      "unknown name 'foo' in expression"),
+    (("--expr", "f×f", "--K", "3", "--l", "1"),
+     "unexpected character '×' in expression"),
 ])
 def test_wl_usage_errors(capsys, args, err):
     assert main(["wl", *args]) == 2
@@ -531,9 +534,17 @@ def test_usage_errors_exit_two(capsys):
     assert main(["wl", "--expr", "f", "--K", "3", "--l", "5"]) == 2
     assert main(["no-such-command"]) == 2
     assert main(["tables"]) == 2
-    # a negative budget is rejected up front, not reported as exceeded
-    assert main(["verify", "--suite", "a-eq-b", "--budget", "-1"]) == 2
     capsys.readouterr()
+    # a negative budget is rejected up front, before the subcommand's own
+    # checks (d = 2 is refused too), not reported as exceeded
+    for argv in (["structure-set", "--d", "5", "--K", "2"],
+                 ["structure-set", "--d", "2", "--K", "3"],
+                 ["verify", "--suite", "a-eq-b"],
+                 ["verify", "--suite", "kernel"]):
+        assert main(argv + ["--budget", "-1"]) == 2, argv
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", "error: --budget must be non-negative, got -1\n"), argv
 
 
 def test_tables_level_must_be_positive(capsys):
@@ -555,17 +566,20 @@ def test_tables_and_best_poly_validate_sign_and_max_n():
         with pytest.raises(ValueError, match="max_n must be a non-negative"):
             tables_document(max_n, "-")
     with pytest.raises(ValueError, match="sign must be '\\+' or '-', got 'x'"):
-        run(RunConfig("best-poly", (("n", 2), ("sign", "x"))))
+        run(argparse.Namespace(subcommand="best-poly", n=2, sign="x",
+                               format="text"))
 
 
-def test_internal_key_error_is_not_a_usage_error(capsys, monkeypatch):
+def test_internal_attribute_error_is_not_a_usage_error(capsys, monkeypatch):
+    # a runner that reads a flag its subcommand does not declare is a bug:
+    # it ends in a traceback, not in exit 2
     from lensring import cli
 
-    def broken(config):
-        return [("stub", config.param("no-such-param"))]
+    def broken(args):
+        return [("stub", args.no_such_flag)]
 
     monkeypatch.setitem(cli._SUITE_RUNNERS, "kernel", broken)
-    with pytest.raises(KeyError, match="no-such-param"):
+    with pytest.raises(AttributeError, match="no_such_flag"):
         main(["verify", "--suite", "kernel"])
     assert capsys.readouterr().err == ""
 
@@ -647,31 +661,42 @@ def test_verify_all_runs_each_listed_suite_once(capsys, monkeypatch):
     ]
 
 
-def test_every_subcommand_argument_reaches_the_run_config(capsys):
-    import argparse
+def test_every_subcommand_argument_is_read(capsys):
+    # `run` reads every flag a subcommand declares (--out is main's); a
+    # flag nothing reads would be a setting that changes nothing
+    reads = set()
 
-    from lensring import cli
+    class Recorder(argparse.Namespace):
+        def __getattribute__(self, name):
+            reads.add(name)
+            return super().__getattribute__(name)
 
     parser = cli.build_parser()
     (subparsers,) = [a for a in parser._actions
                      if isinstance(a, argparse._SubParsersAction)]
     assert list(subparsers.choices) == list(cli._SUBCOMMANDS)
     common = {"help", "format", "out", "budget", "seed"}
+    # one valid line per subcommand; verify's kernel suite reads both its
+    # --seed and its --budget
+    valid = {"structure-set": ["--d", "7", "--K", "2"],
+             "tables": ["--max-n", "2"],
+             "wl": ["--expr", "f", "--K", "3", "--l", "1"],
+             "verify": ["--suite", "kernel"],
+             "best-poly": ["--n", "2", "--sign", "-"]}
+    assert list(valid) == list(subparsers.choices)
     for name, sub in subparsers.choices.items():
+        args = parser.parse_args([name, *valid[name]], Recorder())
+        reads.clear()
+        output, code = run(args)
+        assert code == 0 and output, name
+        assert reads >= {a.dest for a in sub._actions} - {"help", "out"}, (
+            name, reads)
         own = [a for a in sub._actions if a.dest not in common]
         argv = [name]
         for action in own:
             value = (action.choices[0] if action.choices
                      else "3" if action.type is int else "f")
             argv += [action.option_strings[0], str(value)]
-        seed = ["--seed", "5"] if name == "verify" else []
-        args = parser.parse_args(argv + seed + ["--format", "structured"])
-        config = cli.config_from_args(args)
-        assert config.subcommand == name
-        assert config.params == tuple(
-            (a.dest, getattr(args, a.dest)) for a in own)
-        assert config.output_format == "structured"
-        assert config.seed == (5 if name == "verify" else cli.DEFAULT_SEED)
         # a subcommand rejects a flag it does not read: --seed is verify's
         # alone, --budget that of structure-set and verify; it says so with
         # its own usage line
@@ -718,8 +743,6 @@ def test_help_and_usage_match_the_default_formatter(monkeypatch):
     # the formatter built once per command line prints what argparse's own
     # HelpFormatter, which probes the terminal each time, prints, at a
     # narrow and a wide terminal
-    import argparse
-
     from lensring import cli
 
     def helps(parser):
@@ -754,8 +777,6 @@ def test_main_reads_sys_argv(capsys, monkeypatch):
 def test_subcommand_help_is_that_of_the_full_parser(capsys, monkeypatch):
     # main builds a named subcommand's parser on its own; it must print the
     # help of the same subcommand inside build_parser's tree
-    import argparse
-
     monkeypatch.setenv("COLUMNS", "80")
     (subparsers,) = [a for a in cli.build_parser()._actions
                      if isinstance(a, argparse._SubParsersAction)]
@@ -825,6 +846,20 @@ def test_expression_language_rejects_garbage():
     for bad in ("f^", "f^(2)", "foo", "1+", "(1", "f 2", "chi@", "fk(2)"):
         with pytest.raises(ValueError):
             parse_expression(bad, 3)
+
+
+def test_wl_unicode_aliases_give_the_ascii_output(capsys):
+    # the unicode minus and the middle dot read as - and *: only the echoed
+    # expression differs (the multiplication sign is refused, see
+    # test_wl_usage_errors)
+    def wl(expr):
+        assert main(["wl", f"--expr={expr}", "--K", "3", "--l", "1"]) == 0
+        return capsys.readouterr().out
+
+    for expr, ascii_expr in (("f·f", "f*f"), ("−f", "-f"),
+                             ("2·chi−fk(3)", "2*chi-fk(3)")):
+        assert wl(expr) == wl(ascii_expr).replace(
+            f"expr = {ascii_expr}\n", f"expr = {expr}\n"), expr
 
 
 def test_integer_literals_are_ascii_digits(capsys):
