@@ -37,8 +37,8 @@ Q[chi]/<1 + chi^(2^l)> only, by the rules of its valuation
 a sum of two different ones takes the smaller.  Only a sum of two equal
 valuations needs more: its polynomial in one atom f or fk(k), read in
 closed form; its residue mod pi^T (pi = 1 - chi), read when nonzero; or
-else its element, built in that field from atoms in closed form
-(`ring._level_family`).  So its cost follows l and not K.
+else its element, built in that field, each atom folded off its
+level-(l+1) window (`valuation._family_atom`).  So its cost follows l.
 """
 
 from __future__ import annotations
@@ -73,6 +73,7 @@ from .polynomials import (
 )
 from .ring import (
     RingElement,
+    _decimal_int,
     _decimal_str,
     _eval_f2_vec,
     _residue_images,
@@ -134,7 +135,7 @@ def _tokenize(text: str) -> list[tuple[str, object]]:
             j = i
             while j < len(source) and source[j] in _DIGITS:
                 j += 1
-            tokens.append(("int", int(source[i:j])))
+            tokens.append(("int", _decimal_int(source[i:j])))
             i = j
             continue
         if ch.isalpha():
@@ -417,7 +418,7 @@ def _run_wl(args: argparse.Namespace) -> tuple[list[Field], int]:
         _field("K", K),
         _field("l", l),
         _field("w", valuation_to_text(w)),
-        _field("value", "inf" if w.is_infinite else str(w.value())),
+        _field("value", "inf" if w.is_infinite else _decimal_str(w.value())),
     ], 0
 
 

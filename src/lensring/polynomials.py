@@ -193,13 +193,13 @@ class IntPolynomial:
             c = self.coefficient(j)
             if c == 0:
                 continue
-            mag = abs(c)
+            mag = ring._decimal_str(abs(c))
             if j == 0:
-                body = str(mag)
+                body = mag
             elif j == 1:
-                body = "x" if mag == 1 else f"{mag}x"
+                body = "x" if mag == "1" else f"{mag}x"
             else:
-                body = f"x^{j}" if mag == 1 else f"{mag}x^{j}"
+                body = f"x^{j}" if mag == "1" else f"{mag}x^{j}"
             parts.append(("+" if c > 0 else "-", body))
         sign, body = parts[0]
         text = ("-" if sign == "-" else "") + body

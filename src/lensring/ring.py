@@ -82,10 +82,10 @@ differences as stored, which is a unimodular change of columns from the
 entries (`_residue_images`).  When W >= N (small K, or a numerator that
 wraps) the vector simply holds all N entries.  Only `element_f`,
 `element_f_prime`, `element_f_k` and `evaluate_at_f_squared` step the tail
-out to all N entries per call, because they return a `RingElement`
-(`cli`'s `wl` builds no window: `_level_family` writes f, f_k and f'_k in
-closed form in the level-l field); `structure.rho_bracket` reads its N
-entries off slot rows stepped out once per (d, K, k) and shared (see
+out to all N entries per call, because they return a `RingElement`, and
+`valuation._family_atom` folds all 2^(l+1) of a level-(l+1) window into
+level l; `structure.rho_bracket` reads its N entries off slot rows
+stepped out once per (d, K, k) and shared (see
 `polynomials.reset_polynomial_tables`).  All of this is exact.
 
 Every value is immutable after construction and every function is pure, so
@@ -100,7 +100,7 @@ import struct
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
-from itertools import accumulate, zip_longest
+from itertools import accumulate
 from operator import add, sub
 from typing import Iterable, NamedTuple, Sequence, Union
 
@@ -674,6 +674,12 @@ def _binom_coeffs(p: int, sign: int) -> list[int]:
     return [math.comb(p, j) * sign ** j for j in range(p + 1)]
 
 
+def _times_square(p: list[int], sign: int) -> list[int]:
+    """p times (1 + sign*chi)^2 = 1 + 2 sign chi + chi^2."""
+    return [x + 2 * sign * y + z
+            for x, y, z in zip(p + [0, 0], [0, *p, 0], [0, 0, *p])]
+
+
 def _alternating(k: int, n: int) -> list[int]:
     """Coefficients of 1 - chi + chi^2 - ... + chi^(k-1) folded by chi^n = 1
     (n even): entry r sums the k // n + [r < k mod n] terms of its class,
@@ -684,32 +690,6 @@ def _alternating(k: int, n: int) -> list[int]:
 
 def _element_from_vec(K: int, vec: _Window) -> RingElement:
     return RingElement._from_cyclic(K, vec.entries(1 << K), vec.den)
-
-
-def _level_family(l: int, k: int, f_power: int) -> LevelProjection:
-    """f'_k f^f_power (f_power 0 or 1) in the level-l field, where
-    chi^M = -1 with M = 2^l, in closed form.  f = chi + ... + chi^(M-1), as
-    (1 - chi) times it is chi - chi^M = 1 + chi.  f_k = sigma_k(f), and
-    sigma_k (k odd, k' its inverse mod 2M) moves the coefficient of chi^e
-    to chi^(ke): coefficient t of f_k is that of chi^(t k' mod 2M) in f,
-    1 below M and -1 past it (bit l of t k'), and 0 at t = 0.  f'_k = f_k / f
-    is h with (1 + chi) h = (1 - chi) f_k: with u_j = (-1)^j (f_k)_j and
-    U_j = u_0 + ... + u_j (U_(-1) = 0), (-1)^j h_j = U_(j-1) + U_j - U_(M-1),
-    as both sides of that step by u_(j-1) + u_j, and the wrap of
-    chi^M = -1, h_0 - h_(M-1) = (f_k)_(M-1), fixes the constant.  At l = 0,
-    f = f_k = 0 and f'_k = k."""
-    _validate_odd(k)
-    m = 1 << l
-    if not l:
-        return LevelProjection._from_ints(0, [0 if f_power else k])
-    inverse = pow(k, -1, 2 * m)
-    nums = [-1 if e >> l & 1 else 1 for e in range(0, m * inverse, inverse)]
-    nums[0] = 0
-    if not f_power:
-        sums = list(accumulate(-v if j & 1 else v for j, v in enumerate(nums)))
-        nums = [a + b - sums[-1] for a, b in zip([0, *sums], sums)]
-        nums[1::2] = [-v for v in nums[1::2]]
-    return LevelProjection._from_ints(l, nums)
 
 
 def _residue_images(vecs: Sequence[_Window]):
@@ -759,6 +739,19 @@ def _residue_images(vecs: Sequence[_Window]):
     return rows, m
 
 
+def _f2_numerator(q: Sequence[int]) -> list[int]:
+    """P = sum_j q_j (1+chi)^(2j) (1-chi)^(2(deg-j)), so q(f^2) =
+    P(chi) / (1-chi)^(2*deg), by a Horner sweep from q_deg that carries
+    g = (1 - chi)^(2(deg-j)) along: P and g are of one length."""
+    deg = len(q) - 1
+    p, g = [q[-1]], [1]
+    for j in range(deg - 1, -1, -1):
+        p, g = _times_square(p, 1), _times_square(g, -1)
+        if q[j]:
+            p = [a + q[j] * b for a, b in zip(p, g)]
+    return p
+
+
 def _family_vec(
     K: int,
     k: int,
@@ -791,17 +784,8 @@ def _family_vec(
     if not q:
         return _Window.from_numerator((), n).restrided(step)
     deg = len(q) - 1
-    # scale * q(f^2) = P(chi) / (1-chi)^(2*deg) with
-    # P = sum_j q_j (1+chi)^(2j) (1-chi)^(2(deg-j)) over the scaled q_j,
-    # built by a Horner sweep from q_deg whose step, times
-    # (1 + chi)^2 = 1 + 2 chi + chi^2, adds shifted copies.
-    p = q[deg:]
-    for j in range(deg - 1, -1, -1):
-        p = [x + 2 * y + z
-             for x, y, z in zip(p + [0, 0], [0, *p, 0], [0, 0, *p])]
-        if q[j]:
-            g = _binom_coeffs(2 * (deg - j), -1)
-            p = [a + q[j] * b for a, b in zip_longest(p, g, fillvalue=0)]
+    # scale * q(f^2) = P(chi) / (1-chi)^(2*deg) over the scaled q_j
+    p = _f2_numerator(q)
     if f_power:
         # f'_k f = f_k: (1 - chi + ... + chi^(k-1)) (1 + chi) = 1 + chi^k
         num = _poly_mul_int(p, [1, *[0] * (step - 1), 1])
@@ -1101,10 +1085,11 @@ def element_to_text(a: RingElement) -> str:
 def element_from_text(text: str) -> RingElement:
     """Parse the serialization produced by element_to_text.
 
-    Parsing is strict about syntax: the level prefix, the separator, the
-    token syntax (ASCII digits only) and the coefficient count are all
-    enforced, and only trailing newlines are dropped.  It does not require
-    the canonical spelling: `K=01`, `-0` and `4/2` are read as their values.
+    Parsing is strict: the level prefix, the separator, the token syntax
+    (ASCII digits only) and the coefficient count are all enforced, only
+    trailing newlines are dropped, and only the writer's spelling is read:
+    a leading zero (`K=01`), `-0`, or a fraction not in lowest terms or
+    over 1 (`4/2`, `4/1`) raises ValueError.
     """
     body = text.rstrip("\n")
     match = re.fullmatch(r"K=([0-9]+); (.*)", body, flags=re.DOTALL)
@@ -1123,4 +1108,7 @@ def element_from_text(text: str) -> RingElement:
         if not _RATIONAL_RE.fullmatch(tok):
             raise ValueError(f"malformed rational token {tok!r}")
         coeffs.append(_decimal_fraction(tok))
-    return RingElement(K, tuple(coeffs))
+    g = RingElement(K, tuple(coeffs))
+    if element_to_text(g) != body:
+        raise ValueError("element text not as element_to_text writes it")
+    return g

@@ -56,9 +56,9 @@ from operator import add, mul, neg, sub
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .polynomials import IntPolynomial, ONE, X, _v2
-from .ring import (LevelProjection, RingElement, _level_family, _power,
-                   _shown, _tower, _validate_natural, _validate_odd, _wrap,
-                   project)
+from .ring import (LevelProjection, RingElement, _decimal_int, _decimal_str,
+                   _family_vec, _power, _shown, _tower, _validate_natural,
+                   _validate_odd, _wrap, project)
 
 __all__ = [
     "Valuation",
@@ -173,27 +173,29 @@ class Valuation:
 
 
 def valuation_to_text(v: Valuation) -> str:
-    """Serialize as `a+b/2^l`, for instance `0+3/2^2`, or `inf`."""
+    """Serialize as `a+b/2^l`, for instance `0+3/2^2`, or `inf`, however
+    wide (`ring._decimal_str`)."""
     if v.is_infinite:
         return "inf"
-    return f"{v.a}+{v.b}/2^{v.level}"
+    return "{}+{}/2^{}".format(*map(_decimal_str, (v.a, v.b, v.level)))
 
 
 _VALUATION_RE = re.compile(r"(-?[0-9]+)\+([0-9]+)/2\^([0-9]+)")
 
 
 def valuation_from_text(text: str) -> Valuation:
-    """Parse `valuation_to_text`'s `a+b/2^l` or `inf`: ASCII digits only,
-    surrounding whitespace dropped, and 0 <= b < 2^l checked by
-    `Valuation`.  Leading zeros and `-0` are read as their values."""
-    body = text.strip()
+    """Parse `valuation_to_text`'s `a+b/2^l` or `inf`, then trailing
+    newlines, and nothing else: ASCII digits read by `ring._decimal_int`,
+    0 <= b < 2^l checked by `Valuation`, and no leading zero, `-0` or
+    space."""
+    body = text.rstrip("\n")
     if body == "inf":
         return Valuation.infinite()
     match = _VALUATION_RE.fullmatch(body)
-    if not match:
+    v = match and Valuation(*map(_decimal_int, match.groups()))
+    if not v or valuation_to_text(v) != body:
         raise ValueError(f"malformed valuation text {text!r}")
-    return Valuation(int(match.group(1)), int(match.group(2)),
-                     int(match.group(3)))
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -253,9 +255,7 @@ def normal_form(p: LevelProjection) -> NormalForm:
 def normal_form_reconstruct(nf: NormalForm, level: int) -> LevelProjection:
     """Rebuild the projection certified by a normal form."""
     base = ((ONE - X) ** nf.b) * nf.v1 + 2 * nf.v2
-    nums = _wrap(base.coeffs, 1 << level, -1)
-    scale = Fraction(2) ** nf.a / nf.u
-    return LevelProjection._from_ints(level, nums) * scale
+    return _in_level(level, base.coeffs) * (Fraction(2) ** nf.a / nf.u)
 
 
 def _valuation(nums: Sequence[int], den: int, level: int) -> Valuation:
@@ -333,9 +333,18 @@ def _valuations(g: RingElement) -> list[Valuation]:
 # values of the level-l field known by their valuation
 # ---------------------------------------------------------------------------
 
-def _in_level(l: int, coeffs: list[int]) -> LevelProjection:
-    """The integer polynomial coeffs(chi) in the level-l field."""
-    return LevelProjection._from_ints(l, _wrap(coeffs, 1 << l, -1))
+def _in_level(l: int, coeffs: Sequence[int], den: int = 1) -> LevelProjection:
+    """The polynomial coeffs(chi) / den (den > 0) in the level-l field,
+    folded by chi^(2^l) = -1: the one way a coefficient list enters it."""
+    return LevelProjection._from_ints(l, _wrap(coeffs, 1 << l, -1), den)
+
+
+def _family_atom(l: int, k: int, f_power: int) -> LevelProjection:
+    """f'_k f^f_power (f_power 0 or 1) in the level-l field: pr_l of its
+    level-(l+1) window (`ring._family_vec`), whose entries e fold to
+    e_j - e_(j+2^l), as the canonical shift by the last entry cancels."""
+    window = _family_vec(l + 1, k, f_power=f_power)
+    return _in_level(l, window.entries(2 << l), window.den)
 
 
 # the atom of a value not known as P(atom) with deg P < 2^l
@@ -437,14 +446,14 @@ class _LevelValue:
     @classmethod
     def family(cls, l: int, k: int, f_power: int) -> "_LevelValue":
         """f'_k f^f_power: fpk(k), fk(k) = f'_k f = f_k, or f = f_1, built
-        in closed form (`ring._level_family`).  f'_k is a unit, and f_k is
+        off its family window (`_family_atom`).  f'_k is a unit, and f_k is
         one for l >= 1 and 0 at l = 0; f_k is P(f_k) for P = x, named by
         k mod 2^(l + 1), the order of chi.  Mod 2, f_k has all its
         coefficients odd but the constant, like f = chi + ... + chi^(M-1)
         (M = 2^l), which is 1 + pi^(M-1) as 1 + chi + ... + chi^(M-1) =
         (1 + chi)^(M-1) over F_2; so f'_k = f_k / f is 1 mod 2."""
         _validate_odd(k)
-        build = partial(_level_family, l, k, f_power)
+        build = partial(_family_atom, l, k, f_power)
         if not f_power:
             return cls(l, Valuation._unchecked(0, 0, l), _MIXED, 0, build,
                        residue=_Residue.at(l, 1))

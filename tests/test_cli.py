@@ -130,6 +130,41 @@ def test_wl_command(capsys):
     assert "value = 3/2" in out
 
 
+def unlimited_str(x):
+    """str(x) with Python's int-to-str digit limit lifted."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(x)
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def test_wl_value_past_the_int_to_str_limit(capsys):
+    # w(1 - chi) = 2^-l: at l = 14285 the denominator of the value has 4301
+    # digits, one past the limit, and prints in full in both formats, as
+    # at l = 14284
+    for l in (14284, 14285):
+        den = unlimited_str(1 << l)
+        argv = ("wl", "--expr", "1-chi", "--K", str(l + 1), "--l", str(l))
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        assert out.endswith(f"w = 0+1/2^{l}\nvalue = 1/{den}\n")
+        code, out = run_cli(capsys, *argv, "--format", "structured")
+        assert code == 0
+        assert json.loads(out)["value"] == f"1/{den}"
+
+
+def test_wl_literal_past_the_int_to_str_limit(capsys):
+    # an exponent of 5000 digits is a valid literal: w((1 - chi)^e) = e / 2
+    e = unlimited_str(10 ** 5000 - 1)
+    code, out = run_cli(capsys, "wl", "--expr", f"(1-chi)^{e}", "--K", "3",
+                        "--l", "1")
+    assert code == 0
+    half = unlimited_str((10 ** 5000 - 1) // 2)
+    assert out.endswith(f"w = {half}+1/2^1\nvalue = {e}/2\n")
+
+
 def test_wl_infinite(capsys):
     code, out = run_cli(
         capsys, "wl", "--expr", "f", "--K", "3", "--l", "0",
@@ -327,7 +362,7 @@ def test_wl_builds_no_element_where_a_rule_answers(monkeypatch):
     def refuse(*args):
         raise AssertionError("an element was built")
     monkeypatch.setattr(valuation, "_in_level", refuse)
-    monkeypatch.setattr(valuation, "_level_family", refuse)
+    monkeypatch.setattr(valuation, "_family_atom", refuse)
     for expr, w in (("(f^2-1)^2", "3+1048572/2^20"),
                     ("fpk(7)^1000000007*(f+1)^7", "6+1048569/2^20"),
                     ("(fk(3)+1)^3-fk(3)^3-1", "0+1048575/2^20"),

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -455,6 +456,22 @@ def test_budget_gate_past_the_int_to_str_limit():
     polynomials._check_budget(3, 2, 64, "A")
     with pytest.raises(BudgetExceededError):
         polynomials._check_budget(3, 2, 63, "A")
+
+
+def test_polynomial_text_past_the_int_to_str_limit():
+    # p_14 has coefficients of up to 4930 digits: str writes them in full,
+    # the same text as str with the digit limit lifted
+    text = str(p_k(14))
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        want = str(p_k(14))
+        middle = str(p_k(14).coeffs[4096])
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert text == want
+    assert text.startswith("x^8192 + 134209536x^8191 + ")
+    assert f" + {middle}x^4096 + " in text and len(middle) > 4300
 
 
 def test_a_budget_past_the_int_to_str_limit_is_named_by_its_length():

@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import accumulate, zip_longest
 
 import pytest
 import sympy
@@ -30,12 +31,13 @@ from lensring.ring import (
     _element_from_vec,
     _eval_f2_vec,
     _family_vec,
-    _level_family,
     _poly_mul_int,
     _power,
     _tower,
+    _validate_odd,
     _wrap,
 )
+from lensring.valuation import _family_atom, _in_level
 
 
 def one(K):
@@ -391,16 +393,40 @@ def test_atoms_project_through_level_l_plus_one():
 
 
 def project_window(vec, l):
-    """pr_l of a level-(l+1) family vector: its 2^(l+1) entries e folded by
-    chi^(2^l) = -1, p_j = e_j - e_(j+2^l), over vec.den.  The canonical
-    shift by the last entry cancels in each difference, so no level-(l+1)
-    element is built: the window route to the level-l atoms."""
-    return LevelProjection._from_ints(
-        l, _wrap(vec.entries(2 << l), 1 << l, -1), vec.den)
+    """pr_l of a level-(l+1) family vector by `valuation._in_level`: its
+    2^(l+1) entries folded by chi^(2^l) = -1 over vec.den."""
+    return _in_level(l, vec.entries(2 << l), vec.den)
+
+
+def level_family(l: int, k: int, f_power: int) -> LevelProjection:
+    """f'_k f^f_power (f_power 0 or 1) in the level-l field, where
+    chi^M = -1 with M = 2^l, in closed form.  f = chi + ... + chi^(M-1), as
+    (1 - chi) times it is chi - chi^M = 1 + chi.  f_k = sigma_k(f), and
+    sigma_k (k odd, k' its inverse mod 2M) moves the coefficient of chi^e
+    to chi^(ke): coefficient t of f_k is that of chi^(t k' mod 2M) in f,
+    1 below M and -1 past it (bit l of t k'), and 0 at t = 0.  f'_k = f_k / f
+    is h with (1 + chi) h = (1 - chi) f_k: with u_j = (-1)^j (f_k)_j and
+    U_j = u_0 + ... + u_j (U_(-1) = 0), (-1)^j h_j = U_(j-1) + U_j - U_(M-1),
+    as both sides of that step by u_(j-1) + u_j, and the wrap of
+    chi^M = -1, h_0 - h_(M-1) = (f_k)_(M-1), fixes the constant.  At l = 0,
+    f = f_k = 0 and f'_k = k."""
+    _validate_odd(k)
+    m = 1 << l
+    if not l:
+        return LevelProjection._from_ints(0, [0 if f_power else k])
+    inverse = pow(k, -1, 2 * m)
+    nums = [-1 if e >> l & 1 else 1 for e in range(0, m * inverse, inverse)]
+    nums[0] = 0
+    if not f_power:
+        sums = list(accumulate(-v if j & 1 else v for j, v in enumerate(nums)))
+        nums = [a + b - sums[-1] for a, b in zip([0, *sums], sums)]
+        nums[1::2] = [-v for v in nums[1::2]]
+    return LevelProjection._from_ints(l, nums)
 
 
 def test_project_window_matches_project():
-    # p_j = e_j - e_(j+2^l) over den equals pr_l of the level-(l+1) element,
+    # `valuation._in_level`'s fold of the 2^(l+1) entries e of a level-(l+1)
+    # vector, p_j = e_j - e_(j+2^l) over den, equals pr_l of its element,
     # for the windows of f, fk(k) and fpk(k), windows over den > 1, and
     # vectors held whole whose last entry is not zero
     rng = random.Random(12)
@@ -430,20 +456,57 @@ def test_project_window_matches_project():
 
 
 def test_level_atoms_match_the_window_route():
-    # f, f_k and f'_k in closed form at level l equal the projections of
-    # their level-(l+1) windows, for every odd k < 3 * 2^(l+1): k past the
-    # order 2^(l+1) of chi names the same atoms as k mod 2^(l+1)
+    # the atoms f, f_k and f'_k that `wl` folds off their level-(l+1)
+    # windows equal the closed form at level l, for every odd
+    # k < 3 * 2^(l+1): k past the order 2^(l+1) of chi names the same atoms
+    # as k mod 2^(l+1)
     for l in range(11):
         for k in range(1, 3 << (l + 1), 2):
             for f_power in (0, 1):
-                want = project_window(_family_vec(l + 1, k, f_power=f_power),
-                                      l)
-                assert _level_family(l, k, f_power) == want, (l, k, f_power)
-    assert _level_family(0, 7, 0).nums == (7,)
-    assert _level_family(0, 7, 1).is_zero()
+                want = level_family(l, k, f_power)
+                assert _family_atom(l, k, f_power) == want, (l, k, f_power)
+    assert _family_atom(0, 7, 0).nums == (7,)
+    assert _family_atom(0, 7, 1).is_zero()
     for k in (0, 2, -1):
         with pytest.raises(ValueError, match="positive odd integer"):
-            _level_family(3, k, 0)
+            _family_atom(3, k, 0)
+
+
+def binomial_sweep(q):
+    """The Horner sweep of `ring._f2_numerator` with each row
+    (1 - chi)^(2(deg - j)) built from scratch by `ring._binom_coeffs`."""
+    deg = len(q) - 1
+    p = q[deg:]
+    for j in range(deg - 1, -1, -1):
+        p = [x + 2 * y + z
+             for x, y, z in zip(p + [0, 0], [0, *p, 0], [0, 0, *p])]
+        if q[j]:
+            g = ring._binom_coeffs(2 * (deg - j), -1)
+            p = [a + q[j] * b for a, b in zip_longest(p, g, fillvalue=0)]
+    return p
+
+
+def test_f2_numerator_matches_the_binomial_sweep(monkeypatch):
+    # the carried (1 - chi)^(2(deg - j)) gives the numerator, and so the
+    # windows, of the rows built from scratch, for random q up to degree 64
+    # at levels whose windows are not held whole (K = 2 deg + 8)
+    rng = random.Random(40)
+    cases = []
+    for deg in (*range(6), 17, 40, 64):
+        for density in (1.0, 0.3):
+            q = [rng.randrange(-99, 100) if rng.random() < density else 0
+                 for _ in range(deg)] + [rng.choice((-3, 1, 7))]
+            cases.append(q)
+            assert ring._f2_numerator(q) == binomial_sweep(q), q
+    def windows():
+        return [_family_vec(2 * len(q) + 6, k, q, f_power=f_power,
+                            f2_minus_1=flag, times_one_minus_chi=t)
+                for q in cases for k in (1, 3, 7) for f_power in (0, 1)
+                for flag in (False, True) for t in (0, 3)]
+    got = windows()
+    assert all(w.tails for w in got)
+    monkeypatch.setattr(ring, "_f2_numerator", binomial_sweep)
+    assert windows() == got
 
 
 def test_monomial_powers_match_square_and_multiply(monkeypatch):
@@ -766,6 +829,8 @@ def test_text_round_trip():
 
 
 def test_text_parse_rejects_malformed_input():
+    # the parser reads only the writer's spelling, then trailing newlines:
+    # no leading zero, -0, fraction not in lowest terms or over 1, or space
     for bad in (
         "K=0; 1",
         "K=2; 1,2",
@@ -774,9 +839,15 @@ def test_text_parse_rejects_malformed_input():
         "K=2; 1,1/0,0",
         "K=2; 1, 2, 3",
         "2; 1,2,3",
+        "K=01; 5", "K=1; 05", "K=1; -0", "K=2; 1,-0,3", "K=1; 4/2",
+        "K=1; 4/1", "K=1; 0/3", "K=1; -6/4", "K=1; 1/03", " K=1; 5",
+        "K=1; 5 ",
     ):
         with pytest.raises(ValueError):
             element_from_text(bad)
+    g = make_element(2, [Fraction(-6, 4), 0, 9])
+    assert element_to_text(g) == "K=2; -3/2,0,9"
+    assert element_from_text("K=2; -3/2,0,9\n\n") == g
 
 
 def test_text_parsers_read_ascii_digits_only():
@@ -800,14 +871,15 @@ def test_text_parsers_read_ascii_digits_only():
 
 def test_text_level_past_the_int_to_str_limit():
     # a K= prefix of 5000 digits is read through decimal, like the
-    # coefficients, and named by its size in bits in the count message
+    # coefficients, and named by its size in bits in the count message;
+    # 5000 leading zeros are not the writer's spelling of K = 2
     with pytest.raises(ValueError,
                        match=r"^wrong coefficient count for level <int of"
                              r" 16607 bits>: expected 2\^<int of 16607"
                              r" bits> - 1, got 1$"):
         element_from_text("K=" + "1" * 5000 + "; 1")
-    assert element_from_text("K=" + "0" * 5000 + "2; 1,2,3") \
-        == make_element(2, [1, 2, 3])
+    with pytest.raises(ValueError, match="not as element_to_text writes"):
+        element_from_text("K=" + "0" * 5000 + "2; 1,2,3")
 
 
 # ---------------------------------------------------------------------------

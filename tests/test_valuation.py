@@ -1,6 +1,7 @@
 """Tests for level-wise valuations, normal forms, and the criteria."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -146,9 +147,29 @@ def test_valuation_text_round_trip():
         assert valuation_from_text(valuation_to_text(v)) == v
     assert valuation_to_text(Valuation.finite(0, 3, 2)) == "0+3/2^2"
     assert valuation_to_text(Valuation.infinite()) == "inf"
-    for bad in ("0+4/2^2", "1", "0+3/2", "0-3/2^2", "infty"):
+    assert valuation_from_text("0+3/2^2\n") == Valuation.finite(0, 3, 2)
+    # the parser reads only the writer's spelling, then trailing newlines
+    for bad in ("0+4/2^2", "1", "0+3/2", "0-3/2^2", "infty", "01+3/2^2",
+                "1+03/2^2", "1+3/2^02", "-0+3/2^2", " 1+3/2^2", "1+3/2^2 ",
+                " inf", "inf\t"):
         with pytest.raises(ValueError):
             valuation_from_text(bad)
+
+
+def test_valuation_text_past_the_int_to_str_limit():
+    # a and b past 4300 digits are written in full and read back; below the
+    # limit the text is that of str
+    v = Valuation(-(10 ** 5000), (1 << 15000) - 1, 15000)
+    text = valuation_to_text(v)
+    assert valuation_from_text(text) == v
+    assert valuation_to_text(Valuation(-7, 3, 2)) == "-7+3/2^2"
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        want = f"{v.a}+{v.b}/2^15000"
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert text == want
 
 
 def test_normal_form_known_values():
